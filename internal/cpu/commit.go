@@ -19,8 +19,8 @@ func (m *Machine) commit() {
 		if !t.live || m.orderIdx(tid) < 0 {
 			continue // squashed by an earlier threadlet's verify this cycle
 		}
-		for budget > 0 && len(t.rob) > 0 {
-			e := t.rob[0]
+		for budget > 0 && t.rob.len() > 0 {
+			e := t.rob.front()
 			if e.state != stDone || e.wakeHeld {
 				// A withheld load result (spectre.go mitigation) keeps its
 				// ROB slot until the wakeup is released: a committed entry
@@ -30,7 +30,7 @@ func (m *Machine) commit() {
 			}
 			// Side-effecting operations must wait until the threadlet is
 			// architectural (§3.2) and all earlier stores have performed.
-			if e.inst.Op == isa.HALT && (m.isSpec(tid) || len(t.drain) > 0) {
+			if e.inst.Op == isa.HALT && (m.isSpec(tid) || t.drain.len() > 0) {
 				break
 			}
 			m.commitOne(t, e)
@@ -51,7 +51,8 @@ func (m *Machine) commit() {
 // commitOne commits a single instruction to its threadlet.
 func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 	e.state = stCommitted
-	t.rob = t.rob[1:]
+	e.release()
+	t.rob.pop()
 	m.robUsed--
 	t.robHeld--
 	arch := !m.isSpec(t.id)
@@ -94,7 +95,7 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 	if e.meta.IsStore {
 		// The store performs later, from the post-commit drain queue; the
 		// SQ entry is held until then.
-		t.drain = append(t.drain, e)
+		t.drain.push(e)
 	}
 	if e.meta.IsBranch {
 		m.stats.Branches++
@@ -234,8 +235,8 @@ func (m *Machine) drainStores() {
 		if !t.live || m.orderIdx(tid) < 0 {
 			continue
 		}
-		for budget > 0 && len(t.drain) > 0 {
-			s := t.drain[0]
+		for budget > 0 && t.drain.len() > 0 {
+			s := t.drain.front()
 			if !m.isSpec(tid) {
 				if err := mem.ValidateAccess(s.addr, s.memSize); err != nil {
 					// The bad store became architectural, so sequential
@@ -304,7 +305,7 @@ func (m *Machine) drainStores() {
 					m.squashFrom(victim, core.SquashConflict, true)
 				}
 			}
-			t.drain = t.drain[1:]
+			t.drain.pop()
 			m.sqUsed--
 			budget--
 		}
@@ -321,7 +322,7 @@ func (m *Machine) drainStores() {
 // system atomically (§4.1.4).
 func (m *Machine) tryRetire() {
 	t := m.threads[m.archTid()]
-	if !t.hasEpochEnd || len(t.rob) > 0 || len(t.drain) > 0 {
+	if !t.hasEpochEnd || t.rob.len() > 0 || t.drain.len() > 0 {
 		return
 	}
 	if t.retireAt == 0 {

@@ -21,8 +21,8 @@ func (m *Machine) dispatch() {
 		if !t.live || m.orderIdx(tid) < 0 {
 			continue // squashed by an older threadlet's hint this cycle
 		}
-		for budget > 0 && len(t.fq) > 0 && t.live {
-			fe := t.fq[0]
+		for budget > 0 && t.fq.len() > 0 && t.live {
+			fe := &t.fq.items()[0]
 			if fe.readyAt > m.now {
 				break // still in the front-end pipe
 			}
@@ -38,8 +38,8 @@ func (m *Machine) dispatch() {
 			}
 			// A reattach epoch-end clears the fetch queue from inside
 			// dispatchOne; only pop when entries remain.
-			if len(t.fq) > 0 {
-				t.fq = t.fq[1:]
+			if t.fq.len() > 0 {
+				t.fq.pop()
 			}
 			budget--
 		}
@@ -48,8 +48,9 @@ func (m *Machine) dispatch() {
 
 // dispatchOne renames one instruction. It returns ok=false when the
 // instruction cannot dispatch this cycle; shared=true marks a shared
-// structural resource as the cause.
-func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
+// structural resource as the cause. fe points into t's fetch queue, which a
+// reattach hint empties, so it is read only before the hint takes effect.
+func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 	meta := fe.meta
 	if m.robUsed >= m.cfg.ROBSize {
 		return false, true
@@ -86,60 +87,34 @@ func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
 		}
 	}
 
-	e := &dynInst{
-		tid:        t.id,
-		seq:        t.seqCounter,
-		pc:         fe.pc,
-		inst:       fe.inst,
-		meta:       meta,
-		hasDest:    hasDest,
-		destReg:    fe.inst.Rd,
-		pred:       fe.pred,
-		hasPred:    fe.hasPred,
-		predTaken:  fe.predTaken,
-		predTarget: fe.predTgt,
-		rasPushed:  fe.rasPushed,
-		spawnedTid: -1,
-		memSize:    meta.MemBytes,
-	}
+	// The chunk entry is zero, so only non-zero fields are set.
+	e := m.newInst()
+	e.tid = t.id
+	e.seq = t.seqCounter
+	e.pc = fe.pc
+	e.inst = fe.inst
+	e.meta = meta
+	e.hasDest = hasDest
+	e.destReg = fe.inst.Rd
+	e.pred = fe.pred
+	e.hasPred = fe.hasPred
+	e.predTaken = fe.predTaken
+	e.predTarget = fe.predTgt
+	e.spawnedTid = -1
+	e.memSize = meta.MemBytes
 	t.seqCounter++
 	if m.spectreLive && (meta.IsBranch || fe.inst.Op == isa.JALR) {
 		t.ctlDispatched(e.seq)
 	}
 
-	// Operand capture through the rename map.
-	capture := func(slot int, r isa.Reg) {
-		if r == isa.X0 && !r.IsFP() {
-			e.srcReady[slot] = true
-			return
-		}
-		me := t.renameMap[r]
-		if me.prod == nil {
-			e.srcReady[slot] = true
-			e.srcVal[slot] = me.val
-			e.srcTaint[slot] = me.taint
-			if t.startConsumable(r) {
-				t.consumedStart[r] = true
-			}
-			return
-		}
-		if me.prod.state >= stDone && !me.prod.wakeHeld {
-			e.srcReady[slot] = true
-			e.srcVal[slot] = me.prod.result
-			e.srcTaint[slot] = me.prod.taint
-			return
-		}
-		e.srcProd[slot] = me.prod
-		me.prod.waiters = append(me.prod.waiters, e)
-	}
 	e.srcReady[0], e.srcReady[1] = true, true
 	if meta.HasRs1 {
 		e.srcReady[0] = false
-		capture(0, fe.inst.Rs1)
+		capture(t, e, 0, fe.inst.Rs1)
 	}
 	if meta.HasRs2 {
 		e.srcReady[1] = false
-		capture(1, fe.inst.Rs2)
+		capture(t, e, 1, fe.inst.Rs2)
 	}
 
 	if hasDest {
@@ -154,7 +129,7 @@ func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
 
 	m.robUsed++
 	t.robHeld++
-	t.rob = append(t.rob, e)
+	t.rob.push(e)
 	if needsIQ {
 		m.iqUsed++
 		t.iqHeld++
@@ -185,6 +160,53 @@ func (m *Machine) dispatchOne(t *threadlet, fe fetchEntry) (ok, shared bool) {
 	// opens the region for itself and younger instructions only.
 	e.dispRegion = t.activeRegion
 	return true, false
+}
+
+// capture reads operand slot of e, register r, through t's rename map: a
+// value is taken at once, a pending producer records e as its waiter.
+func capture(t *threadlet, e *dynInst, slot int, r isa.Reg) {
+	if r == isa.X0 && !r.IsFP() {
+		e.srcReady[slot] = true
+		return
+	}
+	me := t.renameMap[r]
+	p := me.prod
+	if p == nil {
+		e.srcReady[slot] = true
+		e.srcVal[slot] = me.val
+		e.srcTaint[slot] = me.taint
+		if t.startConsumable(r) {
+			t.consumedStart[r] = true
+		}
+		return
+	}
+	if p.state >= stDone && !p.wakeHeld {
+		e.srcReady[slot] = true
+		e.srcVal[slot] = p.result
+		e.srcTaint[slot] = p.taint
+		return
+	}
+	e.srcProd[slot] = p
+	if p.waiters == nil {
+		p.waiters = p.waitBuf[:0]
+	}
+	p.waiters = append(p.waiters, e)
+}
+
+// instChunk is the number of dynInsts allocated at once. A chunk is never
+// reused: it becomes garbage when nothing points into it any more, which the
+// lifetime rule (dynInst.release) makes happen soon after its instructions
+// leave the window.
+const instChunk = 64
+
+// newInst returns a zeroed dynInst from the machine's current chunk.
+func (m *Machine) newInst() *dynInst {
+	if len(m.instFree) == 0 {
+		m.instFree = make([]dynInst, instChunk)
+	}
+	e := &m.instFree[0]
+	m.instFree = m.instFree[1:]
+	return e
 }
 
 // startConsumable reports whether register r still carries the threadlet's
@@ -219,7 +241,6 @@ func (m *Machine) handleHint(t *threadlet, e *dynInst) {
 			// Already has a successor. With packing, the first detach seen
 			// with no skips left is the verification point (§4.3).
 			if t.pendingVerify && t.skipReattach == 0 {
-				e.wasSyncExit = false
 				e.endsEpoch = false
 				e.spawnedTid = -1
 				e.verifyPoint()
@@ -242,7 +263,7 @@ func (m *Machine) handleHint(t *threadlet, e *dynInst) {
 			t.epochEndSeq = e.seq
 			t.epochEndPC = e.pc
 			t.fetchHalted = true
-			t.fq = t.fq[:0]
+			t.fq.truncate(0)
 			return
 		}
 		m.stats.HintNops++
@@ -252,7 +273,6 @@ func (m *Machine) handleHint(t *threadlet, e *dynInst) {
 			if n := m.squashSuccessors(t, core.SquashSync); n > 0 {
 				m.stats.SyncCancels += uint64(n)
 			}
-			e.wasSyncExit = true
 			t.activeRegion = -1
 			t.detached = false
 			t.skipReattach = 0
@@ -276,7 +296,7 @@ const maxDetachWait = 8
 // queue should wait a little for its IV values (§4.3's value predictor needs
 // concrete inputs). Without the wait, tight loops dispatch the detach in the
 // same cycle as the IV update and packing could never engage.
-func (m *Machine) delayDetachForPacking(t *threadlet, fe fetchEntry) bool {
+func (m *Machine) delayDetachForPacking(t *threadlet, fe *fetchEntry) bool {
 	if fe.inst.Op != isa.DETACH || !m.cfg.Pack.Enabled || m.cfg.Threadlets <= 1 {
 		return false
 	}
@@ -371,8 +391,7 @@ func (m *Machine) trySpawn(t *threadlet, e *dynInst, region int64) {
 	t.detached = true
 	t.skipReattach = factor - 1
 	t.pendingVerify = factor > 1
-	t.epochFactor = ipmax(t.epochFactor, 1) // parent now covers `factor` iterations
-	t.epochFactor = factor
+	t.epochFactor = factor // parent now covers `factor` iterations
 	if factor > 1 {
 		t.predictedStart = predicted
 		m.stats.PackedSpawns++
@@ -387,13 +406,6 @@ func (m *Machine) trySpawn(t *threadlet, e *dynInst, region int64) {
 		}
 	}
 	m.emitEvent(EvSpawn, nt.id, region, factor)
-}
-
-func ipmax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // regSnapshot returns the threadlet's current speculative register values
@@ -418,11 +430,20 @@ func (t *threadlet) regSnapshot() (vals [isa.NumRegs]uint64, resolved [isa.NumRe
 // copy of §4.
 func (m *Machine) spawnInto(parent, nt *threadlet, contPC int, factor int, predicted *[isa.NumRegs]uint64) {
 	m.gens[nt.id]++
+	// The context's queues are empty (it retired or was purged); keep their
+	// backing arrays so a spawn does not regrow them.
+	rob, drain, fq := nt.rob, nt.drain, nt.fq
+	rob.truncate(0)
+	drain.truncate(0)
+	fq.truncate(0)
 	*nt = threadlet{
 		id:           nt.id,
 		live:         true,
 		fetchPC:      contPC,
 		fetchReadyAt: m.now + m.cfg.SpawnLatency,
+		fq:           fq,
+		rob:          rob,
+		drain:        drain,
 		activeRegion: int64(contPC),
 		homeRegion:   int64(contPC),
 		epochStartPC: contPC,

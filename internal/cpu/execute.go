@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"sort"
-
 	"loopfrog/internal/isa"
 	"loopfrog/internal/mem"
 )
@@ -58,6 +56,7 @@ func (m *Machine) issue() {
 				loadBudget--
 			}
 		}
+		clear(q[len(m.replayQ):])
 	}
 	for c := isa.Class(0); c < isa.NumClasses; c++ {
 		q := m.readyQ[c]
@@ -71,13 +70,7 @@ func (m *Machine) issue() {
 				live = append(live, e)
 			}
 		}
-		sort.SliceStable(live, func(i, j int) bool {
-			oi, oj := m.orderIdx(live[i].tid), m.orderIdx(live[j].tid)
-			if oi != oj {
-				return oi < oj
-			}
-			return live[i].seq < live[j].seq
-		})
+		m.sortByAge(live)
 		units := m.unitsFor(c)
 		if c == isa.ClassLoad {
 			units = loadBudget
@@ -91,7 +84,37 @@ func (m *Machine) issue() {
 				n++
 			}
 		}
-		m.readyQ[c] = append(m.readyQ[c][:0], live[min(n, len(live)):]...)
+		m.readyQ[c] = append(q[:0], live[min(n, len(live)):]...)
+		clear(q[len(m.readyQ[c]):])
+	}
+}
+
+// sortByAge orders instructions oldest first: by epoch order, then by age
+// within a threadlet. It is a stable insertion sort, since the queues it
+// sorts are short and mostly in order already, and allocates nothing.
+func (m *Machine) sortByAge(q []*dynInst) {
+	if len(q) < 2 {
+		return
+	}
+	rank := m.ageRank
+	for i := range rank {
+		rank[i] = -1
+	}
+	for i, tid := range m.order {
+		rank[tid] = i
+	}
+	for i := 1; i < len(q); i++ {
+		e := q[i]
+		r := rank[e.tid]
+		j := i
+		for ; j > 0; j-- {
+			p := q[j-1]
+			if rp := rank[p.tid]; rp < r || rp == r && p.seq <= e.seq {
+				break
+			}
+			q[j] = p
+		}
+		q[j] = e
 	}
 }
 
@@ -226,18 +249,20 @@ func (m *Machine) findOlderStore(t *threadlet, load *dynInst) (st *dynInst, part
 		covers := s.addr <= load.addr && s.addr+uint64(s.memSize) >= load.addr+uint64(load.memSize)
 		return true, !covers
 	}
-	for i := len(t.rob) - 1; i >= 0; i-- {
-		s := t.rob[i]
-		if s.seq >= load.seq || !s.meta.IsStore {
+	rob := t.rob.items()
+	for i := seqIndex(rob, load.seq) - 1; i >= 0; i-- {
+		s := rob[i]
+		if !s.meta.IsStore {
 			continue
 		}
 		if hit, part := check(s); hit {
 			return s, part
 		}
 	}
-	for i := len(t.drain) - 1; i >= 0; i-- {
-		if hit, part := check(t.drain[i]); hit {
-			return t.drain[i], part
+	drain := t.drain.items()
+	for i := len(drain) - 1; i >= 0; i-- {
+		if hit, part := check(drain[i]); hit {
+			return drain[i], part
 		}
 	}
 	return nil, false
@@ -254,9 +279,11 @@ func (m *Machine) execStore(e *dynInst) {
 	m.executing = append(m.executing, e)
 	m.stats.Stores++
 
-	var violator *dynInst
-	for _, l := range t.rob {
-		if l.seq <= e.seq || !l.meta.IsLoad || !l.addrValid {
+	// The oldest younger load that already executed with an overlapping
+	// address violated program order.
+	rob := t.rob.items()
+	for _, l := range rob[seqIndex(rob, e.seq+1):] {
+		if !l.meta.IsLoad || !l.addrValid {
 			continue
 		}
 		if l.state != stExecuting && l.state != stDone {
@@ -268,14 +295,25 @@ func (m *Machine) execStore(e *dynInst) {
 		if l.loadFwdSQ && l.fwdSeq > e.seq {
 			continue // forwarded from a store younger than this one
 		}
-		if violator == nil || l.seq < violator.seq {
-			violator = l
+		m.stats.LoadReplaysLSQ++
+		m.rollbackTo(t, l.seq, l.pc, nil)
+		return
+	}
+}
+
+// seqIndex returns the index of the first instruction in rob whose age is at
+// least seq. A threadlet's ROB is in strictly increasing age order.
+func seqIndex(rob []*dynInst, seq uint64) int {
+	lo, hi := 0, len(rob)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rob[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	if violator != nil {
-		m.stats.LoadReplaysLSQ++
-		m.rollbackTo(t, violator.seq, violator.pc, nil)
-	}
+	return lo
 }
 
 // writeback completes instructions whose results are ready: it wakes
@@ -285,7 +323,7 @@ func (m *Machine) writeback() {
 		return
 	}
 	remaining := m.executing[:0]
-	var finished []*dynInst
+	finished := m.finished[:0]
 	for _, e := range m.executing {
 		switch {
 		case e.squashed:
@@ -295,21 +333,18 @@ func (m *Machine) writeback() {
 			remaining = append(remaining, e)
 		}
 	}
+	clear(m.executing[len(remaining):])
 	m.executing = remaining
 	// Oldest-first resolution keeps branch recovery deterministic.
-	sort.SliceStable(finished, func(i, j int) bool {
-		oi, oj := m.orderIdx(finished[i].tid), m.orderIdx(finished[j].tid)
-		if oi != oj {
-			return oi < oj
-		}
-		return finished[i].seq < finished[j].seq
-	})
+	m.sortByAge(finished)
 	for _, e := range finished {
 		if e.squashed {
 			continue
 		}
 		m.complete(e)
 	}
+	clear(finished)
+	m.finished = finished[:0]
 }
 
 // complete finishes one instruction.
@@ -361,6 +396,7 @@ func (m *Machine) wake(e *dynInst) {
 		}
 	}
 	e.waiters = nil
+	e.waitBuf = [waitBufLen]*dynInst{}
 	for _, cw := range e.ckptWaiters {
 		ct := m.threads[cw.tid]
 		if m.gens[cw.tid] != cw.gen || ct.ckptPending[cw.reg] != e {
@@ -403,7 +439,7 @@ func (m *Machine) resolveIndirect(t *threadlet, e *dynInst) {
 	e.actualTarget = target
 	if e.predTarget == -1 {
 		// The front end stalled on this jump: release it.
-		if len(t.fq) == 0 && t.fetchPC == -1 {
+		if t.fq.len() == 0 && t.fetchPC == -1 {
 			t.fetchPC = target
 			t.fetchReadyAt = m.now + 1
 		} else {
@@ -415,11 +451,4 @@ func (m *Machine) resolveIndirect(t *threadlet, e *dynInst) {
 		m.stats.IndirectMispredicts++
 		m.rollbackTo(t, e.seq+1, target, e)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

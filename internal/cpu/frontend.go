@@ -23,7 +23,7 @@ func (m *Machine) fetch() {
 }
 
 func (m *Machine) fetchOne(t *threadlet, budget int) int {
-	if t.fetchHalted || t.fetchWaitInst != nil || m.now < t.fetchReadyAt {
+	if t.fetchHalted || m.now < t.fetchReadyAt {
 		return 0
 	}
 	count := 0
@@ -31,7 +31,7 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 	// instruction spends FrontendDepth cycles in flight before it becomes
 	// queue-resident, so the in-flight window adds depth*width of capacity.
 	capacity := m.cfg.FetchQueue + m.cfg.FrontendDepth*m.cfg.Width
-	for count < budget && len(t.fq) < capacity {
+	for count < budget && t.fq.len() < capacity {
 		pc := t.fetchPC
 		if pc < 0 || pc >= len(m.code) {
 			// Wrong-path fetch ran off the program; stall until redirected.
@@ -69,7 +69,6 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 			next = int(inst.Imm)
 			if bpred.IsCall(inst) {
 				m.bp.PushRAS(t.id, pc+1)
-				fe.rasPushed = true
 			}
 			fe.predTgt = next
 		case inst.Op == isa.JALR:
@@ -80,7 +79,6 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 			default:
 				if bpred.IsCall(inst) {
 					m.bp.PushRAS(t.id, pc+1)
-					fe.rasPushed = true
 				}
 				if tgt, ok := m.bp.PredictIndirect(pc); ok {
 					next = tgt
@@ -89,19 +87,19 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 					// No target prediction: fetch stalls until the jump
 					// resolves in the back end.
 					fe.predTgt = -1
-					t.fq = append(t.fq, fe)
+					t.fq.push(fe)
 					t.fetchPC = -1 // poisoned until resolution
 					count++
 					return count
 				}
 			}
 		case inst.Op == isa.HALT:
-			t.fq = append(t.fq, fe)
+			t.fq.push(fe)
 			t.fetchHalted = true
 			t.haltSeen = true
 			return count + 1
 		}
-		t.fq = append(t.fq, fe)
+		t.fq.push(fe)
 		t.fetchPC = next
 		count++
 	}
@@ -111,10 +109,9 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 // redirectFetch points a threadlet's front end at pc, discarding fetched but
 // not yet dispatched entries and charging the refill penalty.
 func (m *Machine) redirectFetch(t *threadlet, pc int) {
-	t.fq = t.fq[:0]
+	t.fq.truncate(0)
 	t.fetchPC = pc
 	t.fetchReadyAt = m.now + int64(m.cfg.FrontendDepth)
-	t.fetchWaitInst = nil
 	t.lineValid = false
 	// A wrong-path HALT (or reattach) may have latched the front end while
 	// still sitting in the now-discarded fetch queue; a redirect always

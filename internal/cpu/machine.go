@@ -116,6 +116,11 @@ type Machine struct {
 	// allocation-free. Each belongs to exactly one pipeline stage.
 	commitSnap, drainSnap, dispatchSnap []int
 	granScratch                         []uint64
+	finished                            []*dynInst // writeback
+	ageRank                             []int      // sortByAge, indexed by tid
+
+	// instFree is the unused tail of the current dynInst chunk (newInst).
+	instFree []dynInst
 }
 
 // NewMachine builds a machine for the program.
@@ -158,6 +163,7 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 		contextFreeAt: make([]int64, cfg.Threadlets),
 		gens:          make([]uint64, cfg.Threadlets),
 		archSpecInsts: make([]uint64, cfg.Threadlets),
+		ageRank:       make([]int, cfg.Threadlets),
 		code:          prog.Decoded(),
 	}
 	startPC := prog.Entry

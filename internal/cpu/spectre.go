@@ -191,6 +191,7 @@ func (m *Machine) releaseDelayedWakes() {
 		}
 		kept = append(kept, e)
 	}
+	clear(m.delayedWake[len(kept):])
 	m.delayedWake = kept
 }
 

@@ -13,17 +13,12 @@ import (
 // non-nil, is the branch whose resolution triggered the rollback; its
 // corrected history was already installed by the caller.
 func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedBranch *dynInst) {
-	cut := len(t.rob)
-	for i, e := range t.rob {
-		if e.seq >= fromSeq {
-			cut = i
-			break
-		}
-	}
+	rob := t.rob.items()
+	cut := seqIndex(rob, fromSeq)
 	var oldestHist uint64
 	haveHist := false
-	for i := len(t.rob) - 1; i >= cut; i-- {
-		e := t.rob[i]
+	for i := len(rob) - 1; i >= cut; i-- {
+		e := rob[i]
 		e.squashed = true
 		if m.spectreLive {
 			m.squashSpectre(e)
@@ -71,9 +66,9 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 			oldestHist = e.pred.Hist
 			haveHist = true
 		}
-		e.mispredicted = e.mispredicted || false
+		e.release()
 	}
-	t.rob = t.rob[:cut]
+	t.rob.truncate(cut)
 	if m.spectreLive {
 		t.ctlSquashed(fromSeq)
 	}
@@ -193,7 +188,7 @@ func (m *Machine) squashFrom(victimTid int, cause core.SquashCause, restart bool
 // purgeThreadlet removes all of a threadlet's in-flight state from the
 // shared structures.
 func (m *Machine) purgeThreadlet(t *threadlet) {
-	for _, e := range t.rob {
+	for _, e := range t.rob.items() {
 		e.squashed = true
 		if m.spectreLive {
 			m.squashSpectre(e)
@@ -217,14 +212,13 @@ func (m *Machine) purgeThreadlet(t *threadlet) {
 		if e.meta.IsStore {
 			m.sqUsed--
 		}
+		e.release()
 	}
-	t.rob = t.rob[:0]
+	t.rob.truncate(0)
 	// Committed-but-undrained stores still hold SQ entries.
-	for range t.drain {
-		m.sqUsed--
-	}
-	t.drain = t.drain[:0]
-	t.fq = t.fq[:0]
+	m.sqUsed -= t.drain.len()
+	t.drain.truncate(0)
+	t.fq.truncate(0)
 	if m.spectreLive {
 		// The whole epoch was misspeculation: candidates it committed are
 		// confirmed leaks, and its transient windows are gone.
@@ -243,7 +237,6 @@ func (m *Machine) restartThreadlet(t *threadlet) {
 	t.fetchHalted = false
 	t.haltSeen = false
 	t.fetchReadyAt = m.now + m.cfg.SpawnLatency
-	t.fetchWaitInst = nil
 	t.lineValid = false
 	t.hasEpochEnd = false
 	t.detached = false

@@ -100,18 +100,18 @@ func (m *Machine) attributeCommitSlots(archUsed, totalUsed uint64) {
 // oldest-reason-first so the breakdown is deterministic.
 func (m *Machine) stallCause() SlotClass {
 	t := m.threads[m.archTid()]
-	if len(t.rob) == 0 {
+	if t.rob.len() == 0 {
 		switch {
 		case m.now < m.recoverUntil:
 			return SlotSquashDrain
-		case len(t.drain) > 0:
+		case t.drain.len() > 0:
 			// Epoch fully committed; retire is waiting on the drain queue.
 			return SlotStoreDrain
 		default:
 			return SlotFrontend
 		}
 	}
-	if t.rob[0].state == stDone {
+	if t.rob.front().state == stDone {
 		// The head is complete but blocked from committing: a HALT waiting
 		// for the threadlet to become architectural or for stores to drain.
 		return SlotStoreDrain

@@ -15,7 +15,9 @@ const (
 	stCommitted                   // committed to its threadlet
 )
 
-// dynInst is one dynamic instruction in flight.
+// dynInst is one dynamic instruction in flight. Word-sized fields come
+// first and the one-byte flags last, so the struct carries little padding:
+// the machine allocates one per dispatched instruction.
 type dynInst struct {
 	tid  int
 	seq  uint64 // per-threadlet age
@@ -24,22 +26,54 @@ type dynInst struct {
 	meta *isa.Meta // points into isa's immutable metadata table
 
 	// Operand capture. src[0] is Rs1, src[1] is Rs2.
-	srcReady [2]bool
-	srcVal   [2]uint64
-	srcProd  [2]*dynInst
+	srcVal  [2]uint64
+	srcProd [2]*dynInst
 
-	hasDest bool
-	destReg isa.Reg
 	oldMap  mapEntry // previous rename-map entry, for rollback
 	result  uint64
-
-	state   instState
 	readyAt int64 // writeback cycle once executing
 
 	// Memory state.
-	addr      uint64
+	addr    uint64
+	memSize int
+	// fwdSeq is the store-queue entry a load forwarded from.
+	fwdSeq uint64
+
+	// Branch state.
+	pred         bpred.BranchState
+	predTarget   int
+	actualTarget int
+
+	// dispRegion is the threadlet's active region when this instruction
+	// dispatched (after hint effects), -1 when none. Commit-side pack
+	// observation and region stats use it instead of the threadlet's current
+	// region: a detach updates the threadlet at dispatch, so older in-flight
+	// instructions from before the region would otherwise be misattributed
+	// to it when they commit.
+	dispRegion int64
+
+	// Hint bookkeeping. The prev* fields snapshot threadlet epoch state a
+	// hint mutated at dispatch, so wrong-path rollback can restore it.
+	spawnedTid int // threadlet spawned by this detach, -1 otherwise
+	prevRegion int64
+	prevSkip   int
+
+	// waiters are instructions whose operands this result feeds. The list
+	// starts on waitBuf, so the usual fan-out of a few consumers needs no
+	// allocation of its own.
+	waiters []*dynInst
+	waitBuf [waitBufLen]*dynInst
+	// ckptWaiters are (threadlet, reg) checkpoint slots this result fills.
+	ckptWaiters []ckptWaiter
+
+	// One-byte state, grouped like the fields above.
+	srcReady [2]bool
+	hasDest  bool
+	destReg  isa.Reg
+	state    instState
+
+	// Memory flags.
 	addrValid bool
-	memSize   int
 	loadFwdSQ bool // forwarded from own threadlet's store queue
 	// memFaulted marks a load whose address failed mem.ValidateAccess: it
 	// executed with a zero result and no memory-system access, and raises a
@@ -54,42 +88,32 @@ type dynInst struct {
 	leakCand  bool    // transient load whose address was tainted (candidate)
 	wakeHeld  bool    // result withheld from dependents (mitigation)
 
-	// Branch state.
-	pred         bpred.BranchState
+	// Branch flags.
 	hasPred      bool
 	predTaken    bool
-	predTarget   int
-	actualTarget int
 	mispredicted bool
-	rasPushed    bool
 
-	// dispRegion is the threadlet's active region when this instruction
-	// dispatched (after hint effects), -1 when none. Commit-side pack
-	// observation and region stats use it instead of the threadlet's current
-	// region: a detach updates the threadlet at dispatch, so older in-flight
-	// instructions from before the region would otherwise be misattributed
-	// to it when they commit.
-	dispRegion int64
-
-	// Hint bookkeeping. The prev* fields snapshot threadlet epoch state a
-	// hint mutated at dispatch, so wrong-path rollback can restore it.
-	spawnedTid    int // threadlet spawned by this detach, -1 otherwise
+	// Hint flags.
 	endsEpoch     bool
-	wasSyncExit   bool
 	isVerifyPoint bool
-	prevRegion    int64
 	prevDetached  bool
-	prevSkip      int
 	prevVerify    bool
-	// fwdSeq is the store-queue entry a load forwarded from.
-	fwdSeq uint64
-
-	// waiters are instructions whose operands this result feeds.
-	waiters []*dynInst
-	// ckptWaiters are (threadlet, reg) checkpoint slots this result fills.
-	ckptWaiters []ckptWaiter
 
 	squashed bool
+}
+
+// waitBufLen is the number of waiters an instruction stores inline.
+const waitBufLen = 4
+
+// release drops every pointer e holds to another instruction. It runs when e
+// leaves the window (commit, rollback, purge): a finished instruction then
+// keeps nothing older reachable, so the live heap is bounded by the in-flight
+// window however long the run (DESIGN.md, "Instruction lifetime").
+func (e *dynInst) release() {
+	e.srcProd = [2]*dynInst{}
+	e.oldMap.prod = nil
+	e.waiters = nil
+	e.waitBuf = [waitBufLen]*dynInst{}
 }
 
 type ckptWaiter struct {
@@ -113,10 +137,9 @@ type fetchEntry struct {
 	meta      *isa.Meta
 	readyAt   int64 // cycle the entry may rename (models front-end depth)
 	pred      bpred.BranchState
+	predTgt   int
 	hasPred   bool
 	predTaken bool
-	predTgt   int
-	rasPushed bool
 }
 
 // threadlet is one execution context (§4): PC, rename map, ROB slice, and
@@ -130,8 +153,7 @@ type threadlet struct {
 	fetchHalted    bool // stopped at reattach epoch end or HALT
 	haltSeen       bool
 	fetchReadyAt   int64
-	fetchWaitInst  *dynInst // unresolved indirect jump blocking fetch
-	fq             []fetchEntry
+	fq             fifo[fetchEntry]
 	lineTagFetched uint64 // last I-cache line fetched (for timing)
 	lineValid      bool
 
@@ -166,11 +188,11 @@ type threadlet struct {
 	// through Run when the threadlet is promoted to architectural.
 	memFault *MemFault
 
-	// ROB slice (ring of in-flight instructions, oldest first).
-	rob []*dynInst
+	// ROB slice (in-flight instructions, oldest first).
+	rob fifo[*dynInst]
 
 	// Post-commit store drain queue (the store buffer in front of SSB/L1D).
-	drain []*dynInst
+	drain fifo[*dynInst]
 
 	// LoopFrog epoch state.
 	activeRegion int64 // region the epoch belongs to; -1 when none
@@ -223,7 +245,49 @@ type threadlet struct {
 	pendingLeaks []pendingLeak
 }
 
-func (t *threadlet) robCount() int { return len(t.rob) }
+func (t *threadlet) robCount() int { return t.rob.len() }
+
+// fifo is a first-in first-out queue over one reused backing array. A pop
+// clears the vacated slot and advances a head index; a push that finds the
+// array full moves the live entries back to its front when they fill at most
+// half of it, and grows the array otherwise. A queue in steady state never
+// reallocates, unlike a slice popped with q = q[1:], which append copies to a
+// new array every few pops, and it holds no stale pointers.
+type fifo[T any] struct {
+	buf  []T // the live entries are buf[head:]
+	head int
+}
+
+func (q *fifo[T]) len() int   { return len(q.buf) - q.head }
+func (q *fifo[T]) items() []T { return q.buf[q.head:] }
+func (q *fifo[T]) front() T   { return q.buf[q.head] }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.len() <= cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() {
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
+
+// truncate keeps the oldest n entries.
+func (q *fifo[T]) truncate(n int) {
+	clear(q.buf[q.head+n:])
+	q.buf = q.buf[:q.head+n]
+	if n == 0 {
+		q.buf, q.head = q.buf[:0], 0
+	}
+}
 
 // Stats aggregates a run's counters.
 type Stats struct {

@@ -206,14 +206,14 @@ func (m *Machine) snapshot() Snapshot {
 			Spec:     t.live && m.archTid() != t.id,
 			FetchPC:  t.fetchPC,
 			ROBHead:  -1,
-			ROBInsts: len(t.rob),
-			DrainLen: len(t.drain),
+			ROBInsts: t.rob.len(),
+			DrainLen: t.drain.len(),
 			Region:   t.activeRegion,
 			Detached: t.detached,
 			Stalled:  t.overflowStalled || t.drainFaulted,
 		}
-		if len(t.rob) > 0 {
-			c.ROBHead = t.rob[0].pc
+		if t.rob.len() > 0 {
+			c.ROBHead = t.rob.front().pc
 		}
 		s.Contexts = append(s.Contexts, c)
 	}

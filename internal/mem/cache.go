@@ -103,8 +103,11 @@ type strideEntry struct {
 
 // level is one cache level.
 type level struct {
-	cfg      CacheConfig
-	sets     [][]line
+	cfg CacheConfig
+	// lines holds every set's ways back to back: set i is
+	// lines[i*assoc : (i+1)*assoc].
+	lines    []line
+	assoc    int
 	setMask  uint64
 	lineBits uint
 	mshrs    []mshrEntry
@@ -121,11 +124,9 @@ func newLevel(cfg CacheConfig) *level {
 	}
 	l := &level{
 		cfg:     cfg,
-		sets:    make([][]line, numSets),
+		lines:   make([]line, numSets*cfg.Assoc),
+		assoc:   cfg.Assoc,
 		setMask: uint64(numSets - 1),
-	}
-	for i := range l.sets {
-		l.sets[i] = make([]line, cfg.Assoc)
 	}
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		l.lineBits++
@@ -135,7 +136,10 @@ func newLevel(cfg CacheConfig) *level {
 
 func (l *level) block(addr uint64) uint64 { return addr >> l.lineBits }
 
-func (l *level) set(block uint64) []line { return l.sets[block&l.setMask] }
+func (l *level) set(block uint64) []line {
+	i := int(block&l.setMask) * l.assoc
+	return l.lines[i : i+l.assoc : i+l.assoc]
+}
 
 func (l *level) probe(block uint64) *line {
 	set := l.set(block)
@@ -228,17 +232,14 @@ func (h *Hierarchy) CloneAt(now int64) *Hierarchy {
 func (l *level) cloneAt(now int64) *level {
 	c := &level{
 		cfg:      l.cfg,
-		sets:     make([][]line, len(l.sets)),
+		lines:    append([]line(nil), l.lines...),
+		assoc:    l.assoc,
 		setMask:  l.setMask,
 		lineBits: l.lineBits,
 	}
-	for i, set := range l.sets {
-		cs := append([]line(nil), set...)
-		for j := range cs {
-			cs[j].lastUse -= now
-			cs[j].readyAt -= now
-		}
-		c.sets[i] = cs
+	for j := range c.lines {
+		c.lines[j].lastUse -= now
+		c.lines[j].readyAt -= now
 	}
 	for _, e := range l.mshrs {
 		if e.fillAt > now { // expired entries would be pruned anyway

@@ -36,19 +36,29 @@ func (m *Memory) LoadProgram(p *asm.Program) {
 	m.WriteBytes(p.DataBase, p.Data)
 }
 
-// ReadBytes copies n bytes starting at addr into a fresh slice.
+// ReadBytes copies n bytes starting at addr into a fresh slice, one page at
+// a time.
 func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = m.readByte(addr + uint64(i))
+	for done := 0; done < n; {
+		page, off := m.page(addr+uint64(done), false)
+		k := min(n-done, pageSize-int(off))
+		if page != nil {
+			copy(out[done:done+k], page[off:])
+		}
+		done += k
 	}
 	return out
 }
 
-// WriteBytes writes p starting at addr.
+// WriteBytes writes p starting at addr, one page at a time. Every page the
+// range touches exists afterwards, even where p holds only zeros.
 func (m *Memory) WriteBytes(addr uint64, p []byte) {
-	for i, b := range p {
-		m.writeByte(addr+uint64(i), b)
+	for len(p) > 0 {
+		page, off := m.page(addr, true)
+		n := copy(page[off:], p)
+		p = p[n:]
+		addr += uint64(n)
 	}
 }
 
@@ -149,11 +159,6 @@ func (m *Memory) readByte(addr uint64) byte {
 		return 0
 	}
 	return page[off]
-}
-
-func (m *Memory) writeByte(addr uint64, b byte) {
-	page, off := m.page(addr, true)
-	page[off] = b
 }
 
 func (m *Memory) page(addr uint64, create bool) (*[pageSize]byte, uint64) {

@@ -60,6 +60,42 @@ func TestMemoryCrossPageBytes(t *testing.T) {
 	}
 }
 
+// TestMemoryBytesSpanPages checks the page-at-a-time byte copies over a
+// range spanning several pages, and reads that cross unwritten pages.
+func TestMemoryBytesSpanPages(t *testing.T) {
+	m := NewMemory()
+	addr := uint64(5*pageSize - 7)
+	payload := make([]byte, 3*pageSize+11)
+	for i := range payload {
+		payload[i] = byte(i*7 + 1)
+	}
+	m.WriteBytes(addr, payload)
+	if m.Footprint() != 5 {
+		t.Errorf("footprint = %d, want 5 pages", m.Footprint())
+	}
+	got := m.ReadBytes(addr, len(payload))
+	for i := range payload {
+		if got[i] != payload[i] {
+			t.Fatalf("byte %d = %d, want %d", i, got[i], payload[i])
+		}
+	}
+	// From two pages before the payload into its first bytes: zeros, then
+	// the payload, without creating pages.
+	got = m.ReadBytes(addr-2*pageSize, 2*pageSize+3)
+	for i, b := range got {
+		want := byte(0)
+		if i >= 2*pageSize {
+			want = payload[i-2*pageSize]
+		}
+		if b != want {
+			t.Fatalf("byte %d = %d, want %d", i, b, want)
+		}
+	}
+	if m.Footprint() != 5 {
+		t.Errorf("ReadBytes created pages: footprint = %d, want 5", m.Footprint())
+	}
+}
+
 func TestMemoryAlignmentPanics(t *testing.T) {
 	m := NewMemory()
 	for _, c := range []struct {

@@ -192,8 +192,10 @@ type job struct {
 	done   chan struct{}
 
 	// machine holds the most recently observed live simulation, for
-	// progress streaming; nil before the first attempt or on a cache hit.
-	machine atomic.Pointer[cpu.Machine]
+	// progress streaming; nil before the first attempt, on a cache hit and
+	// once the job finished (a finished machine holds its whole heap, and the
+	// job outlives it in the registry). Guarded by mu.
+	machine *cpu.Machine
 	// tuneRung holds the tuner's current rung, for SSE progress on tune
 	// jobs; nil otherwise.
 	tuneRung atomic.Pointer[tuneRungProgress]
@@ -258,16 +260,10 @@ func (j *job) setStatus(status string) {
 	j.mu.Unlock()
 }
 
-func (j *job) statusNow() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.status
-}
-
 // finish records the terminal state exactly once and releases waiters.
 func (j *job) finish(status string, httpStatus int, result *JobResult, errText string) {
 	j.mu.Lock()
-	if j.status == StatusDone || j.status == StatusFailed || j.status == StatusCancelled {
+	if j.finishedLocked() {
 		j.mu.Unlock()
 		return
 	}
@@ -275,6 +271,7 @@ func (j *job) finish(status string, httpStatus int, result *JobResult, errText s
 	j.httpStatus = httpStatus
 	j.result = result
 	j.errText = errText
+	j.machine = nil
 	j.finishedAt = time.Now()
 	if j.started.IsZero() {
 		j.started = j.finishedAt
@@ -282,6 +279,22 @@ func (j *job) finish(status string, httpStatus int, result *JobResult, errText s
 	j.mu.Unlock()
 	j.cancel()
 	close(j.done)
+}
+
+// observe records m as the job's live machine unless the job already
+// finished: a retry still starting after a timeout must not pin a machine to
+// the finished job.
+func (j *job) observe(m *cpu.Machine) {
+	j.mu.Lock()
+	if !j.finishedLocked() {
+		j.machine = m
+	}
+	j.mu.Unlock()
+}
+
+// finishedLocked reports a terminal status; the caller holds mu.
+func (j *job) finishedLocked() bool {
+	return j.status == StatusDone || j.status == StatusFailed || j.status == StatusCancelled
 }
 
 // terminal returns the job's terminal HTTP status and view once finished.
@@ -564,16 +577,15 @@ func (s *Server) run(j *job) {
 		s.runSampled(j, timeout)
 		return
 	}
-	observe := func(m *cpu.Machine) { j.machine.Store(m) }
 	var jobs []sim.Job
 	if j.Spec.AB {
 		jobs = []sim.Job{
 			{Cfg: sim.BaselineOf(j.cfg), Prog: j.prog, Timeout: timeout},
-			{Cfg: j.cfg, Prog: j.prog, Faults: j.Spec.Faults, Seed: j.Spec.Seed, Timeout: timeout, Observe: observe},
+			{Cfg: j.cfg, Prog: j.prog, Faults: j.Spec.Faults, Seed: j.Spec.Seed, Timeout: timeout, Observe: j.observe},
 		}
 	} else {
 		jobs = []sim.Job{
-			{Cfg: j.cfg, Prog: j.prog, Faults: j.Spec.Faults, Seed: j.Spec.Seed, Timeout: timeout, Observe: observe},
+			{Cfg: j.cfg, Prog: j.prog, Faults: j.Spec.Faults, Seed: j.Spec.Seed, Timeout: timeout, Observe: j.observe},
 		}
 	}
 	stats, errs := s.harness.RunJobsCtx(j.ctx, jobs)
@@ -726,11 +738,16 @@ type tuneRungProgress struct {
 	Spent int `json:"spent"`
 }
 
-// sampleProgress reads the job's live machine, if any.
+// sampleProgress reads the job's live machine, if any. Status and machine
+// are read together, so a sample is either running with the live counters or
+// terminal with none; the terminal counters are in the job's result.
 func (j *job) sampleProgress() progress {
-	p := progress{Status: j.statusNow(), Fingerprint: j.fingerprint}
+	j.mu.Lock()
+	p := progress{Status: j.status, Fingerprint: j.fingerprint}
+	m := j.machine
+	j.mu.Unlock()
 	p.Tune = j.tuneRung.Load()
-	if m := j.machine.Load(); m != nil {
+	if m != nil {
 		snap := m.SnapshotStats()
 		p.Cycles = snap.CPU.Cycles
 		p.ArchInsts = snap.CPU.ArchInsts

@@ -61,8 +61,8 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 			// The watcher went away; the job itself keeps running.
 			return
 		case <-ticker.C:
-			if j.statusNow() == StatusRunning {
-				emit("progress", j.sampleProgress())
+			if p := j.sampleProgress(); p.Status == StatusRunning {
+				emit("progress", p)
 			}
 		}
 	}
