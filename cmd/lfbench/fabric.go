@@ -15,7 +15,7 @@ package main
 //     aggregate-cache throughput win, and it holds even on one core.
 //   - affinity: caches unbounded on both sides. Shows the fabric's hit rate
 //     matches single-node — routing on the fingerprint loses (almost) no
-//     cache efficiency to stealing or hedging.
+//     cache efficiency to failover.
 
 import (
 	"bytes"
@@ -166,13 +166,10 @@ func runFabricPhase(jobs []map[string]any, cacheCap int) (fabricPhase, error) {
 	}
 	var nodes []node
 	// All nodes share this process's CPUs, so probe round-trips inflate under
-	// sim load: soften the failure detector accordingly. Hedging is disabled
-	// because it buys tail latency with duplicate work — the opposite of what
-	// a capacity-bound throughput study measures.
+	// sim load: soften the failure detector accordingly.
 	coord := fabric.NewCoordinator(fabric.Config{
 		ProbeInterval: time.Second,
 		ProbeTimeout:  10 * time.Second,
-		HedgeDisabled: true,
 		Detector:      fabric.DetectorConfig{MinInterval: 2 * time.Second},
 	})
 	for i := 0; i < fabricNodes; i++ {
@@ -226,8 +223,8 @@ func printFabricPhase(name string, ph fabricPhase) {
 		ph.Single.Seconds, ph.Single.JobsPerSec, ph.Single.CacheHitRate)
 	fmt.Printf("  %d-node fabric: %6.2fs  %5.1f jobs/s  hit rate %.2f  -> %.2fx\n",
 		fabricNodes, ph.Fabric.Seconds, ph.Fabric.JobsPerSec, ph.Fabric.CacheHitRate, ph.Speedup)
-	fmt.Printf("  fabric stats: %d dispatches, %d steals, %d hedges (%d won), %d retries\n",
-		ph.Stats.Dispatches, ph.Stats.Steals, ph.Stats.Hedges, ph.Stats.HedgesWon, ph.Stats.Retries)
+	fmt.Printf("  fabric stats: %d dispatches, %d retries, %d requeues\n",
+		ph.Stats.Dispatches, ph.Stats.Retries, ph.Stats.Requeues)
 }
 
 // runFabric measures the sweep on both topologies and writes jsonPath.

@@ -22,8 +22,8 @@
 //	lfservd -worker -join http://coordinator:8080 [-name w1] [-advertise url]
 //
 // A coordinator routes jobs to registered workers over a consistent-hash
-// ring keyed on the run-cache fingerprint, with health probing, hedged
-// retries, and requeue on worker death; with no live workers it degrades to
+// ring keyed on the run-cache fingerprint, with health probing, retries with
+// backoff, and requeue on worker death; with no live workers it degrades to
 // plain local execution. A worker is a normal daemon that additionally
 // registers with (and heartbeats to) its coordinator. -chaos-fabric injects
 // seeded worker kills/partitions/delays at the coordinator's transport for

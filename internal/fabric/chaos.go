@@ -16,7 +16,7 @@ import (
 // Fabric chaos: seeded, deterministic injection of the three distributed
 // failure modes — worker kill (permanent transport death), partition
 // (transient unreachability window), and delay (added request latency) — at
-// the coordinator's HTTP transport, below every retry/hedge/requeue
+// the coordinator's HTTP transport, below every retry/requeue
 // mechanism, so chaos exercises exactly the code paths real failures take.
 //
 // Decisions draw from independent per-kind streams derived with

@@ -10,7 +10,6 @@ import (
 	"log"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,35 +27,6 @@ type Config struct {
 	// Detector tunes the per-worker failure detector.
 	Detector DetectorConfig
 
-	// VNodes is the consistent-hash virtual-node count per worker (default
-	// DefaultVNodes).
-	VNodes int
-
-	// HedgePercentile picks the dispatch-latency percentile that arms the
-	// straggler hedge (default 0.95); the hedge fires after HedgeFactor times
-	// that latency (default 1.5), clamped to [HedgeMinDelay, HedgeMaxDelay]
-	// (defaults 100ms, 10s). Before HedgeWarmup samples exist the hedge uses
-	// HedgeColdDelay (default 2s). HedgeDisabled turns hedging off.
-	HedgePercentile float64
-	HedgeFactor     float64
-	HedgeMinDelay   time.Duration
-	HedgeMaxDelay   time.Duration
-	HedgeColdDelay  time.Duration
-	HedgeDisabled   bool
-
-	// MaxDispatchRetries bounds transport-level retries per job (default 3);
-	// RetryBaseDelay seeds the exponential backoff between them (default
-	// 50ms), capped at RetryMaxDelay (default 2s). Each delay carries ±50%
-	// jitter so a rack of retries does not stampede the surviving workers.
-	MaxDispatchRetries int
-	RetryBaseDelay     time.Duration
-	RetryMaxDelay      time.Duration
-
-	// RequestGrace pads a dispatched job's HTTP deadline beyond the job's own
-	// timeout, so the worker's 504 arrives before the coordinator gives up on
-	// the connection (default 30s).
-	RequestGrace time.Duration
-
 	// WrapTransport, when non-nil, wraps each member's HTTP transport — the
 	// chaos fabric's injection point. base is never nil.
 	WrapTransport func(workerID string, base http.RoundTripper) http.RoundTripper
@@ -72,45 +42,26 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = 2 * time.Second
 	}
-	if c.HedgePercentile <= 0 || c.HedgePercentile >= 1 {
-		c.HedgePercentile = 0.95
-	}
-	if c.HedgeFactor <= 1 {
-		c.HedgeFactor = 1.5
-	}
-	if c.HedgeMinDelay <= 0 {
-		c.HedgeMinDelay = 100 * time.Millisecond
-	}
-	if c.HedgeMaxDelay <= c.HedgeMinDelay {
-		c.HedgeMaxDelay = 10 * time.Second
-	}
-	if c.HedgeColdDelay <= 0 {
-		c.HedgeColdDelay = 2 * time.Second
-	}
-	if c.MaxDispatchRetries <= 0 {
-		c.MaxDispatchRetries = 3
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if c.RetryMaxDelay <= c.RetryBaseDelay {
-		c.RetryMaxDelay = 2 * time.Second
-	}
-	if c.RequestGrace <= 0 {
-		c.RequestGrace = 30 * time.Second
-	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
 	return c
 }
 
-// hedgeWarmup is how many latency samples the hedge trigger needs before it
-// trusts the percentile estimate over HedgeColdDelay.
-const hedgeWarmup = 8
+const (
+	// maxDispatchRetries bounds transport-level retries per job;
+	// retryBaseDelay seeds the exponential backoff between them, capped at
+	// retryMaxDelay. Each delay carries ±50% jitter so a rack of retries does
+	// not stampede the surviving workers.
+	maxDispatchRetries = 3
+	retryBaseDelay     = 50 * time.Millisecond
+	retryMaxDelay      = 2 * time.Second
 
-// latWindow is the dispatch-latency reservoir size behind the hedge trigger.
-const latWindow = 256
+	// requestGrace pads a dispatched job's HTTP deadline beyond the job's own
+	// timeout, so the worker's 504 arrives before the coordinator gives up on
+	// the connection.
+	requestGrace = 30 * time.Second
+)
 
 // Coordinator places admitted jobs on the worker fleet. It implements
 // serve.RemoteExecutor; see the package comment for the full design.
@@ -118,31 +69,21 @@ type Coordinator struct {
 	cfg  Config
 	ring *Ring
 
+	// mu guards the member table, each member's url, inflight set and
+	// waiting count, and the quarantine set. cond is broadcast whenever a
+	// waiting job's pick may have changed: a slot frees, a member joins or
+	// changes state, a waiter's ctx ends, or the coordinator closes.
 	mu      sync.Mutex
 	cond    *sync.Cond
 	closed  bool
 	members map[string]*member
-	// queues holds per-home-worker FIFO queues of placed-but-undisached
-	// items; dispatchers pop their own queue first and steal from the longest
-	// other queue when idle.
-	queues map[string][]queueItem
 	// quarantined holds (worker, fingerprint) pairs that answered with a
 	// panic; placement skips them permanently.
 	quarantined map[string]struct{}
-	// seen maps a fingerprint to the worker that last completed it: the node
-	// whose run cache holds the result. Placement prefers it over the ring
-	// home (they differ after a steal or failover moved the key), and thieves
-	// refuse to steal work that is about to be a cache hit where it sits.
-	seen map[string]string
 
 	stopc    chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
-
-	latMu  sync.Mutex
-	lats   [latWindow]time.Duration
-	latLen int
-	latPos int
 
 	m fabricMetrics
 }
@@ -150,10 +91,6 @@ type Coordinator struct {
 type fabricMetrics struct {
 	jobs         atomic.Uint64
 	dispatches   atomic.Uint64
-	steals       atomic.Uint64
-	hedges       atomic.Uint64
-	hedgesWon    atomic.Uint64
-	hedgesWasted atomic.Uint64
 	retries      atomic.Uint64
 	reroutes     atomic.Uint64
 	requeues     atomic.Uint64
@@ -169,81 +106,24 @@ type member struct {
 	client *http.Client
 	slots  int
 	det    *Detector
-	// inflight maps dispatched tasks to their per-dispatch cancel funcs,
-	// guarded by Coordinator.mu; on death the coordinator cancels and
-	// requeues them.
-	inflight map[*task]context.CancelFunc
-	joined   time.Time
+	// inflight holds the member's running dispatches, one per busy slot; on
+	// death the coordinator marks them lost and cancels them.
+	inflight map[*dispatch]struct{}
+	// waiting counts jobs parked until one of the member's slots frees.
+	waiting int
+	joined  time.Time
 }
 
-// queueItem is one placement of a task on a home queue.
-type queueItem struct {
-	t     *task
-	hedge bool
-}
-
-// task is one ExecuteRemote call's lifetime across placements, retries,
-// hedges, and requeues. finish resolves it exactly once.
-type task struct {
-	key     string // run-cache fingerprint: the routing key
-	body    []byte // marshalled JobSpec, reused across dispatches
-	timeout time.Duration
-	ctx     context.Context
-	done    chan struct{}
-
-	mu         sync.Mutex
-	finished   bool
-	res        *serve.RemoteResult
-	err        error
-	tried      map[string]struct{} // workers this task was placed on
-	attempts   int                 // transport-level retries consumed
-	panicHops  int                 // reroutes consumed after panic answers
-	requeued   bool                // the exactly-once death-requeue budget
-	hedged     bool
-	hedgeTimer *time.Timer
-	cancels    []context.CancelFunc // per-dispatch cancels
-}
-
-func (t *task) isDone() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.finished
-}
-
-// finish resolves the task exactly once, stops the hedge timer, and cancels
-// every outstanding dispatch. Reports whether this call won.
-func (t *task) finish(res *serve.RemoteResult, err error) bool {
-	t.mu.Lock()
-	if t.finished {
-		t.mu.Unlock()
-		return false
-	}
-	t.finished = true
-	t.res, t.err = res, err
-	timer := t.hedgeTimer
-	cancels := t.cancels
-	t.cancels = nil
-	t.mu.Unlock()
-	if timer != nil {
-		timer.Stop()
-	}
-	for _, cancel := range cancels {
-		cancel()
-	}
-	close(t.done)
-	return true
-}
-
-func (t *task) addCancel(cancel context.CancelFunc) {
-	t.mu.Lock()
-	t.cancels = append(t.cancels, cancel)
-	t.mu.Unlock()
-}
-
-func (t *task) wasHedged() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.hedged
+// dispatch is one post of a job to a worker, holding one of the worker's
+// slots. lost is set under Coordinator.mu by the death path before it
+// cancels the post, so the job's goroutine knows to spend its requeue budget
+// instead of a retry.
+type dispatch struct {
+	m      *member
+	url    string // m.url when the slot was taken
+	ctx    context.Context
+	cancel context.CancelFunc
+	lost   bool
 }
 
 // NewCoordinator returns a coordinator with no workers. Workers register via
@@ -251,20 +131,18 @@ func (t *task) wasHedged() bool {
 func NewCoordinator(cfg Config) *Coordinator {
 	c := &Coordinator{
 		cfg:         cfg.withDefaults(),
-		ring:        NewRing(cfg.VNodes),
+		ring:        NewRing(),
 		members:     make(map[string]*member),
-		queues:      make(map[string][]queueItem),
 		quarantined: make(map[string]struct{}),
-		seen:        make(map[string]string),
 		stopc:       make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
-// AddWorker registers (or re-registers) a worker and starts its prober and
-// dispatch slots. Re-joins with an unchanged URL are heartbeats; a changed
-// URL re-points the member without restarting its goroutines.
+// AddWorker registers (or re-registers) a worker and starts its prober.
+// Re-joins with an unchanged URL are heartbeats; a changed URL re-points the
+// member without restarting its prober.
 func (c *Coordinator) AddWorker(info JoinInfo) error {
 	if err := info.validate(); err != nil {
 		return err
@@ -293,54 +171,40 @@ func (c *Coordinator) AddWorker(info JoinInfo) error {
 		client:   &http.Client{Transport: base},
 		slots:    slots,
 		det:      NewDetector(c.cfg.Detector, time.Now()),
-		inflight: make(map[*task]context.CancelFunc),
+		inflight: make(map[*dispatch]struct{}),
 		joined:   time.Now(),
 	}
 	c.members[info.ID] = m
 	c.ring.Add(m.id)
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	c.cfg.Logf("fabric: worker %s joined at %s (%d slots)", m.id, m.url, slots)
-	c.wg.Add(1 + slots)
+	c.cfg.Logf("fabric: worker %s joined at %s (%d slots)", m.id, info.URL, slots)
+	c.wg.Add(1)
 	go c.probeLoop(m)
-	for i := 0; i < slots; i++ {
-		go c.dispatchLoop(m)
-	}
 	return nil
 }
 
-// Close stops probers and dispatchers and fails queued and in-flight work
-// with serve.ErrRemoteUnavailable so no ExecuteRemote caller hangs. Call
-// after the front-end server has drained.
+// Close stops the probers and fails waiting and in-flight work with
+// serve.ErrRemoteUnavailable so no ExecuteRemote caller hangs. Call after
+// the front-end server has drained.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	c.closed = true
 	c.stopOnce.Do(func() { close(c.stopc) })
-	var orphans []*task
-	for _, items := range c.queues {
-		for _, it := range items {
-			orphans = append(orphans, it.t)
-		}
-	}
-	c.queues = make(map[string][]queueItem)
 	for _, m := range c.members {
-		for t, cancel := range m.inflight {
-			cancel()
-			orphans = append(orphans, t)
+		for d := range m.inflight {
+			d.cancel()
 		}
-		m.inflight = make(map[*task]context.CancelFunc)
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	for _, t := range orphans {
-		t.finish(nil, serve.ErrRemoteUnavailable)
-	}
 	c.wg.Wait()
 }
 
-// ExecuteRemote implements serve.RemoteExecutor: place the job on its home
-// worker's queue, arm the straggler hedge, and wait for the first terminal
-// answer. See remote.go in internal/serve for the error contract.
+// ExecuteRemote implements serve.RemoteExecutor. The caller's goroutine owns
+// the job from start to finish: pick a worker, wait for one of its slots,
+// post, classify the answer, and loop on a retry, reroute or requeue. See
+// remote.go in internal/serve for the error contract.
 func (c *Coordinator) ExecuteRemote(ctx context.Context, fingerprint string, spec serve.JobSpec) (*serve.RemoteResult, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -350,413 +214,180 @@ func (c *Coordinator) ExecuteRemote(ctx context.Context, fingerprint string, spe
 	if timeout <= 0 {
 		timeout = time.Minute
 	}
-	t := &task{
-		key:     fingerprint,
-		body:    body,
-		timeout: timeout,
-		ctx:     ctx,
-		done:    make(chan struct{}),
-		tried:   make(map[string]struct{}),
-	}
 	c.m.jobs.Add(1)
-	if !c.enqueue(t, false, "") {
+	rr, err := c.run(ctx, fingerprint, body, timeout)
+	if errors.Is(err, serve.ErrRemoteUnavailable) {
 		c.m.degradations.Add(1)
-		return nil, serve.ErrRemoteUnavailable
 	}
-	select {
-	case <-t.done:
-		if t.err != nil && errors.Is(t.err, serve.ErrRemoteUnavailable) {
-			c.m.degradations.Add(1)
-		}
-		return t.res, t.err
-	case <-ctx.Done():
-		t.finish(nil, ctx.Err())
-		<-t.done
-		return t.res, t.err
-	}
+	return rr, err
 }
 
-// enqueue places the task on the best eligible home queue: ring order from
-// the key's home node, skipping dead/probation/suspect workers, quarantined
-// (worker, key) pairs, the excluded worker, and — for hedges — any worker
-// the task already landed on. Reports false when no worker is eligible (the
-// caller degrades or drops the hedge).
-func (c *Coordinator) enqueue(t *task, hedge bool, exclude string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return false
-	}
-	order := c.ring.LookupN(t.key, len(c.members))
-	// The worker that already holds this key's cached result beats the ring
-	// home: after a steal or failover moved the key, rerouting repeats to the
-	// ring home would re-simulate what another node has resident.
-	if owner, ok := c.seen[t.key]; ok && len(order) > 0 && owner != order[0] {
-		order = append([]string{owner}, order...)
-	}
-	pick := ""
-	for _, id := range order {
-		m, ok := c.members[id]
-		if !ok || m.det.State() != StateAlive {
-			continue
-		}
-		if _, bad := c.quarantined[pairKey(id, t.key)]; bad {
-			continue
-		}
-		if id == exclude {
-			continue
-		}
-		if hedge {
-			t.mu.Lock()
-			_, dup := t.tried[id]
-			t.mu.Unlock()
-			if dup {
-				continue
-			}
-		}
-		pick = id
-		break
-	}
-	if pick == "" && !hedge && exclude != "" {
-		// Down to one worker and it is the one we just failed against: retry
-		// there rather than degrade — the failure may have been transient.
-		if m, ok := c.members[exclude]; ok && m.det.State() == StateAlive {
-			if _, bad := c.quarantined[pairKey(exclude, t.key)]; !bad {
-				pick = exclude
-			}
-		}
-	}
-	if pick == "" {
-		return false
-	}
-	t.mu.Lock()
-	t.tried[pick] = struct{}{}
-	t.mu.Unlock()
-	c.queues[pick] = append(c.queues[pick], queueItem{t: t, hedge: hedge})
-	c.cond.Broadcast()
-	return true
-}
+// run is ExecuteRemote's dispatch loop. A success or a job-level failure is
+// relayed; a panic answer quarantines the (worker, key) pair and reroutes
+// once; transport failures back off with jitter and reroute up to
+// maxDispatchRetries before the job degrades to local execution; a dispatch
+// cut off by its worker's death is requeued exactly once.
+func (c *Coordinator) run(ctx context.Context, key string, body []byte, timeout time.Duration) (*serve.RemoteResult, error) {
+	// Wake the wait in acquire when the job's ctx ends.
+	stop := context.AfterFunc(ctx, func() {
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})
+	defer stop()
 
-// armHedge starts the task's hedge timer once, on its first primary
-// dispatch. Retries and hedges never re-arm it.
-func (c *Coordinator) armHedge(t *task) {
-	d := c.hedgeDelay()
-	t.mu.Lock()
-	if !t.finished && t.hedgeTimer == nil {
-		t.hedgeTimer = time.AfterFunc(d, func() { c.hedge(t) })
-	}
-	t.mu.Unlock()
-}
-
-// hedge launches the straggler copy: same task, next eligible ring node,
-// first terminal answer wins. Simulations are deterministic and the worker
-// run-cache absorbs duplicates, so a wasted hedge costs capacity, never
-// correctness.
-func (c *Coordinator) hedge(t *task) {
-	if t.isDone() {
-		return
-	}
-	if c.enqueue(t, true, "") {
-		t.mu.Lock()
-		t.hedged = true
-		t.mu.Unlock()
-		c.m.hedges.Add(1)
-	}
-}
-
-// hedgeDelay derives the hedge trigger from the recent dispatch-latency
-// percentile, falling back to HedgeColdDelay until enough samples exist.
-func (c *Coordinator) hedgeDelay() time.Duration {
-	c.latMu.Lock()
-	n := c.latLen
-	var sorted []time.Duration
-	if n >= hedgeWarmup {
-		sorted = append(sorted, c.lats[:n]...)
-	}
-	c.latMu.Unlock()
-	if sorted == nil {
-		return c.cfg.HedgeColdDelay
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(float64(n-1) * c.cfg.HedgePercentile)
-	d := time.Duration(float64(sorted[idx]) * c.cfg.HedgeFactor)
-	if d < c.cfg.HedgeMinDelay {
-		d = c.cfg.HedgeMinDelay
-	}
-	if d > c.cfg.HedgeMaxDelay {
-		d = c.cfg.HedgeMaxDelay
-	}
-	return d
-}
-
-func (c *Coordinator) recordLatency(d time.Duration) {
-	c.latMu.Lock()
-	c.lats[c.latPos] = d
-	c.latPos = (c.latPos + 1) % latWindow
-	if c.latLen < latWindow {
-		c.latLen++
-	}
-	c.latMu.Unlock()
-}
-
-// dispatchLoop is one worker slot: pop the member's own queue, steal from
-// the longest other queue when idle, run the item, repeat. Slots of a
-// non-Alive member park until the prober restores it.
-func (c *Coordinator) dispatchLoop(m *member) {
-	defer c.wg.Done()
+	exclude := ""
+	attempts, panicHop, requeued := 0, false, false
+	var lastErr error
 	for {
-		it, ok := c.take(m)
-		if !ok {
-			return
+		d, err := c.acquire(ctx, key, exclude)
+		if err != nil {
+			if errors.Is(err, serve.ErrRemoteUnavailable) && lastErr != nil {
+				err = fmt.Errorf("%w: %v", serve.ErrRemoteUnavailable, lastErr)
+			}
+			return nil, err
 		}
-		c.runItem(m, it)
+		c.m.dispatches.Add(1)
+		m := d.m
+		rr, derr := c.postJob(d.ctx, m, d.url, body, timeout)
+		c.mu.Lock()
+		delete(m.inflight, d)
+		lost, closed := d.lost, c.closed
+		c.cond.Broadcast()
+		c.mu.Unlock()
+		d.cancel()
+
+		switch {
+		case derr == nil:
+			return rr, nil
+		case ctx.Err() != nil:
+			return nil, ctx.Err()
+		case closed:
+			return nil, serve.ErrRemoteUnavailable
+		case lost:
+			// The job has now consumed one dead worker. A second death
+			// surfaces serve.ErrWorkerLost: the client deserves a typed
+			// answer, not an unbounded retry loop.
+			if requeued {
+				return nil, serve.ErrWorkerLost
+			}
+			requeued = true
+			c.m.requeues.Add(1)
+			exclude = m.id
+			continue
+		}
+		var je *workerJobError
+		if errors.As(derr, &je) {
+			if je.panicky() {
+				c.quarantinePair(m.id, key)
+				if !panicHop && c.placeable(key, m.id) {
+					panicHop = true
+					c.m.reroutes.Add(1)
+					exclude = m.id
+					continue
+				}
+			}
+			return &serve.RemoteResult{
+				Worker:     m.id,
+				Status:     je.Status,
+				HTTPStatus: je.HTTPStatus,
+				Error:      je.Text,
+			}, nil
+		}
+		// Transport-level failure: the worker never answered. Back off with
+		// jitter and reroute; a member this unreachable will also be failing
+		// its probes, so the ring catches up shortly.
+		attempts++
+		if attempts > maxDispatchRetries {
+			return nil, fmt.Errorf("%w: %v", serve.ErrRemoteUnavailable, derr)
+		}
+		c.m.retries.Add(1)
+		if err := c.backoff(ctx, attempts); err != nil {
+			return nil, err
+		}
+		c.m.reroutes.Add(1)
+		exclude, lastErr = m.id, derr
 	}
 }
 
-// take blocks until the member may run something (own queue first, then the
-// longest other queue) or the coordinator closes.
-func (c *Coordinator) take(m *member) (queueItem, bool) {
+// backoff sleeps the jittered exponential delay before retry number attempt,
+// returning early with ctx's error or, on Close, ErrRemoteUnavailable.
+func (c *Coordinator) backoff(ctx context.Context, attempt int) error {
+	delay := retryBaseDelay << (attempt - 1)
+	if delay > retryMaxDelay {
+		delay = retryMaxDelay
+	}
+	timer := time.NewTimer(time.Duration(float64(delay) * (0.5 + rand.Float64())))
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-c.stopc:
+		return serve.ErrRemoteUnavailable
+	}
+}
+
+// acquire picks the job's worker and takes one of its slots, waiting while
+// every slot of the pick is busy and re-picking on each wake.
+func (c *Coordinator) acquire(ctx context.Context, key, exclude string) (*dispatch, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
 		if c.closed {
-			return queueItem{}, false
+			return nil, serve.ErrRemoteUnavailable
 		}
-		if m.det.State() == StateAlive {
-			if it, ok := c.popLocked(m.id, m.id); ok {
-				return it, true
-			}
-			// Steal from the longest other queue — but only from a victim
-			// that cannot drain it promptly itself (every slot busy, or not
-			// Alive). An idle home worker always gets its own queue, so
-			// cache affinity survives light load; stealing kicks in exactly
-			// when it buys throughput. Tail-steal so the victim's head (its
-			// oldest, most cache-affine work) stays put.
-			victim, best := "", 0
-			for id, q := range c.queues {
-				if id == m.id || len(q) == 0 {
-					continue
-				}
-				if vm := c.members[id]; vm != nil && vm.det.State() == StateAlive && len(vm.inflight) < vm.slots {
-					continue
-				}
-				if len(q) > best {
-					victim, best = id, len(q)
-				}
-			}
-			if victim != "" {
-				if it, ok := c.popLocked(victim, m.id); ok {
-					c.m.steals.Add(1)
-					return it, true
-				}
-			}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		m := c.pickLocked(key, exclude)
+		if m == nil {
+			return nil, serve.ErrRemoteUnavailable
+		}
+		if len(m.inflight) < m.slots {
+			d := &dispatch{m: m, url: m.url}
+			d.ctx, d.cancel = context.WithCancel(ctx)
+			m.inflight[d] = struct{}{}
+			return d, nil
+		}
+		m.waiting++
 		c.cond.Wait()
+		m.waiting--
 	}
 }
 
-// popLocked removes the first item of queue qid eligible to run on worker
-// runner (not pair-quarantined, not already finished). Hedge items only pop
-// for workers the task has not landed on. Own-queue pops take the head;
-// steals take the tail.
-func (c *Coordinator) popLocked(qid, runner string) (queueItem, bool) {
-	q := c.queues[qid]
-	idxs := make([]int, len(q))
-	for i := range q {
-		idxs[i] = i
-	}
-	if qid != runner {
-		for i, j := 0, len(idxs)-1; i < j; i, j = i+1, j-1 {
-			idxs[i], idxs[j] = idxs[j], idxs[i]
-		}
-	}
-	for _, i := range idxs {
-		it := q[i]
-		if it.t.isDone() {
+// pickLocked returns the key's worker: the first Alive member in ring order
+// from the key's home, skipping quarantined (worker, key) pairs and the
+// excluded worker. Caller holds c.mu.
+func (c *Coordinator) pickLocked(key, exclude string) *member {
+	for _, id := range c.ring.LookupN(key, len(c.members)) {
+		m, ok := c.members[id]
+		if !ok || id == exclude || m.det.State() != StateAlive {
 			continue
 		}
-		if _, bad := c.quarantined[pairKey(runner, it.t.key)]; bad {
+		if _, bad := c.quarantined[pairKey(id, key)]; bad {
 			continue
 		}
-		if qid != runner {
-			if owner, ok := c.seen[it.t.key]; ok && owner == qid {
-				// The victim's run cache holds this key: the item is a
-				// near-free hit where it sits. Stealing it trades a cache hit
-				// for a full re-simulation — never worth a thief's idleness.
-				continue
-			}
-			if vm := c.members[qid]; vm != nil && memberRunningKey(vm, it.t.key) {
-				// Same reasoning for a first execution still in flight on the
-				// victim: the item will singleflight-join it the moment a
-				// slot frees.
-				continue
-			}
-			it.t.mu.Lock()
-			_, dup := it.t.tried[runner]
-			if !dup {
-				it.t.tried[runner] = struct{}{}
-			}
-			it.t.mu.Unlock()
-			if dup {
-				// Stealing a copy of a task this worker already ran (its own
-				// earlier dispatch or hedge) would serialise the hedge.
-				continue
+		return m
+	}
+	if exclude != "" {
+		// Down to one worker and it is the one we just failed against: retry
+		// there rather than degrade — the failure may have been transient.
+		if m, ok := c.members[exclude]; ok && m.det.State() == StateAlive {
+			if _, bad := c.quarantined[pairKey(exclude, key)]; !bad {
+				return m
 			}
 		}
-		c.queues[qid] = append(q[:i:i], q[i+1:]...)
-		if len(c.queues[qid]) == 0 {
-			delete(c.queues, qid)
-		}
-		return it, true
 	}
-	// Drop any finished items we skipped over.
-	kept := q[:0]
-	for _, it := range q {
-		if !it.t.isDone() {
-			kept = append(kept, it)
-		}
-	}
-	if len(kept) == 0 {
-		delete(c.queues, qid)
-	} else {
-		c.queues[qid] = kept
-	}
-	return queueItem{}, false
+	return nil
 }
 
-// runItem dispatches one placement of a task to a worker and classifies the
-// outcome: success or job-level failure finishes the task; a panic answer
-// quarantines the (worker, key) pair and reroutes once; transport failures
-// back off with jitter and reroute up to MaxDispatchRetries before the task
-// degrades to local execution.
-func (c *Coordinator) runItem(m *member, it queueItem) {
-	t := it.t
-	if t.isDone() {
-		return
-	}
-	dctx, cancel := context.WithCancel(t.ctx)
-	t.addCancel(cancel)
+// placeable reports whether some worker other than exclude may take key now.
+func (c *Coordinator) placeable(key, exclude string) bool {
 	c.mu.Lock()
-	m.inflight[t] = cancel
-	// This member may have just become saturated: wake parked dispatchers so
-	// thieves re-evaluate its queue.
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.m.dispatches.Add(1)
-	if !it.hedge && !c.cfg.HedgeDisabled {
-		// The hedge clock starts when the primary dispatch starts, not when
-		// the job was submitted: a job still sitting in a queue is not a
-		// straggler, and hedging it would only duplicate work.
-		c.armHedge(t)
-	}
-	start := time.Now()
-	rr, derr := c.postJob(dctx, m, t)
-	// Capture before cancel(): a dispatch context that was already dead
-	// while the job's own context lives means the death path cancelled this
-	// dispatch and owns the requeue.
-	cancelledByDeath := dctx.Err() != nil && t.ctx.Err() == nil
-	c.mu.Lock()
-	delete(m.inflight, t)
-	if derr == nil {
-		// This worker's run cache now holds the key; future placements of
-		// the same fingerprint come here. Reset the table if it ever grows
-		// silly — it is a placement hint, not state.
-		if len(c.seen) > 1<<16 {
-			c.seen = make(map[string]string)
-		}
-		c.seen[t.key] = m.id
-	}
-	c.mu.Unlock()
-	cancel()
-
-	if derr == nil {
-		c.recordLatency(time.Since(start))
-		if t.finish(rr, nil) {
-			if it.hedge {
-				c.m.hedgesWon.Add(1)
-			} else if t.wasHedged() {
-				c.m.hedgesWasted.Add(1)
-			}
-		}
-		return
-	}
-	if t.isDone() {
-		return
-	}
-	if err := t.ctx.Err(); err != nil {
-		t.finish(nil, err)
-		return
-	}
-	if cancelledByDeath {
-		// Our dispatch alone was cancelled: the death path owns this task now
-		// (it cancelled us and will requeue exactly once).
-		return
-	}
-	var je *workerJobError
-	if errors.As(derr, &je) {
-		if je.panicky() {
-			c.quarantinePair(m.id, t.key)
-			if c.takePanicHop(t) && c.enqueue(t, false, m.id) {
-				c.m.reroutes.Add(1)
-				return
-			}
-		}
-		t.finish(&serve.RemoteResult{
-			Worker:     m.id,
-			Status:     je.Status,
-			HTTPStatus: je.HTTPStatus,
-			Error:      je.Text,
-		}, nil)
-		return
-	}
-	// Transport-level failure: the worker never answered. Back off with
-	// jitter and reroute; a member this unreachable will also be failing its
-	// probes, so the ring catches up shortly.
-	t.mu.Lock()
-	t.attempts++
-	attempt := t.attempts
-	t.mu.Unlock()
-	if attempt > c.cfg.MaxDispatchRetries {
-		t.finish(nil, fmt.Errorf("%w: %v", serve.ErrRemoteUnavailable, derr))
-		return
-	}
-	c.m.retries.Add(1)
-	delay := c.cfg.RetryBaseDelay << (attempt - 1)
-	if delay > c.cfg.RetryMaxDelay {
-		delay = c.cfg.RetryMaxDelay
-	}
-	delay = time.Duration(float64(delay) * (0.5 + rand.Float64()))
-	time.AfterFunc(delay, func() {
-		if t.isDone() {
-			return
-		}
-		c.m.reroutes.Add(1)
-		if !c.enqueue(t, false, m.id) {
-			t.finish(nil, fmt.Errorf("%w: %v", serve.ErrRemoteUnavailable, derr))
-		}
-	})
-}
-
-// memberRunningKey reports whether the member has a dispatch of the given
-// fingerprint in flight. Caller holds c.mu.
-func memberRunningKey(m *member, key string) bool {
-	for t := range m.inflight {
-		if t.key == key {
-			return true
-		}
-	}
-	return false
-}
-
-// takePanicHop consumes the task's single panic-reroute credit.
-func (c *Coordinator) takePanicHop(t *task) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.panicHops >= 1 {
-		return false
-	}
-	t.panicHops++
-	return true
+	defer c.mu.Unlock()
+	return c.pickLocked(key, exclude) != nil
 }
 
 func (c *Coordinator) quarantinePair(workerID, key string) {
@@ -797,13 +428,14 @@ func transientHTTP(code int) bool {
 	return code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable
 }
 
-// postJob forwards the task's spec to the worker's synchronous job API and
-// maps the worker's terminal view. nil error means the task is terminal
-// (success or relayed failure is decided by the caller from RemoteResult).
-func (c *Coordinator) postJob(ctx context.Context, m *member, t *task) (*serve.RemoteResult, error) {
-	rctx, cancel := context.WithTimeout(ctx, t.timeout+c.cfg.RequestGrace)
+// postJob forwards the marshalled spec to the worker's synchronous job API at
+// url and maps the worker's terminal view. nil error means the job is
+// terminal (success or relayed failure is decided by the caller from
+// RemoteResult).
+func (c *Coordinator) postJob(ctx context.Context, m *member, url string, body []byte, timeout time.Duration) (*serve.RemoteResult, error) {
+	rctx, cancel := context.WithTimeout(ctx, timeout+requestGrace)
 	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, m.url+"/v1/jobs", bytes.NewReader(t.body))
+	req, err := http.NewRequestWithContext(rctx, http.MethodPost, url+"/v1/jobs", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -882,8 +514,11 @@ func (c *Coordinator) probeLoop(m *member) {
 }
 
 func (c *Coordinator) probe(m *member) {
+	c.mu.Lock()
+	url := m.url
+	c.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, m.url+"/readyz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/readyz", nil)
 	if err != nil {
 		cancel()
 		return
@@ -918,83 +553,26 @@ func (c *Coordinator) probe(m *member) {
 }
 
 // onStateChange applies a detector transition to routing state: Alive
-// restores the ring arc; Probation removes it and re-homes queued work; Dead
-// additionally cancels in-flight dispatches and spends each task's
-// exactly-once requeue budget.
+// restores the ring arc; Probation and Dead remove it; Dead also marks the
+// member's in-flight dispatches lost and cancels them, so each job spends
+// its exactly-once requeue budget. Every transition wakes waiting jobs to
+// re-pick: only Alive members take new work.
 func (c *Coordinator) onStateChange(m *member, st WorkerState) {
 	c.cfg.Logf("fabric: worker %s -> %s (phi=%.1f)", m.id, st, m.det.Phi(time.Now()))
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch st {
 	case StateAlive:
 		c.ring.Add(m.id)
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	case StateSuspect:
-		// Stays on the ring; take() already refuses new work for non-Alive
-		// members, so the arc keeps attracting placements that other workers
-		// will steal — affinity degrades gracefully instead of flapping.
-		c.mu.Unlock()
 	case StateProbation:
 		c.ring.Remove(m.id)
-		items := c.queues[m.id]
-		delete(c.queues, m.id)
-		c.mu.Unlock()
-		for _, it := range items {
-			c.rehome(it, m.id)
-		}
 	case StateDead:
 		c.m.workersDead.Add(1)
 		c.ring.Remove(m.id)
-		items := c.queues[m.id]
-		delete(c.queues, m.id)
-		running := make([]*task, 0, len(m.inflight))
-		for t, cancel := range m.inflight {
-			cancel()
-			running = append(running, t)
+		for d := range m.inflight {
+			d.lost = true
+			d.cancel()
 		}
-		m.inflight = make(map[*task]context.CancelFunc)
-		c.mu.Unlock()
-		for _, it := range items {
-			c.rehome(it, m.id)
-		}
-		for _, t := range running {
-			c.requeueOnce(t, m.id)
-		}
-	default:
-		c.mu.Unlock()
 	}
-}
-
-// rehome re-places a queued (never dispatched to the lost worker) item; it
-// costs no requeue budget because the work never started there.
-func (c *Coordinator) rehome(it queueItem, exclude string) {
-	if it.t.isDone() {
-		return
-	}
-	c.m.reroutes.Add(1)
-	if !c.enqueue(it.t, it.hedge, exclude) && !it.hedge {
-		it.t.finish(nil, serve.ErrRemoteUnavailable)
-	}
-}
-
-// requeueOnce spends a task's exactly-once death-requeue budget. The second
-// worker death under the same task surfaces serve.ErrWorkerLost: by then the
-// job has consumed two workers and the client deserves a typed answer, not
-// an unbounded retry loop.
-func (c *Coordinator) requeueOnce(t *task, exclude string) {
-	if t.isDone() {
-		return
-	}
-	t.mu.Lock()
-	already := t.requeued
-	t.requeued = true
-	t.mu.Unlock()
-	if already {
-		t.finish(nil, serve.ErrWorkerLost)
-		return
-	}
-	c.m.requeues.Add(1)
-	if !c.enqueue(t, false, exclude) {
-		t.finish(nil, serve.ErrRemoteUnavailable)
-	}
+	c.cond.Broadcast()
 }

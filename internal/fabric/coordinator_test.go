@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -25,10 +26,11 @@ type fakeWorker struct {
 	// readyMode: 0 = 200 ready, 1 = abort the connection (hard probe
 	// failure), 2 = 503 draining.
 	readyMode atomic.Int32
-	jobs      atomic.Pointer[http.HandlerFunc]
+	// probes counts /readyz requests.
+	probes atomic.Int32
+	jobs   atomic.Pointer[http.HandlerFunc]
 	// gotJobs counts /v1/jobs requests, so tests can tell which worker a
-	// dispatch actually landed on (work-stealing makes the home queue a
-	// preference, not a guarantee).
+	// dispatch actually landed on (a failover moves a key off its ring home).
 	gotJobs atomic.Int32
 }
 
@@ -38,6 +40,7 @@ func newFakeWorker(t *testing.T, id string, jobs http.HandlerFunc) *fakeWorker {
 	f.jobs.Store(&jobs)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		f.probes.Add(1)
 		switch f.readyMode.Load() {
 		case 1:
 			panic(http.ErrAbortHandler)
@@ -65,16 +68,12 @@ func okView(worker string) string {
 	return fmt.Sprintf(`{"id":"j","status":"done","result":{"program":"fake","cycles":42,"arch_insts":7,"worker":%q}}`, worker)
 }
 
-// fastConfig keeps probe and retry clocks test-sized.
+// fastConfig keeps probe clocks test-sized.
 func fastConfig() Config {
 	return Config{
-		ProbeInterval:  10 * time.Millisecond,
-		ProbeTimeout:   250 * time.Millisecond,
-		RetryBaseDelay: 5 * time.Millisecond,
-		Detector: DetectorConfig{
-			ProbeHardFailures: 2,
-			MinInterval:       50 * time.Millisecond,
-		},
+		ProbeInterval: 10 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		Detector:      DetectorConfig{MinInterval: 50 * time.Millisecond},
 	}
 }
 
@@ -159,71 +158,14 @@ func TestRetriesExhaustToUnavailable(t *testing.T) {
 	f := newFakeWorker(t, "w1", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	})
-	cfg := fastConfig()
-	cfg.MaxDispatchRetries = 2
-	c := newTestCoordinator(t, cfg, f)
+	c := newTestCoordinator(t, fastConfig(), f)
 	_, err := c.ExecuteRemote(context.Background(), "fp-1", serve.JobSpec{TimeoutMS: 5000})
 	if !errors.Is(err, serve.ErrRemoteUnavailable) {
 		t.Fatalf("err = %v, want ErrRemoteUnavailable after retry budget", err)
 	}
-	if st := c.Stats(); st.Retries != 2 {
-		t.Errorf("retries = %d, want 2", st.Retries)
+	if st := c.Stats(); st.Retries != maxDispatchRetries {
+		t.Errorf("retries = %d, want %d", st.Retries, maxDispatchRetries)
 	}
-}
-
-// TestHedgeWinsOverStraggler pins the primary on a deliberately slow worker
-// (by picking a fingerprint homed there) and checks that the hedge fires,
-// the fast worker answers, and the straggler's dispatch is cancelled
-// through its context — first result wins, loser cancelled.
-func TestHedgeWinsOverStraggler(t *testing.T) {
-	var slowCancelled atomic.Bool
-	slow := newFakeWorker(t, "slow", func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-			slowCancelled.Store(true)
-			return
-		case <-time.After(3 * time.Second):
-		}
-		fmt.Fprint(w, okView("slow"))
-	})
-	fast := newFakeWorker(t, "fast", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, okView("fast"))
-	})
-	cfg := fastConfig()
-	cfg.HedgeColdDelay = 75 * time.Millisecond
-	c := newTestCoordinator(t, cfg, slow, fast)
-
-	// Find a fingerprint whose home is the slow worker.
-	probe := NewRing(0)
-	probe.Add("slow")
-	probe.Add("fast")
-	fp := ""
-	for i := 0; i < 1000; i++ {
-		k := fmt.Sprintf("fp-%d", i)
-		if probe.Lookup(k) == "slow" {
-			fp = k
-			break
-		}
-	}
-	if fp == "" {
-		t.Fatal("no key homed on slow worker in 1000 tries")
-	}
-
-	start := time.Now()
-	rr, err := c.ExecuteRemote(context.Background(), fp, serve.JobSpec{TimeoutMS: 10_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rr.Worker != "fast" {
-		t.Fatalf("winner = %q, want the hedged fast worker", rr.Worker)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Errorf("hedged job took %s, straggler was not cut off", d)
-	}
-	if st := c.Stats(); st.Hedges != 1 || st.HedgesWon != 1 {
-		t.Errorf("hedge stats = %+v, want 1 launched 1 won", st)
-	}
-	waitFor(t, "straggler cancellation", 2*time.Second, slowCancelled.Load)
 }
 
 // TestPanicAnswerQuarantinesPair: a worker that answers a job with a panic
@@ -269,9 +211,7 @@ func TestWorkerDeathRequeuesExactlyOnce(t *testing.T) {
 	}
 	w1 := newFakeWorker(t, "w1", hang)
 	w2 := newFakeWorker(t, "w2", hang)
-	cfg := fastConfig()
-	cfg.HedgeDisabled = true
-	c := newTestCoordinator(t, cfg, w1, w2)
+	c := newTestCoordinator(t, fastConfig(), w1, w2)
 
 	errc := make(chan error, 1)
 	go func() {
@@ -394,4 +334,178 @@ func TestJoinLoopRegistersAndHeartbeats(t *testing.T) {
 		m := c.Members()
 		return len(m) == 1 && m[0].ID == "w1"
 	})
+}
+
+// TestRejoinWhileProbingIsRaceFree re-joins a live member while its prober
+// runs, as JoinLoop does every few seconds in every worker deployment. The
+// re-join rewrites the member's URL, which the prober reads; run under -race.
+func TestRejoinWhileProbingIsRaceFree(t *testing.T) {
+	f := newFakeWorker(t, "w1", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, okView("w1"))
+	})
+	c := newTestCoordinator(t, fastConfig(), f)
+	for i := 0; i < 20; i++ {
+		if err := c.AddWorker(JoinInfo{ID: "w1", URL: f.ts.URL, Runners: 2}); err != nil {
+			t.Fatal(err)
+		}
+		seen := f.probes.Load()
+		waitFor(t, "next probe", 2*time.Second, func() bool { return f.probes.Load() > seen })
+	}
+	if _, err := c.ExecuteRemote(context.Background(), "fp-1", serve.JobSpec{TimeoutMS: 5000}); err != nil {
+		t.Fatalf("job after re-joins: %v", err)
+	}
+}
+
+// blockingWorker answers a job only once release is closed (or the
+// dispatch is cancelled), so tests can hold its slots busy.
+func blockingWorker(t *testing.T, id string, release <-chan struct{}) *fakeWorker {
+	return newFakeWorker(t, id, func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+			fmt.Fprint(w, okView(id))
+		case <-r.Context().Done():
+		}
+	})
+}
+
+// oneSlotCoordinator registers each worker with a single dispatch slot.
+func oneSlotCoordinator(t *testing.T, workers ...*fakeWorker) *Coordinator {
+	t.Helper()
+	c := newTestCoordinator(t, fastConfig())
+	for _, f := range workers {
+		if err := c.AddWorker(JoinInfo{ID: f.id, URL: f.ts.URL, Runners: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// keysHomedOn returns n fingerprints whose ring home among ids is home.
+func keysHomedOn(t *testing.T, home string, n int, ids ...string) []string {
+	t.Helper()
+	r := NewRing()
+	for _, id := range ids {
+		r.Add(id)
+	}
+	var keys []string
+	for i := 0; i < 1000 && len(keys) < n; i++ {
+		if k := fmt.Sprintf("fp-%d", i); r.Lookup(k) == home {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) < n {
+		t.Fatalf("found %d keys homed on %s in 1000 tries, want %d", len(keys), home, n)
+	}
+	return keys
+}
+
+// waiting reports how many jobs wait for a slot on worker id.
+func waiting(c *Coordinator, id string) int {
+	for _, m := range c.Members() {
+		if m.ID == id {
+			return m.Queued
+		}
+	}
+	return -1
+}
+
+type remoteAnswer struct {
+	rr  *serve.RemoteResult
+	err error
+}
+
+func submit(c *Coordinator, ctx context.Context, key string) <-chan remoteAnswer {
+	out := make(chan remoteAnswer, 1)
+	go func() {
+		rr, err := c.ExecuteRemote(ctx, key, serve.JobSpec{TimeoutMS: 30_000})
+		out <- remoteAnswer{rr, err}
+	}()
+	return out
+}
+
+// TestBusyHomeKeepsAffinity: a second key homed on a worker whose only slot
+// is busy waits for that slot rather than running on the idle worker, which
+// would have to simulate it without the home's run cache.
+func TestBusyHomeKeepsAffinity(t *testing.T) {
+	release := make(chan struct{})
+	home := blockingWorker(t, "home", release)
+	idle := newFakeWorker(t, "idle", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, okView("idle"))
+	})
+	c := oneSlotCoordinator(t, home, idle)
+	keys := keysHomedOn(t, "home", 2, "home", "idle")
+
+	first := submit(c, context.Background(), keys[0])
+	waitFor(t, "first job in flight on home", 2*time.Second, func() bool { return home.gotJobs.Load() == 1 })
+	second := submit(c, context.Background(), keys[1])
+	waitFor(t, "second job waiting for home's slot", 2*time.Second, func() bool { return waiting(c, "home") == 1 })
+	close(release)
+
+	for i, ch := range []<-chan remoteAnswer{first, second} {
+		a := <-ch
+		if a.err != nil {
+			t.Fatalf("job %d: %v", i, a.err)
+		}
+		if a.rr.Worker != "home" {
+			t.Errorf("job %d ran on %q, want its busy home", i, a.rr.Worker)
+		}
+	}
+	if n := idle.gotJobs.Load(); n != 0 {
+		t.Errorf("idle worker got %d jobs homed elsewhere", n)
+	}
+}
+
+// TestCloseFailsWaitingJob: Close fails both the in-flight job and the job
+// waiting for its slot with ErrRemoteUnavailable.
+func TestCloseFailsWaitingJob(t *testing.T) {
+	w := blockingWorker(t, "w1", make(chan struct{}))
+	c := oneSlotCoordinator(t, w)
+	running := submit(c, context.Background(), "fp-1")
+	waitFor(t, "first job in flight", 2*time.Second, func() bool { return w.gotJobs.Load() == 1 })
+	waiter := submit(c, context.Background(), "fp-2")
+	waitFor(t, "second job waiting", 2*time.Second, func() bool { return waiting(c, "w1") == 1 })
+
+	c.Close()
+	for name, ch := range map[string]<-chan remoteAnswer{"running": running, "waiting": waiter} {
+		select {
+		case a := <-ch:
+			if !errors.Is(a.err, serve.ErrRemoteUnavailable) {
+				t.Errorf("%s job: err = %v, want ErrRemoteUnavailable", name, a.err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s job still blocked after Close", name)
+		}
+	}
+}
+
+// TestCancelWhileWaiting: cancelling a job that waits for a slot returns its
+// ctx error at once and leaves no goroutine or waiter behind.
+func TestCancelWhileWaiting(t *testing.T) {
+	w := blockingWorker(t, "w1", make(chan struct{}))
+	c := oneSlotCoordinator(t, w)
+	submit(c, context.Background(), "fp-1")
+	waitFor(t, "first job in flight", 2*time.Second, func() bool { return w.gotJobs.Load() == 1 })
+
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := submit(c, ctx, "fp-2")
+	waitFor(t, "second job waiting", 2*time.Second, func() bool { return waiting(c, "w1") == 1 })
+	cancel()
+	select {
+	case a := <-waiter:
+		if !errors.Is(a.err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", a.err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("cancelled job still waiting for a slot")
+	}
+	if n := waiting(c, "w1"); n != 0 {
+		t.Errorf("waiters after cancel = %d, want 0", n)
+	}
+	waitFor(t, "goroutines settle after cancel", 2*time.Second, func() bool {
+		return runtime.NumGoroutine() <= base
+	})
+	if st := c.Stats(); st.Dispatches != 1 {
+		t.Errorf("dispatches = %d, want 1 (the cancelled job never posted)", st.Dispatches)
+	}
 }

@@ -17,19 +17,20 @@ import (
 // escalates the state — so a slow worker is treated gently (routed around)
 // long before it is declared dead (requeued away from).
 //
-//	Alive      full member: routed to, steals work, on the ring.
-//	Suspect    phi ≥ SuspectPhi: no new work (no dispatch, no stealing),
-//	           stays on the ring, in-flight jobs continue.
-//	Probation  phi ≥ ProbationPhi: off the ring, queued jobs re-homed,
-//	           in-flight jobs still allowed to finish. Also the state a
-//	           recovering or draining (readyz 503) worker waits in.
-//	Dead       phi ≥ DeadPhi or ProbeHardFailures consecutive hard probe
+//	Alive      full member: routed to, on the ring.
+//	Suspect    phi ≥ suspectPhi: no new dispatches (jobs that would pick it
+//	           go to the next Alive worker in ring order), stays on the
+//	           ring, in-flight jobs continue.
+//	Probation  phi ≥ probationPhi: off the ring, in-flight jobs still
+//	           allowed to finish. Also the state a recovering or draining
+//	           (readyz 503) worker waits in.
+//	Dead       phi ≥ deadPhi or probeHardFailures consecutive hard probe
 //	           failures: off the ring, in-flight jobs cancelled and requeued
-//	           exactly once, dispatch slots idled.
+//	           exactly once.
 //
 // Recovery: a successful probe from Suspect or Probation restores Alive
 // immediately (the worker proved itself before being declared dead). A Dead
-// worker must first answer RejoinProbes consecutive probes — it re-enters
+// worker must first answer rejoinProbes consecutive probes — it re-enters
 // through Probation and is only then restored to the ring, so a flapping
 // worker cannot oscillate jobs on and off its arc.
 type WorkerState int32
@@ -59,44 +60,32 @@ func (s WorkerState) String() string {
 // DetectorConfig tunes one worker's failure detector. The zero value takes
 // every documented default.
 type DetectorConfig struct {
-	// SuspectPhi, ProbationPhi, DeadPhi are the escalation thresholds on the
-	// suspicion value. Defaults: 3, 5, 8.
-	SuspectPhi   float64
-	ProbationPhi float64
-	DeadPhi      float64
-	// ProbeHardFailures short-circuits to Dead after this many consecutive
-	// hard probe failures (connection refused — the process is gone, no need
-	// to accrue). <= 0 means 4.
-	ProbeHardFailures int
-	// RejoinProbes is how many consecutive successful probes a Dead worker
-	// needs before it re-enters service through Probation. <= 0 means 3.
-	RejoinProbes int
 	// MinInterval floors the mean-interval estimate so a burst of fast
 	// probes cannot make phi explode on the first hiccup. <= 0 means 100ms.
 	MinInterval time.Duration
 }
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.SuspectPhi <= 0 {
-		c.SuspectPhi = 3
-	}
-	if c.ProbationPhi <= c.SuspectPhi {
-		c.ProbationPhi = c.SuspectPhi + 2
-	}
-	if c.DeadPhi <= c.ProbationPhi {
-		c.DeadPhi = c.ProbationPhi + 3
-	}
-	if c.ProbeHardFailures <= 0 {
-		c.ProbeHardFailures = 4
-	}
-	if c.RejoinProbes <= 0 {
-		c.RejoinProbes = 3
-	}
 	if c.MinInterval <= 0 {
 		c.MinInterval = 100 * time.Millisecond
 	}
 	return c
 }
+
+const (
+	// suspectPhi, probationPhi and deadPhi are the escalation thresholds on
+	// the suspicion value.
+	suspectPhi   = 3
+	probationPhi = 5
+	deadPhi      = 8
+	// probeHardFailures short-circuits to Dead after this many consecutive
+	// hard probe failures (connection refused — the process is gone, no need
+	// to accrue).
+	probeHardFailures = 4
+	// rejoinProbes is how many consecutive successful probes a Dead worker
+	// needs before it re-enters service through Probation.
+	rejoinProbes = 3
+)
 
 // detectorWindow is how many successful inter-arrival samples the mean is
 // computed over.
@@ -187,7 +176,7 @@ func (d *Detector) ObserveSuccess(now time.Time) (WorkerState, bool) {
 		d.consecOK = 0
 	case StateDead:
 		d.consecOK++
-		if d.consecOK >= d.cfg.RejoinProbes {
+		if d.consecOK >= rejoinProbes {
 			d.state = StateProbation
 			d.consecOK = 0
 		}
@@ -228,11 +217,11 @@ func (d *Detector) ObserveFailure(now time.Time, hard bool) (WorkerState, bool) 
 	phi := d.phiLocked(now)
 	next := prev
 	switch {
-	case d.hardFails >= d.cfg.ProbeHardFailures || phi >= d.cfg.DeadPhi:
+	case d.hardFails >= probeHardFailures || phi >= deadPhi:
 		next = StateDead
-	case phi >= d.cfg.ProbationPhi:
+	case phi >= probationPhi:
 		next = StateProbation
-	case phi >= d.cfg.SuspectPhi:
+	case phi >= suspectPhi:
 		next = StateSuspect
 	}
 	// Escalate only: a Dead worker cannot fall back to Suspect because phi

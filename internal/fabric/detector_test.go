@@ -52,21 +52,21 @@ func TestDetectorEscalatesThroughStates(t *testing.T) {
 
 func TestDetectorHardFailuresShortCircuit(t *testing.T) {
 	now := time.Unix(0, 0)
-	d := NewDetector(DetectorConfig{ProbeHardFailures: 3, MinInterval: time.Hour}, now)
+	d := NewDetector(DetectorConfig{MinInterval: time.Hour}, now)
 	// MinInterval of an hour keeps phi ~0, so only the hard-failure counter
 	// can kill: connection-refused is conclusive without accrual.
 	var st WorkerState
-	for i := 0; i < 3; i++ {
+	for i := 0; i < probeHardFailures; i++ {
 		st, _ = d.ObserveFailure(tick(&now, time.Millisecond), true)
 	}
 	if st != StateDead {
-		t.Fatalf("state after 3 hard failures = %v, want dead", st)
+		t.Fatalf("state after %d hard failures = %v, want dead", probeHardFailures, st)
 	}
 }
 
 func TestDetectorRecovery(t *testing.T) {
 	now := time.Unix(0, 0)
-	d := NewDetector(DetectorConfig{RejoinProbes: 3}, now)
+	d := NewDetector(DetectorConfig{}, now)
 	for i := 0; i < 8; i++ {
 		d.ObserveSuccess(tick(&now, 100*time.Millisecond))
 	}
@@ -78,7 +78,7 @@ func TestDetectorRecovery(t *testing.T) {
 	if st, changed := d.ObserveSuccess(tick(&now, 50*time.Millisecond)); st != StateAlive || !changed {
 		t.Fatalf("suspect + success = %v changed=%v, want alive", st, changed)
 	}
-	// Kill it, then count it back in: RejoinProbes consecutive successes
+	// Kill it, then count it back in: rejoinProbes consecutive successes
 	// reach only Probation; one more success restores Alive.
 	for i := 0; i < 4; i++ {
 		d.ObserveFailure(tick(&now, time.Second), true)

@@ -12,10 +12,11 @@
 // Placement is a consistent-hash ring keyed on the job's run-cache
 // fingerprint (sim.Fingerprint: program content hash x canonicalised config),
 // so identical jobs land on the worker that already has the result cached,
-// and worker death moves only the dead worker's arc. On top of the ring sits
-// a work-stealing dispatcher: every queued job prefers its home worker, and
-// an idle worker steals from the longest other queue, so a skewed sweep
-// still saturates the cluster.
+// and worker death moves only the dead worker's arc. Each job's own goroutine
+// dispatches it: it takes the first Alive worker in ring order from the
+// key's home and waits while that worker's slots are all busy, so a busy home
+// keeps its keys rather than handing them to an idle worker that would have
+// to simulate them again.
 //
 // The robustness layer is the point:
 //
@@ -23,10 +24,7 @@
 //     (Alive -> Suspect -> Probation -> Dead; see Detector) so slow workers
 //     are routed around long before they are declared dead.
 //   - Transport-level dispatch failures retry with exponential backoff and
-//     jitter on another worker, bounded by MaxDispatchRetries.
-//   - Straggler dispatches are hedged: after a latency-percentile trigger a
-//     second copy goes to the next ring node, the first result wins, and the
-//     loser is cancelled through its request context.
+//     jitter on another worker, up to a fixed retry budget.
 //   - Worker death requeues its in-flight jobs exactly once; a second death
 //     under the same job surfaces serve.ErrWorkerLost instead of retrying
 //     forever.

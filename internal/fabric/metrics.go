@@ -12,11 +12,13 @@ import (
 // Stats is an atomic snapshot of the coordinator's counters, for tests and
 // the /fabric/members debug view.
 type Stats struct {
-	Jobs         uint64 `json:"jobs"`
-	Dispatches   uint64 `json:"dispatches"`
+	Jobs       uint64 `json:"jobs"`
+	Dispatches uint64 `json:"dispatches"`
+	// Steals, Hedges and HedgesWasted always read 0: the coordinator neither
+	// steals nor hedges. They stay only because perfbench still reports them;
+	// a later benchmark change removes them.
 	Steals       uint64 `json:"steals"`
 	Hedges       uint64 `json:"hedges"`
-	HedgesWon    uint64 `json:"hedges_won"`
 	HedgesWasted uint64 `json:"hedges_wasted"`
 	Retries      uint64 `json:"retries"`
 	Reroutes     uint64 `json:"reroutes"`
@@ -33,10 +35,6 @@ func (c *Coordinator) Stats() Stats {
 	s := Stats{
 		Jobs:         c.m.jobs.Load(),
 		Dispatches:   c.m.dispatches.Load(),
-		Steals:       c.m.steals.Load(),
-		Hedges:       c.m.hedges.Load(),
-		HedgesWon:    c.m.hedgesWon.Load(),
-		HedgesWasted: c.m.hedgesWasted.Load(),
 		Retries:      c.m.retries.Load(),
 		Reroutes:     c.m.reroutes.Load(),
 		Requeues:     c.m.requeues.Load(),
@@ -64,10 +62,6 @@ func (c *Coordinator) RegisterMetrics(reg *telemetry.Registry) {
 	}
 	gauge("fabric.Jobs", func(s Stats) float64 { return float64(s.Jobs) })
 	gauge("fabric.Dispatches", func(s Stats) float64 { return float64(s.Dispatches) })
-	gauge("fabric.Steals", func(s Stats) float64 { return float64(s.Steals) })
-	gauge("fabric.HedgesLaunched", func(s Stats) float64 { return float64(s.Hedges) })
-	gauge("fabric.HedgesWon", func(s Stats) float64 { return float64(s.HedgesWon) })
-	gauge("fabric.HedgesWasted", func(s Stats) float64 { return float64(s.HedgesWasted) })
 	gauge("fabric.Retries", func(s Stats) float64 { return float64(s.Retries) })
 	gauge("fabric.Reroutes", func(s Stats) float64 { return float64(s.Reroutes) })
 	gauge("fabric.Requeues", func(s Stats) float64 { return float64(s.Requeues) })
@@ -86,7 +80,7 @@ type MemberView struct {
 	Phi      float64 `json:"phi"`
 	Slots    int     `json:"slots"`
 	Inflight int     `json:"inflight"`
-	Queued   int     `json:"queued"`
+	Queued   int     `json:"queued"` // jobs waiting for one of its slots
 	JoinedAt string  `json:"joined_at"`
 }
 
@@ -103,7 +97,7 @@ func (c *Coordinator) Members() []MemberView {
 			Phi:      m.det.Phi(now),
 			Slots:    m.slots,
 			Inflight: len(m.inflight),
-			Queued:   len(c.queues[m.id]),
+			Queued:   m.waiting,
 			JoinedAt: m.joined.UTC().Format(time.RFC3339),
 		})
 	}
@@ -116,7 +110,7 @@ func (c *Coordinator) Members() []MemberView {
 // endpoints:
 //
 //	POST /fabric/join     worker registration / heartbeat (JoinInfo body)
-//	GET  /fabric/members  worker table with detector state and queue depths
+//	GET  /fabric/members  worker table with detector state and slot waiters
 func (c *Coordinator) Mount(next http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fabric/join", func(w http.ResponseWriter, r *http.Request) {

@@ -17,7 +17,6 @@ import (
 // Ring is safe for concurrent use. Lookups on an empty ring return nothing.
 type Ring struct {
 	mu     sync.RWMutex
-	vnodes int
 	points []ringPoint // sorted by hash
 	ids    map[string]struct{}
 }
@@ -27,18 +26,14 @@ type ringPoint struct {
 	id   string
 }
 
-// DefaultVNodes is the per-worker virtual-node count: enough that a 3-node
-// ring balances within a few percent, cheap enough that membership changes
-// are trivial.
-const DefaultVNodes = 64
+// vnodes is the per-worker virtual-node count: enough that a 3-node ring
+// balances within a few percent, cheap enough that membership changes are
+// trivial.
+const vnodes = 64
 
-// NewRing returns an empty ring with the given virtual-node count per worker
-// (<= 0 means DefaultVNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	return &Ring{vnodes: vnodes, ids: make(map[string]struct{})}
+// NewRing returns an empty ring.
+func NewRing() *Ring {
+	return &Ring{ids: make(map[string]struct{})}
 }
 
 func ringHash(s string) uint64 {
@@ -61,7 +56,7 @@ func (r *Ring) Add(id string) {
 		return
 	}
 	r.ids[id] = struct{}{}
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < vnodes; v++ {
 		r.points = append(r.points, ringPoint{ringHash(id + "#" + strconv.Itoa(v)), id})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
@@ -110,7 +105,7 @@ func (r *Ring) Lookup(key string) string {
 }
 
 // LookupN returns up to n distinct workers in ring order starting at the
-// key's home: the preference order for placement, hedging, and failover. The
+// key's home: the preference order for placement and failover. The
 // first entry is the home node; later entries are the nodes the key's arc
 // falls to as earlier ones die.
 func (r *Ring) LookupN(key string, n int) []string {

@@ -14,7 +14,7 @@ func keysFor(n int) []string {
 }
 
 func TestRingLookupDeterministicAndDistinct(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, id := range []string{"w1", "w2", "w3"} {
 		r.Add(id)
 	}
@@ -41,7 +41,7 @@ func TestRingLookupDeterministicAndDistinct(t *testing.T) {
 }
 
 func TestRingRemovalMovesOnlyTheDeadArc(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, id := range []string{"w1", "w2", "w3"} {
 		r.Add(id)
 	}
@@ -70,7 +70,7 @@ func TestRingRemovalMovesOnlyTheDeadArc(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	workers := []string{"w1", "w2", "w3"}
 	for _, id := range workers {
 		r.Add(id)
@@ -89,7 +89,7 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingAddIsIdempotentAndRejoinRestores(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	r.Add("w1")
 	r.Add("w2")
 	home := r.Lookup("some-key")

@@ -4,8 +4,8 @@ package serve
 // distributed fabric. The server owns admission (validation, lint preflight,
 // queues, SSE, drain); a RemoteExecutor — internal/fabric's Coordinator —
 // owns placement (consistent-hash routing on the run-cache fingerprint),
-// failure handling (health probing, retries, hedging, requeue on worker
-// death), and returns the executing worker's terminal job view. The server
+// failure handling (health probing, retries, requeue on worker death),
+// and returns the executing worker's terminal job view. The server
 // keeps its local harness as the degradation path: a fabric that reports
 // ErrRemoteUnavailable (no live workers at all) demotes the job to local
 // single-node execution instead of failing it.
