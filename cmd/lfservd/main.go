@@ -58,7 +58,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -66,6 +65,7 @@ import (
 	"syscall"
 	"time"
 
+	"loopfrog/internal/experiments"
 	"loopfrog/internal/fabric"
 	"loopfrog/internal/serve"
 )
@@ -229,22 +229,21 @@ func main() {
 	fmt.Println("lfservd: drained")
 }
 
-// loadReport is the BENCH_serve.json schema.
+// loadReport is the BENCH_serve.json schema. Meta carries the date, host,
+// toolchain and reproducing command, as in every other BENCH record.
 type loadReport struct {
-	Description  string  `json:"description"`
-	Date         string  `json:"date"`
-	Command      string  `json:"command"`
-	Host         string  `json:"host"`
-	Clients      int     `json:"clients"`
-	DurationSec  float64 `json:"duration_sec"`
-	Requests     uint64  `json:"requests"`
-	Succeeded    uint64  `json:"succeeded"`
-	Rejected429  uint64  `json:"rejected_429"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	RPS          float64 `json:"sustained_rps"`
-	P50Ms        float64 `json:"p50_ms"`
-	P99Ms        float64 `json:"p99_ms"`
-	Note         string  `json:"note"`
+	Description  string           `json:"description"`
+	Meta         experiments.Meta `json:"meta"`
+	Clients      int              `json:"clients"`
+	DurationSec  float64          `json:"duration_sec"`
+	Requests     uint64           `json:"requests"`
+	Succeeded    uint64           `json:"succeeded"`
+	Rejected429  uint64           `json:"rejected_429"`
+	CacheHitRate float64          `json:"cache_hit_rate"`
+	RPS          float64          `json:"sustained_rps"`
+	P50Ms        float64          `json:"p50_ms"`
+	P99Ms        float64          `json:"p99_ms"`
+	Note         string           `json:"note"`
 }
 
 // runLoad drives an in-process server at saturation with a mixed
@@ -363,9 +362,7 @@ func runLoad(cfg serve.Config, clients int, duration time.Duration, outPath, pro
 	}
 	rep := loadReport{
 		Description: fmt.Sprintf("lfservd sustained load: %d concurrent clients, mixed cached/uncached quickstart AB jobs, %s", clients, duration),
-		Date:        time.Now().Format("2006-01-02"),
-		Command:     fmt.Sprintf("lfservd -load %d -load-duration %s", clients, duration),
-		Host:        fmt.Sprintf("%s/%s, GOMAXPROCS=%d", runtime.GOOS, runtime.GOARCH, runtime.GOMAXPROCS(0)),
+		Meta:        experiments.NewMeta(fmt.Sprintf("lfservd -load %d -load-duration %s", clients, duration)),
 		Clients:     clients,
 		DurationSec: wall.Seconds(),
 		Requests:    requests.Load(),

@@ -157,15 +157,9 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 			m.ledger(e.dispRegion).Slots[SlotRetiredSpec]++
 		}
 	}
-}
-
-func (t *threadlet) hasCkptPending() bool {
-	for r := 0; r < isa.NumRegs; r++ {
-		if t.ckptPending[r] != nil {
-			return true
-		}
+	if !e.meta.IsStore {
+		m.freeInst(e) // a store is freed when it drains
 	}
-	return false
 }
 
 // packVerify runs the §4.3 verification at the parent's verification-point
@@ -306,6 +300,7 @@ func (m *Machine) drainStores() {
 				}
 			}
 			t.drain.pop()
+			m.freeInst(s)
 			m.sqUsed--
 			budget--
 		}

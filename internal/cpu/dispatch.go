@@ -87,7 +87,7 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 		}
 	}
 
-	// The chunk entry is zero, so only non-zero fields are set.
+	// newInst zeroes the entry, so only non-zero fields are set.
 	e := m.newInst()
 	e.tid = t.id
 	e.seq = t.seqCounter
@@ -119,7 +119,7 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 
 	if hasDest {
 		e.oldMap = t.renameMap[e.destReg]
-		t.renameMap[e.destReg] = mapEntry{prod: e}
+		t.renameMap[e.destReg] = mapEntry{prod: e, gen: e.gen}
 		if e.destReg.IsFP() {
 			m.fpRegsUsed++
 		} else {
@@ -180,6 +180,13 @@ func capture(t *threadlet, e *dynInst, slot int, r isa.Reg) {
 		}
 		return
 	}
+	if me.recycled() {
+		// The producer committed and its slot was reused: the value is the
+		// threadlet's committed one (mapEntry).
+		e.srcReady[slot] = true
+		e.srcVal[slot] = t.committedRegs[r]
+		return
+	}
 	if p.state >= stDone && !p.wakeHeld {
 		e.srcReady[slot] = true
 		e.srcVal[slot] = p.result
@@ -193,20 +200,40 @@ func capture(t *threadlet, e *dynInst, slot int, r isa.Reg) {
 	p.waiters = append(p.waiters, e)
 }
 
-// instChunk is the number of dynInsts allocated at once. A chunk is never
-// reused: it becomes garbage when nothing points into it any more, which the
-// lifetime rule (dynInst.release) makes happen soon after its instructions
-// leave the window.
+// instChunk is the number of dynInsts allocated at once when the free list
+// is empty. Once the window has filled, every instruction is a reused one.
 const instChunk = 64
 
-// newInst returns a zeroed dynInst from the machine's current chunk.
+// newInst returns a zeroed dynInst: the most recently freed one, with its
+// generation bumped, or else the next entry of the machine's current chunk.
 func (m *Machine) newInst() *dynInst {
-	if len(m.instFree) == 0 {
-		m.instFree = make([]dynInst, instChunk)
+	if n := len(m.instFree); n > 0 {
+		e := m.instFree[n-1]
+		m.instFree = m.instFree[:n-1]
+		*e = dynInst{gen: e.gen + 1}
+		return e
 	}
-	e := &m.instFree[0]
-	m.instFree = m.instFree[1:]
+	if len(m.instChunk) == 0 {
+		m.instChunk = make([]dynInst, instChunk)
+	}
+	e := &m.instChunk[0]
+	m.instChunk = m.instChunk[1:]
+	m.instMade++
 	return e
+}
+
+// freeInst returns an instruction nothing can read any more to the free list
+// (DESIGN.md, "Instruction lifetime"). Rename entries and waiter lists may
+// still name it; the generation tag and wake's srcProd test make those
+// entries inert once it is reused. Speculative-leak configurations, off by
+// default, do not reuse instructions: a recycled producer's taint could not
+// be reproduced exactly, so the entry is left to the collector.
+func (m *Machine) freeInst(e *dynInst) {
+	if m.spectreLive {
+		m.instDropped++
+		return
+	}
+	m.instFree = append(m.instFree, e)
 }
 
 // startConsumable reports whether register r still carries the threadlet's
@@ -396,7 +423,7 @@ func (m *Machine) trySpawn(t *threadlet, e *dynInst, region int64) {
 		t.predictedStart = predicted
 		m.stats.PackedSpawns++
 	}
-	e.spawnedTid = nt.id
+	e.spawnedTid = int32(nt.id)
 	m.stats.Spawns++
 	if m.regionOn {
 		lg := m.ledger(region)
@@ -416,6 +443,8 @@ func (t *threadlet) regSnapshot() (vals [isa.NumRegs]uint64, resolved [isa.NumRe
 		switch {
 		case me.prod == nil:
 			vals[r], resolved[r] = me.val, true
+		case me.recycled():
+			vals[r], resolved[r] = t.committedRegs[r], true
 		case me.prod.state >= stDone && !me.prod.wakeHeld:
 			vals[r], resolved[r] = me.prod.result, true
 		}
@@ -472,7 +501,10 @@ func (m *Machine) spawnInto(parent, nt *threadlet, contPC int, factor int, predi
 			continue
 		}
 		me := parent.renameMap[r]
-		if me.prod != nil && me.prod.state >= stDone && !me.prod.wakeHeld {
+		switch {
+		case me.recycled():
+			me = mapEntry{val: parent.committedRegs[r]}
+		case me.prod != nil && me.prod.state >= stDone && !me.prod.wakeHeld:
 			me = mapEntry{val: me.prod.result, taint: me.prod.taint}
 		}
 		nt.renameMap[r] = me

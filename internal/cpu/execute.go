@@ -46,6 +46,7 @@ func (m *Machine) issue() {
 		m.replayQ = m.replayQ[:0]
 		for _, e := range q {
 			if e.squashed {
+				m.freeInst(e)
 				continue
 			}
 			if loadBudget == 0 {
@@ -66,7 +67,9 @@ func (m *Machine) issue() {
 		// Drop squashed entries, then prioritise by epoch order and age.
 		live := q[:0]
 		for _, e := range q {
-			if !e.squashed && e.state == stReady {
+			if e.squashed {
+				m.freeInst(e)
+			} else if e.state == stReady {
 				live = append(live, e)
 			}
 		}
@@ -327,6 +330,7 @@ func (m *Machine) writeback() {
 	for _, e := range m.executing {
 		switch {
 		case e.squashed:
+			m.freeInst(e)
 		case e.readyAt <= m.now:
 			finished = append(finished, e)
 		default:
@@ -338,10 +342,14 @@ func (m *Machine) writeback() {
 	// Oldest-first resolution keeps branch recovery deterministic.
 	m.sortByAge(finished)
 	for _, e := range finished {
-		if e.squashed {
-			continue
+		if !e.squashed {
+			m.complete(e)
 		}
-		m.complete(e)
+		// Squashed before it completed (by an older entry's recovery): this
+		// list was its only queue.
+		if e.squashed && e.state == stExecuting {
+			m.freeInst(e)
+		}
 	}
 	clear(finished)
 	m.finished = finished[:0]
@@ -377,10 +385,13 @@ func (m *Machine) complete(e *dynInst) {
 	m.wake(e)
 }
 
-// wake delivers a completed result to dependents and checkpoint slots.
+// wake delivers a completed result to dependents and checkpoint slots. A
+// waiter acts only if it still names e as a producer: release cleared a
+// squashed waiter's srcProd, and a recycled one names its new producers, so
+// a stale entry does nothing.
 func (m *Machine) wake(e *dynInst) {
 	for _, w := range e.waiters {
-		if w.squashed {
+		if w.srcProd[0] != e && w.srcProd[1] != e {
 			continue
 		}
 		for s := 0; s < 2; s++ {

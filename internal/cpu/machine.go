@@ -119,8 +119,14 @@ type Machine struct {
 	finished                            []*dynInst // writeback
 	ageRank                             []int      // sortByAge, indexed by tid
 
-	// instFree is the unused tail of the current dynInst chunk (newInst).
-	instFree []dynInst
+	// Instruction recycling (newInst, freeInst). instFree holds freed
+	// instructions, reused last-in first-out; instChunk is the unused tail of
+	// the current chunk. instMade counts instructions taken from chunks and
+	// instDropped those freed without reuse, for the recycling tests.
+	instFree    []*dynInst
+	instChunk   []dynInst
+	instMade    int
+	instDropped int
 }
 
 // NewMachine builds a machine for the program.

@@ -180,7 +180,8 @@ func (m *Machine) releaseDelayedWakes() {
 	kept := m.delayedWake[:0]
 	for _, e := range m.delayedWake {
 		if e.squashed {
-			continue // its dependents were squashed with it
+			m.freeInst(e) // its dependents were squashed with it
+			continue
 		}
 		t := m.threads[e.tid]
 		if !m.isSpec(e.tid) && !(len(t.ctlInFlight) > 0 && t.ctlInFlight[0] < e.seq) {

@@ -45,7 +45,7 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 		t.robHeld--
 		if e.spawnedTid >= 0 {
 			// The detach that spawned was wrong-path: drop its successors.
-			m.squashFrom(e.spawnedTid, core.SquashWrongPath, false)
+			m.squashFrom(int(e.spawnedTid), core.SquashWrongPath, false)
 		}
 		if e.meta.IsHint {
 			// Restore the epoch state the hint mutated at dispatch.
@@ -67,6 +67,7 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 			haveHist = true
 		}
 		e.release()
+		m.freeSquashed(e)
 	}
 	t.rob.truncate(cut)
 	if m.spectreLive {
@@ -81,6 +82,17 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 	}
 	m.redirectFetch(t, target)
 	m.fixYoungest()
+}
+
+// freeSquashed frees a squashed instruction unless a scheduler queue still
+// holds it. An in-flight instruction sits in at most one queue, known from
+// its state: the ready queue when stReady, the executing list or replay
+// queue when stExecuting, the delayed-wake list when stDone with its wakeup
+// held. The site that drops a squashed entry from that queue frees it.
+func (m *Machine) freeSquashed(e *dynInst) {
+	if e.state == stDispatched || e.state == stDone && !e.wakeHeld {
+		m.freeInst(e)
+	}
 }
 
 // fixYoungest restores the invariant that only a threadlet with a live
@@ -213,10 +225,14 @@ func (m *Machine) purgeThreadlet(t *threadlet) {
 			m.sqUsed--
 		}
 		e.release()
+		m.freeSquashed(e)
 	}
 	t.rob.truncate(0)
 	// Committed-but-undrained stores still hold SQ entries.
 	m.sqUsed -= t.drain.len()
+	for _, s := range t.drain.items() {
+		m.freeInst(s)
+	}
 	t.drain.truncate(0)
 	t.fq.truncate(0)
 	if m.spectreLive {
@@ -264,7 +280,7 @@ func (m *Machine) restartThreadlet(t *threadlet) {
 				t.renameMap[r] = mapEntry{val: p.result, taint: p.taint}
 				continue
 			}
-			t.renameMap[r] = mapEntry{prod: p}
+			t.renameMap[r] = mapEntry{prod: p, gen: p.gen}
 			continue
 		}
 		t.renameMap[r] = mapEntry{val: t.ckptRegs[r], taint: t.ckptTaint[r]}

@@ -17,7 +17,7 @@ const (
 
 // dynInst is one dynamic instruction in flight. Word-sized fields come
 // first and the one-byte flags last, so the struct carries little padding:
-// the machine allocates one per dispatched instruction.
+// every dispatch zeroes one, taken from the machine's free list (newInst).
 type dynInst struct {
 	tid  int
 	seq  uint64 // per-threadlet age
@@ -54,7 +54,11 @@ type dynInst struct {
 
 	// Hint bookkeeping. The prev* fields snapshot threadlet epoch state a
 	// hint mutated at dispatch, so wrong-path rollback can restore it.
-	spawnedTid int // threadlet spawned by this detach, -1 otherwise
+	spawnedTid int32 // threadlet spawned by this detach, -1 otherwise
+	// gen counts the reuses of this slot (newInst). A rename-map entry
+	// records it, so an entry whose producer was since recycled is told
+	// apart from one naming the current occupant (mapEntry.gen).
+	gen        uint32
 	prevRegion int64
 	prevSkip   int
 
@@ -107,8 +111,8 @@ const waitBufLen = 4
 
 // release drops every pointer e holds to another instruction. It runs when e
 // leaves the window (commit, rollback, purge): a finished instruction then
-// keeps nothing older reachable, so the live heap is bounded by the in-flight
-// window however long the run (DESIGN.md, "Instruction lifetime").
+// keeps nothing older reachable, and a squashed waiter no longer names its
+// producer, so wake skips it (DESIGN.md, "Instruction lifetime").
 func (e *dynInst) release() {
 	e.srcProd = [2]*dynInst{}
 	e.oldMap.prod = nil
@@ -125,11 +129,21 @@ type ckptWaiter struct {
 // mapEntry is a rename-map slot: either a pending producer or a value.
 // taint marks a resolved value that derives from a transiently-loaded one
 // (spectre.go); pending entries carry taint on the producer instead.
+//
+// gen is prod.gen when the entry was made. A producer whose gen has moved on
+// was recycled (see recycled); it had committed into the threadlet holding
+// the entry, or filled the threadlet's checkpoint slot, so the register then
+// reads as that threadlet's committedRegs value.
 type mapEntry struct {
 	prod  *dynInst
 	val   uint64
 	taint bool
+	gen   uint32
 }
+
+// recycled reports whether the entry names a producer whose slot has since
+// been freed and reused.
+func (me *mapEntry) recycled() bool { return me.prod != nil && me.prod.gen != me.gen }
 
 type fetchEntry struct {
 	pc        int
