@@ -24,9 +24,13 @@ import (
 )
 
 // Checkpoint is a machine-state snapshot at an architectural instruction
-// boundary. All referenced state is private to the checkpoint (cloned at
-// capture time) and is treated as immutable afterwards: seeding clones again,
-// so any number of machines may start from the same checkpoint concurrently.
+// boundary. It is cloned at capture time and treated as immutable afterwards;
+// seeding clones again. The predictor, cache, monitor and pack state are
+// private deep copies. Mem shares its pages copy-on-write with the memory it
+// was captured from and with every machine seeded from it, but it owns none
+// of them, so no write ever reaches it and cloning it mutates nothing (see
+// mem.Memory). Any number of machines may therefore start from the same
+// checkpoint concurrently.
 type Checkpoint struct {
 	// PC is the instruction index execution resumes at.
 	PC int

@@ -161,17 +161,14 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 		wd:            cfg.Watchdog,
 		lastRestartPC: -1,
 		prog:          prog,
-		mem:           mem.NewMemory(),
-		hier:          mem.NewHierarchy(cfg.Hier),
-		bp:            bpred.New(cfg.BPred, cfg.Threadlets),
-		pack:          core.NewPackPredictor(cfg.Pack),
-		mon:           core.NewRegionMonitor(cfg.Monitor),
 		contextFreeAt: make([]int64, cfg.Threadlets),
 		gens:          make([]uint64, cfg.Threadlets),
 		archSpecInsts: make([]uint64, cfg.Threadlets),
 		ageRank:       make([]int, cfg.Threadlets),
 		code:          prog.Decoded(),
 	}
+	// State a checkpoint supplies is cloned from it; only the rest is built
+	// cold.
 	startPC := prog.Entry
 	if ck != nil {
 		startPC = ck.PC
@@ -189,7 +186,20 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 			m.pack = ck.Pack.Clone()
 		}
 	} else {
+		m.mem = mem.NewMemory()
 		m.mem.LoadProgram(prog)
+	}
+	if m.hier == nil {
+		m.hier = mem.NewHierarchy(cfg.Hier)
+	}
+	if m.bp == nil {
+		m.bp = bpred.New(cfg.BPred, cfg.Threadlets)
+	}
+	if m.mon == nil {
+		m.mon = core.NewRegionMonitor(cfg.Monitor)
+	}
+	if m.pack == nil {
+		m.pack = core.NewPackPredictor(cfg.Pack)
 	}
 	m.ssb = core.NewSSB(cfg.SSB, m.mem)
 	newSet := func() core.GranuleSet { return core.NewExactSet() }

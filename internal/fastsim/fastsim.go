@@ -295,7 +295,9 @@ func run(p *asm.Program, opts Options, start *cpu.Checkpoint) (*Result, error) {
 	return nil, fmt.Errorf("%w (%d)", ErrStepLimit, maxSteps)
 }
 
-// checkpoint captures an immutable snapshot of the current state.
+// checkpoint captures an immutable snapshot of the current state. The memory
+// clone copies only the page table: the live memory then owns none of its
+// pages, and its next write to each copies that page once.
 func checkpoint(pc int, res *Result, bp *bpred.Predictor, hier *mem.Hierarchy, now int64, lf *lfState) *cpu.Checkpoint {
 	ck := &cpu.Checkpoint{
 		PC:    pc,

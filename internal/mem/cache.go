@@ -237,9 +237,11 @@ func (l *level) cloneAt(now int64) *level {
 		setMask:  l.setMask,
 		lineBits: l.lineBits,
 	}
-	for j := range c.lines {
-		c.lines[j].lastUse -= now
-		c.lines[j].readyAt -= now
+	if now != 0 { // rebasing to 0 changes no timestamp
+		for j := range c.lines {
+			c.lines[j].lastUse -= now
+			c.lines[j].readyAt -= now
+		}
 	}
 	for _, e := range l.mshrs {
 		if e.fillAt > now { // expired entries would be pruned anyway

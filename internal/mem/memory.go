@@ -7,7 +7,9 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sort"
+	"sync/atomic"
 
 	"loopfrog/internal/asm"
 )
@@ -21,14 +23,36 @@ const (
 // Memory is a sparse, byte-addressed 64-bit functional memory. It holds the
 // architectural memory state of a simulation; speculative threadlet state
 // lives in the SSB and is merged in only at threadlet commit. Unwritten
-// memory reads as zero. Memory is not safe for concurrent use.
+// memory reads as zero.
+//
+// Pages are copy-on-write: Clone shares every page with its source, and a
+// Memory writes in place only to the pages it owns. The first write to any
+// other page copies it and owns the copy. Memory is not safe for concurrent
+// use, with one exception: a Memory that owns no pages (a clone nothing has
+// written since) is never mutated by Clone or a read, so any number of
+// goroutines may read and clone it at once.
 type Memory struct {
-	pages map[uint64]*[pageSize]byte
+	pages map[uint64]pageRef
+	// id marks the pages this Memory owns: those whose pageRef.owner is id.
+	id uint64
+	// owns records whether any page carries id, so that Clone of an image
+	// with nothing to disown leaves it untouched.
+	owns bool
 }
+
+// pageRef is one page-table entry. owner is the id of the only Memory that
+// may write data in place; every other Memory sharing data copies it first.
+type pageRef struct {
+	data  *[pageSize]byte
+	owner uint64
+}
+
+// memIDs hands out Memory ids, starting at 1.
+var memIDs atomic.Uint64
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageSize]byte)}
+	return &Memory{pages: make(map[uint64]pageRef), id: memIDs.Add(1)}
 }
 
 // LoadProgram initialises memory with the program's data segment.
@@ -161,24 +185,34 @@ func (m *Memory) readByte(addr uint64) byte {
 	return page[off]
 }
 
+// page returns the page holding addr and addr's offset in it. A read
+// (create=false) returns nil for an absent page. A write (create=true)
+// always returns a page m owns: an absent page is created, and a shared one
+// is copied first.
 func (m *Memory) page(addr uint64, create bool) (*[pageSize]byte, uint64) {
 	pn := addr >> pageShift
-	page := m.pages[pn]
-	if page == nil && create {
-		page = new([pageSize]byte)
-		m.pages[pn] = page
+	r := m.pages[pn]
+	if create && r.owner != m.id {
+		p := new([pageSize]byte)
+		if r.data != nil {
+			*p = *r.data
+		}
+		r = pageRef{data: p, owner: m.id}
+		m.pages[pn] = r
+		m.owns = true
 	}
-	return page, addr & pageMask
+	return r.data, addr & pageMask
 }
 
-// Clone returns a deep copy of the memory, for checkpointing in tests.
+// Clone returns an independent copy of the memory. It copies only the page
+// table: afterwards the two share every page and neither owns any, so the
+// first write on either side to a page copies that page. Cloning a Memory
+// that owns no pages does not modify it (see Memory).
 func (m *Memory) Clone() *Memory {
-	c := NewMemory()
-	for pn, page := range m.pages {
-		cp := *page
-		c.pages[pn] = &cp
+	if m.owns {
+		m.id, m.owns = memIDs.Add(1), false
 	}
-	return c
+	return &Memory{pages: maps.Clone(m.pages), id: memIDs.Add(1)}
 }
 
 // Equal reports whether two memories hold identical contents (treating
@@ -209,7 +243,10 @@ func (m *Memory) diff(o *Memory) string {
 	count := 0
 	var zero [pageSize]byte
 	for _, pn := range pns {
-		a, b := m.pages[pn], o.pages[pn]
+		a, b := m.pages[pn].data, o.pages[pn].data
+		if a == b {
+			continue
+		}
 		if a == nil {
 			a = &zero
 		}

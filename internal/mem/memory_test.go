@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +124,176 @@ func TestMemoryCloneIsDeep(t *testing.T) {
 	}
 	if m.Equal(c) {
 		t.Error("Equal reports true after divergence")
+	}
+}
+
+// sharedPages counts the pages a and b hold as the same physical page.
+func sharedPages(a, b *Memory) int {
+	n := 0
+	for pn, r := range a.pages {
+		if b.pages[pn].data == r.data {
+			n++
+		}
+	}
+	return n
+}
+
+// filled returns a memory with n consecutive pages; page i holds i+1 in its
+// first word.
+func filled(n int) *Memory {
+	m := NewMemory()
+	for i := 0; i < n; i++ {
+		m.Write(uint64(i)<<pageShift, 8, uint64(i)+1)
+	}
+	return m
+}
+
+func TestMemoryCloneWriteToClone(t *testing.T) {
+	m := filled(4)
+	c := m.Clone()
+	c.Write(2<<pageShift, 8, 99)
+	c.Write(3<<pageShift|8, 4, 7)
+	if got := m.Read(2<<pageShift, 8); got != 3 {
+		t.Errorf("source observed the clone's write: %d", got)
+	}
+	if got := m.Read(3<<pageShift|8, 4); got != 0 {
+		t.Errorf("source observed the clone's write: %d", got)
+	}
+	if got := c.Read(2<<pageShift, 8); got != 99 {
+		t.Errorf("clone lost its own write: %d", got)
+	}
+	if got := c.Read(3<<pageShift, 8); got != 4 {
+		t.Errorf("copied page lost the shared contents: %d", got)
+	}
+}
+
+func TestMemoryCloneWriteToSource(t *testing.T) {
+	m := filled(4)
+	c := m.Clone()
+	m.Write(1<<pageShift, 8, 50)
+	if got := c.Read(1<<pageShift, 8); got != 2 {
+		t.Errorf("clone observed the source's write: %d", got)
+	}
+	// A second write lands on the page the source now owns again.
+	m.Write(1<<pageShift|16, 8, 51)
+	if got := c.Read(1<<pageShift|16, 8); got != 0 {
+		t.Errorf("clone observed the source's second write: %d", got)
+	}
+	if got := m.Read(1<<pageShift, 8); got != 50 {
+		t.Errorf("source lost its first write: %d", got)
+	}
+}
+
+func TestMemoryCloneOfClone(t *testing.T) {
+	m := filled(3)
+	c1 := m.Clone()
+	c1.Write(0, 8, 10)
+	c2 := c1.Clone()
+	c2.Write(0, 8, 20)
+	c1.Write(1<<pageShift, 8, 11)
+	m.Write(2<<pageShift, 8, 30)
+	want := []struct {
+		mem        *Memory
+		p0, p1, p2 uint64
+	}{
+		{m, 1, 2, 30},
+		{c1, 10, 11, 3},
+		{c2, 20, 2, 3},
+	}
+	for i, w := range want {
+		for pn, v := range []uint64{w.p0, w.p1, w.p2} {
+			if got := w.mem.Read(uint64(pn)<<pageShift, 8); got != v {
+				t.Errorf("memory %d page %d = %d, want %d", i, pn, got, v)
+			}
+		}
+	}
+}
+
+func TestMemoryCloneNewPage(t *testing.T) {
+	m := filled(1)
+	c := m.Clone()
+	c.Write(9<<pageShift, 8, 5)
+	m.Write(7<<pageShift, 8, 6)
+	if m.Footprint() != 2 || c.Footprint() != 2 {
+		t.Errorf("footprints = %d, %d, want 2, 2", m.Footprint(), c.Footprint())
+	}
+	if got := m.Read(9<<pageShift, 8); got != 0 {
+		t.Errorf("source sees the clone's new page: %d", got)
+	}
+	if got := c.Read(7<<pageShift, 8); got != 0 {
+		t.Errorf("clone sees the source's new page: %d", got)
+	}
+}
+
+func TestMemoryCloneWriteBytesAcrossSharedPages(t *testing.T) {
+	m := filled(3)
+	c := m.Clone()
+	addr := uint64(2<<pageShift - 4)
+	payload := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	before := string(m.ReadBytes(addr, len(payload)))
+	c.WriteBytes(addr, payload)
+	got := c.ReadBytes(addr, len(payload))
+	for i := range payload {
+		if got[i] != payload[i] {
+			t.Fatalf("clone byte %d = %d, want %d", i, got[i], payload[i])
+		}
+	}
+	if got := m.ReadBytes(addr, len(payload)); string(got) != before {
+		t.Errorf("source observed WriteBytes: %v", got)
+	}
+	if n := sharedPages(m, c); n != 1 {
+		t.Errorf("%d pages still shared, want 1 (pages 1 and 2 copied)", n)
+	}
+}
+
+func TestMemoryCloneEqualDiffFootprint(t *testing.T) {
+	m := filled(5)
+	c := m.Clone()
+	if !m.Equal(c) || m.Diff(c) != "" || c.Footprint() != m.Footprint() {
+		t.Fatalf("fresh clone differs: footprints %d, %d\n%s", m.Footprint(), c.Footprint(), m.Diff(c))
+	}
+	c.Write(3<<pageShift, 8, 4) // a copied page with unchanged contents
+	if !m.Equal(c) {
+		t.Errorf("a copied but unchanged page compares unequal:\n%s", m.Diff(c))
+	}
+	c.Write(3<<pageShift|40, 1, 0xab)
+	d := m.Diff(c)
+	if m.Equal(c) || d != "  0x3028: 0x00 != 0xab\n" {
+		t.Errorf("Diff after divergence = %q", d)
+	}
+	if c.Footprint() != 5 {
+		t.Errorf("clone footprint = %d, want 5", c.Footprint())
+	}
+}
+
+// TestMemoryCloneCost checks that Clone copies a page table, not pages, and
+// that the first write to a shared page copies exactly that page.
+func TestMemoryCloneCost(t *testing.T) {
+	const pages = 1024
+	m := filled(pages)
+	m.Clone() // the source stops owning its pages; later clones leave it alone
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() { m.Clone() })
+	runtime.ReadMemStats(&after)
+	perClone := (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up run
+	if perClone >= 256<<10 {
+		t.Errorf("Clone of %d pages allocates %d KiB, want < 256 KiB", pages, perClone>>10)
+	}
+	t.Logf("Clone of %d pages: %.0f allocs, %d KiB", pages, allocs, perClone>>10)
+
+	c := m.Clone()
+	if n := sharedPages(m, c); n != pages {
+		t.Fatalf("fresh clone shares %d pages, want %d", n, pages)
+	}
+	c.Write(17<<pageShift|8, 8, 1)
+	if n := sharedPages(m, c); n != pages-1 {
+		t.Errorf("after one write %d pages shared, want %d", n, pages-1)
+	}
+	c.Write(17<<pageShift|16, 8, 2)
+	if n := sharedPages(m, c); n != pages-1 {
+		t.Errorf("a second write to the copied page copied again: %d shared", n)
 	}
 }
 

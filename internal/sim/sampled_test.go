@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -170,6 +171,84 @@ func TestSampledWorkerDeterminism(t *testing.T) {
 		if serial.Base.Windows[i] != wide.Base.Windows[i] || serial.LF.Windows[i] != wide.LF.Windows[i] {
 			t.Fatalf("window %d differs between worker counts", i)
 		}
+	}
+}
+
+// TestConcurrentCheckpointSeeding seeds several detailed windows from one
+// tier-1 checkpoint at once, as the harness pool does, and checks that each
+// window matches a serial run and that the shared checkpoint image is left
+// untouched. Run under -race it also checks that seeding from a checkpoint
+// writes nothing to it: its copy-on-write memory owns no pages.
+func TestConcurrentCheckpointSeeding(t *testing.T) {
+	const seeders = 4
+	sc := SampleConfig{Interval: 50_000, Window: 10_000, Warmup: 2_000}
+	cfg := cpu.DefaultConfig()
+	for _, name := range []string{"mcf", "leela"} {
+		t.Run(name, func(t *testing.T) {
+			prog := workloads.ByName(workloads.CPU2017(), name).MustProgram()
+			tier1 := func() *cpu.Checkpoint {
+				cks, _, _, err := (&Harness{}).tier1(context.Background(), cfg, prog, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cks[len(cks)/2]
+			}
+			// Two tier-1 passes give two checkpoints that share no pages:
+			// one seeds the serial reference and stays untouched, the
+			// other is seeded concurrently.
+			ref, shared := tier1(), tier1()
+			jobs := func(ck *cpu.Checkpoint) []Job {
+				return []Job{windowJob(BaselineOf(cfg), prog, ck, sc), windowJob(cfg, prog, ck, sc)}
+			}
+			window := func(j Job) (*cpu.Stats, error) {
+				m, err := cpu.NewMachineFromCheckpoint(j.Cfg, j.Prog, j.Ckpt)
+				if err != nil {
+					return nil, err
+				}
+				return m.Run()
+			}
+			var want []*cpu.Stats
+			for _, j := range jobs(ref) {
+				st, err := window(j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, st)
+			}
+
+			got := make([][]*cpu.Stats, seeders)
+			errs := make([]error, seeders)
+			var wg sync.WaitGroup
+			for g := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, j := range jobs(shared) {
+						st, err := window(j)
+						if err != nil {
+							errs[g] = err
+							return
+						}
+						got[g] = append(got[g], st)
+					}
+				}()
+			}
+			wg.Wait()
+			for g := range got {
+				if errs[g] != nil {
+					t.Fatalf("seeder %d: %v", g, errs[g])
+				}
+				for i, st := range got[g] {
+					if st.Cycles != want[i].Cycles || st.ArchInsts != want[i].ArchInsts {
+						t.Errorf("seeder %d window %d: %d cycles, %d insts; serial run %d cycles, %d insts",
+							g, i, st.Cycles, st.ArchInsts, want[i].Cycles, want[i].ArchInsts)
+					}
+				}
+			}
+			if !shared.Mem.Equal(ref.Mem) {
+				t.Errorf("seeded windows wrote to the checkpoint image:\n%s", shared.Mem.Diff(ref.Mem))
+			}
+		})
 	}
 }
 
