@@ -224,51 +224,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }
 
-// BenchmarkSimulatorThroughputWatchdogOff is the forward-progress-watchdog-off
-// counterpart of BenchmarkSimulatorThroughput (which runs with the default
-// watchdog enabled): comparing insts/s across the pair measures the watchdog's
-// per-cycle cost on a clean run. The BENCH_watchdog.json record at the repo
-// root is generated from this pair.
-func BenchmarkSimulatorThroughputWatchdogOff(b *testing.B) {
-	bench := workloads.ByName(workloads.CPU2017(), "leela")
-	prog := bench.MustProgram()
-	cfg := cpu.DefaultConfig()
-	cfg.Watchdog.Disable = true
-	b.ResetTimer()
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		st, err := sim.Run(cfg, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts += st.ArchInsts
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
-}
-
-// BenchmarkSimulatorThroughputRegionLedgerOff is the per-region-ledger-off
-// counterpart of BenchmarkSimulatorThroughput (which runs with the default
-// configuration, region ledgers enabled): comparing insts/s across the pair
-// measures the per-region speculation attribution cost. The region_ledger
-// section of the BENCH_overhead.json record at the repo root is generated
-// from this pair.
-func BenchmarkSimulatorThroughputRegionLedgerOff(b *testing.B) {
-	bench := workloads.ByName(workloads.CPU2017(), "leela")
-	prog := bench.MustProgram()
-	cfg := cpu.DefaultConfig()
-	cfg.RegionLedger = false
-	b.ResetTimer()
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		st, err := sim.Run(cfg, prog)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts += st.ArchInsts
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
-}
-
 // BenchmarkSimulatorThroughputTelemetry is the telemetry-on counterpart: a
 // full trace sink (events + commit-slot samples) streams to io.Discard while
 // the same workload runs, so comparing insts/s against

@@ -166,11 +166,11 @@ func runFabricPhase(jobs []map[string]any, cacheCap int) (fabricPhase, error) {
 	}
 	var nodes []node
 	// All nodes share this process's CPUs, so probe round-trips inflate under
-	// sim load: soften the failure detector accordingly.
+	// sim load: a long probe interval softens the failure detector, which
+	// counts silence in intervals (probation after 6 s, death after 16 s).
 	coord := fabric.NewCoordinator(fabric.Config{
-		ProbeInterval: time.Second,
+		ProbeInterval: 2 * time.Second,
 		ProbeTimeout:  10 * time.Second,
-		Detector:      fabric.DetectorConfig{MinInterval: 2 * time.Second},
 	})
 	for i := 0; i < fabricNodes; i++ {
 		n := node{srv: serve.New(serve.Config{Runners: 1, Workers: 1, CacheCapacity: serveCache})}

@@ -145,17 +145,13 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 		if inRegion {
 			m.stats.RegionArchInsts++
 		}
-		if m.regionOn {
-			m.ledger(e.dispRegion).Slots[SlotRetiredArch]++
-		}
+		m.ledger(e.dispRegion).Slots[SlotRetiredArch]++
 	} else {
 		t.specCommitted++
 		if inRegion {
 			t.specCommittedRegion++
 		}
-		if m.regionOn {
-			m.ledger(e.dispRegion).Slots[SlotRetiredSpec]++
-		}
+		m.ledger(e.dispRegion).Slots[SlotRetiredSpec]++
 	}
 	if !e.meta.IsStore {
 		m.freeInst(e) // a store is freed when it drains
@@ -175,9 +171,7 @@ func (m *Machine) packVerify(t *threadlet, region int64) {
 	if idx < 0 || idx+1 >= len(m.order) {
 		return // successor already gone
 	}
-	if m.regionOn {
-		m.ledger(region).PackVerifies++
-	}
+	m.ledger(region).PackVerifies++
 	succ := m.threads[m.order[idx+1]]
 	var bad []isa.Reg
 	for _, iv := range m.pack.IVs(t.activeRegion) {
@@ -189,9 +183,7 @@ func (m *Machine) packVerify(t *threadlet, region int64) {
 		return
 	}
 	m.pack.Mispredicts++
-	if m.regionOn {
-		m.ledger(region).PackMispredicts++
-	}
+	m.ledger(region).PackMispredicts++
 	mustSquash := false
 	for _, r := range bad {
 		succ.ckptRegs[r] = t.committedRegs[r]
@@ -211,9 +203,7 @@ func (m *Machine) packVerify(t *threadlet, region int64) {
 		}
 	}
 	m.stats.PackRepairs++
-	if m.regionOn {
-		m.ledger(region).PackRepairs++
-	}
+	m.ledger(region).PackRepairs++
 }
 
 // drainStores performs committed stores, oldest threadlet first, limited by
@@ -339,9 +329,7 @@ func (m *Machine) tryRetire() {
 		m.mon.OnEpochRetired(t.activeRegion, t.epochCommitted)
 	}
 	m.stats.Retires++
-	if m.regionOn {
-		m.ledger(t.activeRegion).Retires++
-	}
+	m.ledger(t.activeRegion).Retires++
 	m.pack.OnEpochRetired(t.activeRegion, t.epochCommitted, t.epochFactor)
 	m.emitEvent(EvRetire, t.id, t.activeRegion, int(t.epochCommitted))
 	t.live = false
@@ -367,13 +355,11 @@ func (m *Machine) tryRetire() {
 	m.stats.ArchInsts += b.specCommitted
 	m.stats.SpecCommitCycleSum += b.specCommitted
 	m.stats.RegionArchInsts += b.specCommittedRegion
-	if m.regionOn {
-		// The promoted successor is always a spawned context: homeRegion is
-		// real even when a sync loop exit already cleared its active region.
-		lg := m.ledger(b.homeRegion)
-		lg.Promotes++
-		lg.SpecWon += b.specCommitted
-	}
+	// The promoted successor is always a spawned context: homeRegion is
+	// real even when a sync loop exit already cleared its active region.
+	lg := m.ledger(b.homeRegion)
+	lg.Promotes++
+	lg.SpecWon += b.specCommitted
 	b.specCommitted = 0
 	b.specCommittedRegion = 0
 	b.overflowStalled = false

@@ -89,17 +89,8 @@ type Config struct {
 	WarmupInsts uint64
 
 	// Watchdog tunes the forward-progress watchdog (watchdog.go). The zero
-	// value means the default thresholds; set Watchdog.Disable to turn the
-	// checks off.
+	// value means the default thresholds; the watchdog always runs.
 	Watchdog WatchdogConfig
-
-	// RegionLedger enables per-region speculation attribution (region.go):
-	// every spawn, squash, promote, restart, pack verification and commit
-	// slot is additionally charged to the ledger of its epoch region, with
-	// totals reconciling exactly against the global counters. DefaultConfig
-	// enables it; the measured cost is well under 2% of simulation
-	// throughput (BENCH_overhead.json).
-	RegionLedger bool
 
 	// SpectreAnalysis enables the speculative-leak detector (spectre.go):
 	// loads executed inside a transient window (wrong-path between a branch's
@@ -159,8 +150,6 @@ func DefaultConfig() Config {
 		Hier:  mem.DefaultHierConfig(),
 
 		MaxCycles: 200_000_000,
-
-		RegionLedger: true,
 	}
 }
 

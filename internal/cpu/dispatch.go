@@ -257,9 +257,7 @@ func (m *Machine) handleHint(t *threadlet, e *dynInst) {
 	switch e.inst.Op {
 	case isa.DETACH:
 		m.stats.Detaches++
-		if m.regionOn {
-			m.ledger(region).Detaches++
-		}
+		m.ledger(region).Detaches++
 		if t.activeRegion >= 0 && t.activeRegion != region {
 			m.stats.HintNops++ // inner region while detached on another
 			return
@@ -373,9 +371,7 @@ func (m *Machine) trySpawn(t *threadlet, e *dynInst, region int64) {
 	}
 	if free < 0 {
 		m.stats.DetachNoContext++
-		if m.regionOn {
-			m.ledger(region).DetachNoContext++
-		}
+		m.ledger(region).DetachNoContext++
 		return
 	}
 	if !m.mon.Allow(region) {
@@ -425,12 +421,10 @@ func (m *Machine) trySpawn(t *threadlet, e *dynInst, region int64) {
 	}
 	e.spawnedTid = int32(nt.id)
 	m.stats.Spawns++
-	if m.regionOn {
-		lg := m.ledger(region)
-		lg.Spawns++
-		if factor > 1 {
-			lg.PackedSpawns++
-		}
+	lg := m.ledger(region)
+	lg.Spawns++
+	if factor > 1 {
+		lg.PackedSpawns++
 	}
 	m.emitEvent(EvSpawn, nt.id, region, factor)
 }

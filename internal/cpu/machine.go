@@ -86,11 +86,9 @@ type Machine struct {
 
 	archSpecInsts []uint64 // per-context spec-committed, indexed by tid
 
-	// Per-region attribution state (region.go). regionOn mirrors
-	// cfg.RegionLedger for the hot path; regionIdx maps a region ID to its
-	// ledger's index in stats.Regions; the last* pair caches the repeated
-	// lookup so steady-state charges cost one compare.
-	regionOn      bool
+	// Per-region attribution state (region.go). regionIdx maps a region ID
+	// to its ledger's index in stats.Regions; the last* pair caches the
+	// repeated lookup so steady-state charges cost one compare.
 	regionIdx     map[int64]int
 	lastRegionID  int64
 	lastRegionIdx int
@@ -207,11 +205,8 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 		newSet = func() core.GranuleSet { return core.NewBloomSet(cfg.BloomBits, cfg.BloomHashes) }
 	}
 	m.cd = core.NewConflictDetector(cfg.Threadlets, cfg.ConflictCheckLatency, newSet)
-	if cfg.RegionLedger {
-		m.regionOn = true
-		m.regionIdx = make(map[int64]int, 8)
-		m.lastRegionID = regionNone
-	}
+	m.regionIdx = make(map[int64]int, 8)
+	m.lastRegionID = regionNone
 	if cfg.SpectreAnalysis || cfg.DelaySpeculativeLoadDeps {
 		m.spectreLive = true
 		m.mitigate = cfg.DelaySpeculativeLoadDeps
@@ -272,9 +267,8 @@ const ctxCheckMask = 8192 - 1
 
 // RunContext simulates to completion, returning early with a wrapped
 // context error if ctx is cancelled or its deadline passes. The
-// forward-progress watchdog (watchdog.go) runs unless the configuration
-// disables it, turning livelocks into a fast typed ProgressError instead of
-// a 200M-cycle ErrCycleLimit timeout.
+// forward-progress watchdog (watchdog.go) turns livelocks into a fast typed
+// ProgressError instead of a 200M-cycle ErrCycleLimit timeout.
 func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 	maxCycles := m.cfg.MaxCycles
 	if maxCycles == 0 {
@@ -283,7 +277,6 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 	// However the run ends, leave the published snapshot exact.
 	defer m.publishStats()
 	done := ctx.Done()
-	watch := !m.wd.Disable
 	warmupPending := m.cfg.WarmupInsts > 0
 	for !m.halted {
 		// Warmup and window budgets trip on the SMOOTH instruction count
@@ -313,16 +306,14 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 		if m.memFault != nil {
 			return &m.stats, m.memFault
 		}
-		if watch {
-			if m.wdErr != nil {
-				return &m.stats, m.wdErr
-			}
-			if m.now-m.lastArchCommit > m.wd.NoCommitWindow {
-				return &m.stats, m.progressError(ProgressNoCommit)
-			}
-			if len(m.order) > 1 && m.now-m.specSince > m.wd.EpochWindow {
-				return &m.stats, m.progressError(ProgressStuckEpoch)
-			}
+		if m.wdErr != nil {
+			return &m.stats, m.wdErr
+		}
+		if m.now-m.lastArchCommit > m.wd.NoCommitWindow {
+			return &m.stats, m.progressError(ProgressNoCommit)
+		}
+		if len(m.order) > 1 && m.now-m.specSince > m.wd.EpochWindow {
+			return &m.stats, m.progressError(ProgressStuckEpoch)
 		}
 		if m.now&ctxCheckMask == 0 {
 			if m.snapWanted.Load() {

@@ -1,7 +1,6 @@
 package cpu
 
-// Per-region speculation attribution. When Config.RegionLedger is enabled
-// the machine charges every hint-flow event (detach, spawn, squash, restart,
+// Per-region speculation attribution. The machine charges every hint-flow event (detach, spawn, squash, restart,
 // retire, promote, pack verification) and every commit-bandwidth slot to the
 // ledger of the epoch region it belongs to, alongside the existing global
 // counters. The ledger totals reconcile *exactly* with the global counters —
@@ -158,11 +157,11 @@ func (s *Stats) RegionByID(id int64) *RegionLedger {
 // the attribution is exact. It also enforces that the outside-region bucket
 // holds nothing but commit slots: every spawn, squash, retire, promotion and
 // pack event must have landed in a real region. Call it on the Stats of a
-// completed run with Config.RegionLedger enabled; a run that recorded no
-// ledgers (the flag off) fails with a distinguishable error.
+// completed run; Stats that carry no ledgers fail with a distinguishable
+// error.
 func (s *Stats) ReconcileRegions() error {
 	if len(s.Regions) == 0 {
-		return errors.New("cpu: no region ledgers recorded (Config.RegionLedger disabled?)")
+		return errors.New("cpu: no region ledgers recorded")
 	}
 	var sum RegionLedger
 	var errs []error

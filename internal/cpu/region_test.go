@@ -112,21 +112,6 @@ cont:   addi t0, t0, 1
 	}
 }
 
-// TestRegionLedgerDisabled checks the flag gates everything: no ledgers, and
-// ReconcileRegions reports the absence distinguishably.
-func TestRegionLedgerDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RegionLedger = false
-	prog := asm.MustAssemble("hinted", hintedMapSrc)
-	st := runMachine(t, cfg, prog)
-	if len(st.Regions) != 0 {
-		t.Fatalf("RegionLedger off but %d ledgers recorded", len(st.Regions))
-	}
-	if err := st.ReconcileRegions(); err == nil {
-		t.Error("ReconcileRegions on a ledger-free run must error")
-	}
-}
-
 // TestRegionLedgerHelpers covers the small derived accessors.
 func TestRegionLedgerHelpers(t *testing.T) {
 	l := RegionLedger{Region: 64}

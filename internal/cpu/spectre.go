@@ -97,9 +97,7 @@ func (m *Machine) confirmLeak(pc int, region int64) {
 		m.leakPCs = make(map[int]uint64)
 	}
 	m.leakPCs[pc]++
-	if m.regionOn {
-		m.ledger(region).Leaks++
-	}
+	m.ledger(region).Leaks++
 }
 
 // squashSpectre settles the leak-tracking state of a squashed instruction:

@@ -156,15 +156,13 @@ func (m *Machine) squashFrom(victimTid int, cause core.SquashCause, restart bool
 		m.cd.Clear(tid)
 		m.stats.SpecCommitted += v.epochCommitted
 		m.stats.Squashes[cause]++
-		if m.regionOn {
-			// Victims are always spawned contexts, so homeRegion is a real
-			// region even when a speculative sync exit cleared activeRegion.
-			lg := m.ledger(v.homeRegion)
-			lg.Squashes[cause]++
-			lg.SpecLost += v.epochCommitted
-			if i == 0 && restart {
-				lg.Restarts++
-			}
+		// Victims are always spawned contexts, so homeRegion is a real
+		// region even when a speculative sync exit cleared activeRegion.
+		lg := m.ledger(v.homeRegion)
+		lg.Squashes[cause]++
+		lg.SpecLost += v.epochCommitted
+		if i == 0 && restart {
+			lg.Restarts++
 		}
 		if v.activeRegion >= 0 {
 			m.mon.OnSquash(v.activeRegion, cause)

@@ -86,12 +86,10 @@ func (m *Machine) attributeCommitSlots(archUsed, totalUsed uint64) {
 	if idle := uint64(m.cfg.Width) - totalUsed; idle > 0 {
 		cause := m.stallCause()
 		m.stats.CommitSlots[cause] += idle
-		if m.regionOn {
-			// Stall slots charge the architectural threadlet's active region
-			// (its progress is the program's); -1 is the outside bucket. The
-			// retired-slot classes charge per instruction at commit instead.
-			m.ledger(m.threads[m.archTid()].activeRegion).Slots[cause] += idle
-		}
+		// Stall slots charge the architectural threadlet's active region
+		// (its progress is the program's); -1 is the outside bucket. The
+		// retired-slot classes charge per instruction at commit instead.
+		m.ledger(m.threads[m.archTid()].activeRegion).Slots[cause] += idle
 	}
 }
 

@@ -383,8 +383,7 @@ type Stats struct {
 	DelayedWakes   uint64
 
 	// Regions holds the per-region speculation attribution ledgers
-	// (region.go), in first-touch order, when Config.RegionLedger is
-	// enabled. The machine owns the backing array during a run; afterwards
+	// (region.go), in first-touch order. The machine owns the backing array during a run; afterwards
 	// it is read-only and by-value Stats copies share it. The telemetry
 	// registry skips the field here (`metrics:"-"`) and re-exports it
 	// through the region-keyed section instead.

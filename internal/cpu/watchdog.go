@@ -14,11 +14,9 @@ import (
 // typed ProgressError carrying a diagnostic snapshot of the machine.
 
 // WatchdogConfig tunes the forward-progress watchdog. The zero value is
-// normalised to the defaults by NewMachine; set Disable to turn every check
-// off (only MaxCycles then bounds the run).
+// normalised to the defaults by NewMachine. The checks always run; a test
+// that needs MaxCycles to bound a run sets the thresholds above it.
 type WatchdogConfig struct {
-	// Disable turns the watchdog off entirely.
-	Disable bool
 	// NoCommitWindow is the maximum number of cycles the architectural
 	// threadlet may go without committing an instruction.
 	NoCommitWindow int64
@@ -243,7 +241,7 @@ func (m *Machine) noteRestart(startPC int) {
 		m.lastRestartPC = startPC
 		m.restartStreak = 1
 	}
-	if m.restartStreak >= m.wd.RestartLimit && !m.wd.Disable && m.wdErr == nil {
+	if m.restartStreak >= m.wd.RestartLimit && m.wdErr == nil {
 		m.wdErr = m.progressError(ProgressSquashLivelock)
 	}
 }

@@ -134,9 +134,9 @@ func TestWatchdogSquashLivelock(t *testing.T) {
 	}
 }
 
-// TestErrCycleLimit: with the watchdog disabled, a non-terminating but
-// committing program runs to its cycle budget and returns ErrCycleLimit with
-// the partial statistics.
+// TestErrCycleLimit: with every watchdog threshold set beyond the cycle
+// budget, a non-terminating but committing program runs to that budget and
+// returns ErrCycleLimit with the partial statistics.
 func TestErrCycleLimit(t *testing.T) {
 	prog := asm.MustAssemble("forever", `
         .text
@@ -145,7 +145,11 @@ main:   addi t0, t0, 1
 `)
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 20_000
-	cfg.Watchdog.Disable = true
+	cfg.Watchdog = WatchdogConfig{
+		NoCommitWindow: 2 * cfg.MaxCycles,
+		EpochWindow:    2 * cfg.MaxCycles,
+		RestartLimit:   int(2 * cfg.MaxCycles),
+	}
 	m, err := NewMachine(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
@@ -159,14 +163,15 @@ main:   addi t0, t0, 1
 	}
 
 	// The same livelocked program that trips the watchdog must also be caught
-	// by the cycle limit when the watchdog is off — the blunt backstop.
+	// by the cycle limit when no watchdog threshold can fire first — the
+	// blunt backstop.
 	stuck := asm.MustAssemble("stuck", stuckEpochSrc)
 	m2, err := NewMachine(cfg, stuck)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m2.Run(); !errors.Is(err, ErrCycleLimit) {
-		t.Fatalf("watchdog-off livelock: err = %v, want ErrCycleLimit", err)
+		t.Fatalf("livelock under out-of-reach thresholds: err = %v, want ErrCycleLimit", err)
 	}
 }
 

@@ -20,12 +20,11 @@ import (
 // Config tunes the coordinator. The zero value takes every documented
 // default, so NewCoordinator(Config{}) is a working production fabric.
 type Config struct {
-	// ProbeInterval is the readiness-probe period per worker (default 500ms);
-	// ProbeTimeout bounds one probe (default 2s).
+	// ProbeInterval is the readiness-probe period per worker (default 500ms)
+	// and the failure detector's unit of silence; ProbeTimeout bounds one
+	// probe (default 2s).
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// Detector tunes the per-worker failure detector.
-	Detector DetectorConfig
 
 	// WrapTransport, when non-nil, wraps each member's HTTP transport — the
 	// chaos fabric's injection point. base is never nil.
@@ -170,7 +169,7 @@ func (c *Coordinator) AddWorker(info JoinInfo) error {
 		url:      info.URL,
 		client:   &http.Client{Transport: base},
 		slots:    slots,
-		det:      NewDetector(c.cfg.Detector, time.Now()),
+		det:      NewDetector(c.cfg.ProbeInterval, time.Now()),
 		inflight: make(map[*dispatch]struct{}),
 		joined:   time.Now(),
 	}
@@ -296,7 +295,7 @@ func (c *Coordinator) run(ctx context.Context, key string, body []byte, timeout 
 		}
 		// Transport-level failure: the worker never answered. Back off with
 		// jitter and reroute; a member this unreachable will also be failing
-		// its probes, so the ring catches up shortly.
+		// its probes, so its detector takes it out of routing shortly.
 		attempts++
 		if attempts > maxDispatchRetries {
 			return nil, fmt.Errorf("%w: %v", serve.ErrRemoteUnavailable, derr)
@@ -530,8 +529,9 @@ func (c *Coordinator) probe(m *member) {
 	var changed bool
 	switch {
 	case err != nil:
-		// A probe that timed out is soft evidence (accrues phi); an immediate
-		// transport error (refused, reset, chaos kill) is hard evidence.
+		// A probe that timed out is soft evidence (only silence counts); an
+		// immediate transport error (refused, reset, chaos kill) is hard
+		// evidence.
 		hard := !errors.Is(err, context.DeadlineExceeded)
 		st, changed = m.det.ObserveFailure(now, hard)
 	case resp.StatusCode == http.StatusOK:
@@ -552,23 +552,16 @@ func (c *Coordinator) probe(m *member) {
 	}
 }
 
-// onStateChange applies a detector transition to routing state: Alive
-// restores the ring arc; Probation and Dead remove it; Dead also marks the
-// member's in-flight dispatches lost and cancels them, so each job spends
-// its exactly-once requeue budget. Every transition wakes waiting jobs to
+// onStateChange applies a detector transition. Dead marks the member's
+// in-flight dispatches lost and cancels them, so each job spends its
+// exactly-once requeue budget. Every transition wakes waiting jobs to
 // re-pick: only Alive members take new work.
 func (c *Coordinator) onStateChange(m *member, st WorkerState) {
-	c.cfg.Logf("fabric: worker %s -> %s (phi=%.1f)", m.id, st, m.det.Phi(time.Now()))
+	c.cfg.Logf("fabric: worker %s -> %s (silent %s)", m.id, st, m.det.Silence(time.Now()).Round(time.Millisecond))
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch st {
-	case StateAlive:
-		c.ring.Add(m.id)
-	case StateProbation:
-		c.ring.Remove(m.id)
-	case StateDead:
+	if st == StateDead {
 		c.m.workersDead.Add(1)
-		c.ring.Remove(m.id)
 		for d := range m.inflight {
 			d.lost = true
 			d.cancel()

@@ -71,9 +71,8 @@ func okView(worker string) string {
 // fastConfig keeps probe clocks test-sized.
 func fastConfig() Config {
 	return Config{
-		ProbeInterval: 10 * time.Millisecond,
+		ProbeInterval: 50 * time.Millisecond,
 		ProbeTimeout:  250 * time.Millisecond,
-		Detector:      DetectorConfig{MinInterval: 50 * time.Millisecond},
 	}
 }
 
@@ -247,8 +246,8 @@ func TestWorkerDeathRequeuesExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestDrainingWorkerParksAndRecovers: a worker answering readyz 503 leaves
-// the ring (no new placements) without being declared dead, and rejoins as
+// TestDrainingWorkerParksAndRecovers: a worker answering readyz 503 takes no
+// new placements without being declared dead, and takes them again as
 // soon as it reports ready again.
 func TestDrainingWorkerParksAndRecovers(t *testing.T) {
 	f := newFakeWorker(t, "w1", func(w http.ResponseWriter, r *http.Request) {
@@ -508,4 +507,72 @@ func TestCancelWhileWaiting(t *testing.T) {
 	if st := c.Stats(); st.Dispatches != 1 {
 		t.Errorf("dispatches = %d, want 1 (the cancelled job never posted)", st.Dispatches)
 	}
+}
+
+// TestPickMovesOnlyTheDownArc: with three members on the fixed ring, taking
+// one out of Alive (probation, then death) moves only the keys homed on it,
+// each to the home it would have on a ring without that member; every other
+// key keeps its worker. Restoring the member returns its keys.
+func TestPickMovesOnlyTheDownArc(t *testing.T) {
+	ids := []string{"w1", "w2", "w3"}
+	c := NewCoordinator(Config{})
+	now := time.Now()
+	for _, id := range ids {
+		c.members[id] = &member{id: id, det: NewDetector(time.Second, now)}
+		c.ring.Add(id)
+	}
+	without := NewRing()
+	without.Add("w1")
+	without.Add("w3")
+	keys := keysFor(2000)
+	pick := func(key string) string {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.pickLocked(key, "").id
+	}
+	before := make(map[string]string, len(keys))
+	for _, key := range keys {
+		before[key] = pick(key)
+	}
+	check := func(what string) {
+		t.Helper()
+		moved := 0
+		for _, key := range keys {
+			after := pick(key)
+			switch {
+			case before[key] == "w2":
+				if want := without.Lookup(key); after != want {
+					t.Fatalf("%s: key %q homed on w2 went to %q, want %q", what, key, after, want)
+				}
+				moved++
+			case after != before[key]:
+				t.Fatalf("%s: key %q moved from %q to %q; only w2's keys may move", what, key, before[key], after)
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("%s: no keys were homed on w2; distribution is broken", what)
+		}
+	}
+	restored := func(what string) {
+		t.Helper()
+		for _, key := range keys {
+			if after := pick(key); after != before[key] {
+				t.Fatalf("%s: key %q routes to %q, want its home %q back", what, key, after, before[key])
+			}
+		}
+	}
+
+	det := c.members["w2"].det
+	det.ObserveNotReady(now)
+	check("w2 in probation")
+	det.ObserveSuccess(now)
+	restored("w2 alive again")
+	for i := 0; i < probeHardFailures; i++ {
+		det.ObserveFailure(now, true)
+	}
+	check("w2 dead")
+	for i := 0; i <= rejoinProbes; i++ {
+		det.ObserveSuccess(now)
+	}
+	restored("w2 rejoined")
 }

@@ -11,18 +11,20 @@
 //
 // Placement is a consistent-hash ring keyed on the job's run-cache
 // fingerprint (sim.Fingerprint: program content hash x canonicalised config),
-// so identical jobs land on the worker that already has the result cached,
-// and worker death moves only the dead worker's arc. Each job's own goroutine
-// dispatches it: it takes the first Alive worker in ring order from the
+// so identical jobs land on the worker that already has the result cached.
+// Every joined worker stays on the ring and placement skips the ones that
+// are not Alive, so a worker's death moves only the keys homed on it. Each
+// job's own goroutine dispatches it: it takes the first Alive worker in ring order from the
 // key's home and waits while that worker's slots are all busy, so a busy home
 // keeps its keys rather than handing them to an idle worker that would have
 // to simulate them again.
 //
 // The robustness layer is the point:
 //
-//   - Per-worker readiness probes feed a phi-accrual-style failure detector
-//     (Alive -> Suspect -> Probation -> Dead; see Detector) so slow workers
-//     are routed around long before they are declared dead.
+//   - Per-worker readiness probes feed a failure detector that counts
+//     silence in probe intervals (Alive -> Probation -> Dead; see
+//     WorkerState) so slow workers are routed around long before they are
+//     declared dead.
 //   - Transport-level dispatch failures retry with exponential backoff and
 //     jitter on another worker, up to a fixed retry budget.
 //   - Worker death requeues its in-flight jobs exactly once; a second death

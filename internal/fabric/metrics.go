@@ -74,14 +74,14 @@ func (c *Coordinator) RegisterMetrics(reg *telemetry.Registry) {
 
 // MemberView is one worker's externally visible state on /fabric/members.
 type MemberView struct {
-	ID       string  `json:"id"`
-	URL      string  `json:"url"`
-	State    string  `json:"state"`
-	Phi      float64 `json:"phi"`
-	Slots    int     `json:"slots"`
-	Inflight int     `json:"inflight"`
-	Queued   int     `json:"queued"` // jobs waiting for one of its slots
-	JoinedAt string  `json:"joined_at"`
+	ID       string `json:"id"`
+	URL      string `json:"url"`
+	State    string `json:"state"`
+	SilentMS int64  `json:"silent_ms"` // time since it last answered a probe
+	Slots    int    `json:"slots"`
+	Inflight int    `json:"inflight"`
+	Queued   int    `json:"queued"` // jobs waiting for one of its slots
+	JoinedAt string `json:"joined_at"`
 }
 
 // Members returns the worker table sorted by ID.
@@ -94,7 +94,7 @@ func (c *Coordinator) Members() []MemberView {
 			ID:       m.id,
 			URL:      m.url,
 			State:    m.det.State().String(),
-			Phi:      m.det.Phi(now),
+			SilentMS: m.det.Silence(now).Milliseconds(),
 			Slots:    m.slots,
 			Inflight: len(m.inflight),
 			Queued:   m.waiting,

@@ -8,11 +8,13 @@ import (
 )
 
 // Ring is a consistent-hash ring mapping run-cache fingerprints to worker
-// IDs. Each worker contributes vnodes virtual points so load spreads evenly;
-// removing a worker moves only that worker's arc to its successors, which is
-// what keeps cache affinity intact across worker deaths: every key that was
-// NOT homed on the dead worker keeps routing to the node that already holds
-// its cached result.
+// IDs. Each worker contributes vnodes virtual points so load spreads evenly.
+// Membership is fixed: a worker stays on the ring for life, and the
+// coordinator skips workers that are not Alive when it walks a key's
+// preference order. Skipping a worker moves only the keys homed on it, to
+// their next workers in ring order, which is what keeps cache affinity
+// intact across worker deaths: every key that was NOT homed on the dead
+// worker keeps routing to the node that already holds its cached result.
 //
 // Ring is safe for concurrent use. Lookups on an empty ring return nothing.
 type Ring struct {
@@ -27,8 +29,7 @@ type ringPoint struct {
 }
 
 // vnodes is the per-worker virtual-node count: enough that a 3-node ring
-// balances within a few percent, cheap enough that membership changes are
-// trivial.
+// balances within a few percent, cheap enough that a join is trivial.
 const vnodes = 64
 
 // NewRing returns an empty ring.
@@ -48,7 +49,7 @@ func ringHash(s string) uint64 {
 }
 
 // Add inserts a worker's virtual points; adding an existing worker is a
-// no-op, so probation re-entries are idempotent.
+// no-op.
 func (r *Ring) Add(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -60,39 +61,6 @@ func (r *Ring) Add(id string) {
 		r.points = append(r.points, ringPoint{ringHash(id + "#" + strconv.Itoa(v)), id})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove deletes a worker's virtual points (worker death or probation); a
-// missing worker is a no-op.
-func (r *Ring) Remove(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.ids[id]; !ok {
-		return
-	}
-	delete(r.ids, id)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.id != id {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Contains reports whether the worker is currently on the ring.
-func (r *Ring) Contains(id string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.ids[id]
-	return ok
-}
-
-// Len returns the number of workers on the ring.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.ids)
 }
 
 // Lookup returns the key's home worker, or "" on an empty ring.
@@ -107,7 +75,7 @@ func (r *Ring) Lookup(key string) string {
 // LookupN returns up to n distinct workers in ring order starting at the
 // key's home: the preference order for placement and failover. The
 // first entry is the home node; later entries are the nodes the key's arc
-// falls to as earlier ones die.
+// falls to while earlier ones are not Alive.
 func (r *Ring) LookupN(key string, n int) []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -40,35 +40,6 @@ func TestRingLookupDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
-func TestRingRemovalMovesOnlyTheDeadArc(t *testing.T) {
-	r := NewRing()
-	for _, id := range []string{"w1", "w2", "w3"} {
-		r.Add(id)
-	}
-	keys := keysFor(2000)
-	before := make(map[string]string, len(keys))
-	for _, key := range keys {
-		before[key] = r.Lookup(key)
-	}
-	r.Remove("w2")
-	moved := 0
-	for _, key := range keys {
-		after := r.Lookup(key)
-		switch {
-		case before[key] == "w2":
-			if after == "w2" {
-				t.Fatalf("key %q still routes to removed worker", key)
-			}
-			moved++
-		case after != before[key]:
-			t.Fatalf("key %q was homed on surviving %q but moved to %q — removal must only move the dead arc", key, before[key], after)
-		}
-	}
-	if moved == 0 {
-		t.Fatal("no keys were homed on w2; distribution is broken")
-	}
-}
-
 func TestRingBalance(t *testing.T) {
 	r := NewRing()
 	workers := []string{"w1", "w2", "w3"}
@@ -88,7 +59,7 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-func TestRingAddIsIdempotentAndRejoinRestores(t *testing.T) {
+func TestRingAddIsIdempotent(t *testing.T) {
 	r := NewRing()
 	r.Add("w1")
 	r.Add("w2")
@@ -97,12 +68,7 @@ func TestRingAddIsIdempotentAndRejoinRestores(t *testing.T) {
 	if got := r.Lookup("some-key"); got != home {
 		t.Fatalf("duplicate Add changed routing: %q -> %q", home, got)
 	}
-	r.Remove("w1")
-	r.Add("w1") // rejoin
-	if got := r.Lookup("some-key"); got != home {
-		t.Fatalf("remove+rejoin changed routing: %q -> %q", home, got)
-	}
-	if n := r.Len(); n != 2 {
-		t.Fatalf("Len = %d, want 2", n)
+	if got := r.LookupN("some-key", 3); len(got) != 2 {
+		t.Fatalf("LookupN after a duplicate Add = %v, want the 2 members once each", got)
 	}
 }

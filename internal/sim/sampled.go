@@ -113,10 +113,10 @@ type SampledStats struct {
 	DetailedInsts uint64
 	DetailedShare float64
 	// Regions is the interval-weighted aggregate of the windows' per-region
-	// speculation ledgers (empty when Config.RegionLedger is off): each
-	// window's ledgers are scaled by the interval it stands for, the same
-	// weighting the cycle estimate uses. The aggregate is an estimate —
-	// cpu.Stats.ReconcileRegions applies to exact full runs only.
+	// speculation ledgers: each window's ledgers are scaled by the interval
+	// it stands for, the same weighting the cycle estimate uses. The
+	// aggregate is an estimate — cpu.Stats.ReconcileRegions applies to exact
+	// full runs only.
 	Regions []cpu.RegionLedger
 	// Tier1Nanos and WallNanos time the functional pass and the whole sampled
 	// run (tier 1 + all windows, as scheduled); EffectiveIPS is
@@ -135,13 +135,9 @@ func (s *SampledStats) IPC() float64 {
 	return float64(s.TotalInsts) / s.EstCycles
 }
 
-// RunSampled runs a sampled estimate of prog on cfg over the harness pool.
-func (h *Harness) RunSampled(cfg cpu.Config, prog *asm.Program, sc SampleConfig) (*SampledStats, error) {
-	return h.RunSampledCtx(context.Background(), cfg, prog, sc)
-}
-
-// RunSampledCtx is RunSampled under a context: cancellation stops tier-1,
-// every in-flight window, and returns with no goroutines left behind.
+// RunSampledCtx runs a sampled estimate of prog on cfg over the harness pool
+// under a context: cancellation stops tier-1, every in-flight window, and
+// returns with no goroutines left behind.
 func (h *Harness) RunSampledCtx(ctx context.Context, cfg cpu.Config, prog *asm.Program, sc SampleConfig) (*SampledStats, error) {
 	return h.RunSampledObservedCtx(ctx, cfg, prog, sc, nil)
 }
@@ -155,49 +151,11 @@ func (h *Harness) RunSampledCtx(ctx context.Context, cfg cpu.Config, prog *asm.P
 // fires only for windows that actually execute a machine: a window served
 // from the harness run-cache is never observed.
 func (h *Harness) RunSampledObservedCtx(ctx context.Context, cfg cpu.Config, prog *asm.Program, sc SampleConfig, observe func(win int, m *cpu.Machine)) (*SampledStats, error) {
-	sc = sc.withDefaults()
-	start := time.Now()
-	ckpts, total, t1, err := h.tier1(ctx, cfg, prog, sc)
+	sides, err := h.sampled(ctx, cfg, []cpu.Config{cfg}, prog, sc, observe)
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]Job, len(ckpts))
-	for i, ck := range ckpts {
-		jobs[i] = windowJob(cfg, prog, ck, sc)
-		if observe != nil {
-			win := i
-			jobs[i].Observe = func(m *cpu.Machine) { observe(win, m) }
-		}
-	}
-	stats, errs := h.RunJobsCtx(ctx, jobs)
-	for i, werr := range errs {
-		if werr != nil {
-			return nil, fmt.Errorf("sim: sampled window @%d: %w", ckpts[i].Insts, werr)
-		}
-	}
-	out := &SampledStats{Sample: sc, TotalInsts: total, Tier1Nanos: t1}
-	var regions RegionAccumulator
-	for i, st := range stats {
-		w, werr := measureWindow(ckpts[i], total, sc, st)
-		if werr != nil {
-			return nil, werr
-		}
-		out.Windows = append(out.Windows, w)
-		out.EstCycles += float64(w.Insts) / w.IPC
-		out.DetailedInsts += w.SimInsts
-		regions.AddScaled(st.Regions, windowRegionScale(w, st))
-	}
-	out.Regions = regions.Ledgers()
-	out.CPI = out.EstCycles / float64(total)
-	out.DetailedShare = float64(out.DetailedInsts) / float64(total)
-	out.WallNanos = int64(time.Since(start))
-	if t1 > 0 {
-		out.Tier1IPS = float64(total) / (float64(t1) / 1e9)
-	}
-	if out.WallNanos > 0 {
-		out.EffectiveIPS = float64(total) / (float64(out.WallNanos) / 1e9)
-	}
-	return out, nil
+	return sides[0], nil
 }
 
 // SampledResult is a benchmark's sampled A/B outcome: the baseline and
@@ -219,82 +177,97 @@ func (h *Harness) RunSampledAB(cfg cpu.Config, prog *asm.Program, sc SampleConfi
 
 // RunSampledABCtx is RunSampledAB under a context.
 func (h *Harness) RunSampledABCtx(ctx context.Context, cfg cpu.Config, prog *asm.Program, sc SampleConfig) (*SampledResult, error) {
-	sc = sc.withDefaults()
-	base := BaselineOf(cfg)
-	start := time.Now()
-	ckpts, total, t1, err := h.tier1(ctx, cfg, prog, sc)
+	sides, err := h.sampled(ctx, cfg, []cpu.Config{BaselineOf(cfg), cfg}, prog, sc, nil)
 	if err != nil {
 		return nil, err
 	}
-	n := len(ckpts)
-	jobs := make([]Job, 0, 2*n)
-	for _, ck := range ckpts {
-		jobs = append(jobs, windowJob(base, prog, ck, sc))
-	}
-	for _, ck := range ckpts {
-		jobs = append(jobs, windowJob(cfg, prog, ck, sc))
-	}
-	stats, errs := h.RunJobsCtx(ctx, jobs)
-	for i, werr := range errs {
-		if werr != nil {
-			side := "baseline"
-			if i >= n {
-				side = "loopfrog"
-			}
-			return nil, fmt.Errorf("sim: sampled %s window @%d: %w", side, ckpts[i%n].Insts, werr)
-		}
-	}
-	res := &SampledResult{
-		Base: &SampledStats{Sample: sc, TotalInsts: total, Tier1Nanos: t1},
-		LF:   &SampledStats{Sample: sc, TotalInsts: total, Tier1Nanos: t1},
-	}
-	phases := make([]Phase, 0, n)
-	var baseRegions, lfRegions RegionAccumulator
-	for i, ck := range ckpts {
-		bw, berr := measureWindow(ck, total, sc, stats[i])
-		if berr != nil {
-			return nil, berr
-		}
-		lw, lerr := measureWindow(ck, total, sc, stats[n+i])
-		if lerr != nil {
-			return nil, lerr
-		}
-		res.Base.Windows = append(res.Base.Windows, bw)
-		res.LF.Windows = append(res.LF.Windows, lw)
-		res.Base.EstCycles += float64(bw.Insts) / bw.IPC
-		res.LF.EstCycles += float64(lw.Insts) / lw.IPC
-		res.Base.DetailedInsts += bw.SimInsts
-		res.LF.DetailedInsts += lw.SimInsts
-		baseRegions.AddScaled(stats[i].Regions, windowRegionScale(bw, stats[i]))
-		lfRegions.AddScaled(stats[n+i].Regions, windowRegionScale(lw, stats[n+i]))
+	res := &SampledResult{Base: sides[0], LF: sides[1]}
+	phases := make([]Phase, 0, len(res.Base.Windows))
+	for i, bw := range res.Base.Windows {
 		if bw.Insts == 0 {
 			continue // terminal fragment shorter than the warmup: weightless
 		}
 		phases = append(phases, Phase{
-			Weight:  float64(bw.Insts) / float64(total),
+			Weight:  float64(bw.Insts) / float64(res.Base.TotalInsts),
 			Insts:   bw.Insts,
 			BaseIPC: bw.IPC,
-			LFIPC:   lw.IPC,
+			LFIPC:   res.LF.Windows[i].IPC,
 		})
-	}
-	res.Base.Regions = baseRegions.Ledgers()
-	res.LF.Regions = lfRegions.Ledgers()
-	wall := int64(time.Since(start))
-	for _, s := range []*SampledStats{res.Base, res.LF} {
-		s.CPI = s.EstCycles / float64(total)
-		s.DetailedShare = float64(s.DetailedInsts) / float64(total)
-		s.WallNanos = wall
-		if t1 > 0 {
-			s.Tier1IPS = float64(total) / (float64(t1) / 1e9)
-		}
-		if wall > 0 {
-			s.EffectiveIPS = float64(total) / (float64(wall) / 1e9)
-		}
 	}
 	if res.EstSpeedup, err = EstimateSpeedup(phases); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// sampled is the one sampled-run path. A single tier-1 pass under warm
+// checkpoints the program; every side config then runs one detailed window
+// per checkpoint, all windows of all sides fanning out over the pool
+// together; and each side's windows assemble into its estimate. observe, when
+// non-nil, sees each side's window i as window i.
+func (h *Harness) sampled(ctx context.Context, warm cpu.Config, sides []cpu.Config, prog *asm.Program, sc SampleConfig, observe func(win int, m *cpu.Machine)) ([]*SampledStats, error) {
+	sc = sc.withDefaults()
+	start := time.Now()
+	ckpts, total, t1, err := h.tier1(ctx, warm, prog, sc)
+	if err != nil {
+		return nil, err
+	}
+	n := len(ckpts)
+	jobs := make([]Job, 0, len(sides)*n)
+	for _, cfg := range sides {
+		for i, ck := range ckpts {
+			j := windowJob(cfg, prog, ck, sc)
+			if observe != nil {
+				j.Observe = func(m *cpu.Machine) { observe(i, m) }
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	stats, errs := h.RunJobsCtx(ctx, jobs)
+	for i, werr := range errs {
+		if werr != nil {
+			return nil, fmt.Errorf("sim: sampled %s window @%d: %w", sideName(sides[i/n]), ckpts[i%n].Insts, werr)
+		}
+	}
+	out := make([]*SampledStats, len(sides))
+	for s := range sides {
+		st := &SampledStats{Sample: sc, TotalInsts: total, Tier1Nanos: t1}
+		var regions RegionAccumulator
+		for i, ck := range ckpts {
+			ws := stats[s*n+i]
+			w, werr := measureWindow(ck, total, sc, ws)
+			if werr != nil {
+				return nil, werr
+			}
+			st.Windows = append(st.Windows, w)
+			st.EstCycles += float64(w.Insts) / w.IPC
+			st.DetailedInsts += w.SimInsts
+			regions.AddScaled(ws.Regions, windowRegionScale(w, ws))
+		}
+		st.Regions = regions.Ledgers()
+		st.CPI = st.EstCycles / float64(total)
+		st.DetailedShare = float64(st.DetailedInsts) / float64(total)
+		if t1 > 0 {
+			st.Tier1IPS = float64(total) / (float64(t1) / 1e9)
+		}
+		out[s] = st
+	}
+	wall := int64(time.Since(start))
+	for _, st := range out {
+		st.WallNanos = wall
+		if wall > 0 {
+			st.EffectiveIPS = float64(total) / (float64(wall) / 1e9)
+		}
+	}
+	return out, nil
+}
+
+// sideName labels a sampled side in errors.
+func sideName(cfg cpu.Config) string {
+	if cfg.Threadlets <= 1 {
+		return "baseline"
+	}
+	return "loopfrog"
 }
 
 // tier1 runs the fast-functional warming pass and returns the checkpoints,
@@ -402,11 +375,6 @@ func measureWindow(ck *cpu.Checkpoint, total uint64, sc SampleConfig, st *cpu.St
 	}
 	w.IPC = float64(w.MeasInsts) / float64(w.MeasCycles)
 	return w, nil
-}
-
-// RunSampled runs a sampled estimate on the default harness.
-func RunSampled(cfg cpu.Config, prog *asm.Program, sc SampleConfig) (*SampledStats, error) {
-	return DefaultHarness().RunSampled(cfg, prog, sc)
 }
 
 // RunSampledAB runs a sampled baseline/LoopFrog comparison on the default

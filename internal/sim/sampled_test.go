@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -172,6 +174,63 @@ func TestSampledWorkerDeterminism(t *testing.T) {
 			t.Fatalf("window %d differs between worker counts", i)
 		}
 	}
+}
+
+// TestSampledSingleMatchesAB checks that a single-config sampled run and the
+// matching side of the A/B run assemble one estimate: same windows, cycles and
+// region ledgers (host timings aside). Each run gets a fresh cache, so every
+// window actually runs.
+func TestSampledSingleMatchesAB(t *testing.T) {
+	cfg := cpu.DefaultConfig()
+	for _, name := range []string{"mcf", "leela"} {
+		t.Run(name, func(t *testing.T) {
+			prog := workloads.ByName(workloads.CPU2017(), name).MustProgram()
+			fresh := func() *Harness { return &Harness{Workers: 2, Cache: NewRunCache()} }
+			ab, err := fresh().RunSampledAB(cfg, prog, SampleConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, side := range []struct {
+				name string
+				cfg  cpu.Config
+				ab   *SampledStats
+			}{
+				{"loopfrog", cfg, ab.LF},
+				// The A/B baseline windows seed from the LoopFrog side's tier-1
+				// pass; a baseline-only run warms without the engine. The engine
+				// warm state lives only in the checkpoint's Mon/Pack/Region
+				// fields, which baseline windows strip, so the two estimates
+				// agree exactly as well.
+				{"baseline", BaselineOf(cfg), ab.Base},
+			} {
+				single, err := fresh().RunSampledCtx(context.Background(), side.cfg, prog, SampleConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := sampledDiff(single, side.ab); d != "" {
+					t.Errorf("%s: single-config estimate differs from the A/B side: %s", side.name, d)
+				}
+			}
+		})
+	}
+}
+
+// sampledDiff names the first simulated field in which a and b differ, or
+// returns "" when they agree (host timings are not compared).
+func sampledDiff(a, b *SampledStats) string {
+	switch {
+	case a.TotalInsts != b.TotalInsts:
+		return fmt.Sprintf("TotalInsts %d vs %d", a.TotalInsts, b.TotalInsts)
+	case a.EstCycles != b.EstCycles:
+		return fmt.Sprintf("EstCycles %v vs %v", a.EstCycles, b.EstCycles)
+	case a.CPI != b.CPI || a.DetailedInsts != b.DetailedInsts || a.DetailedShare != b.DetailedShare:
+		return "CPI or detailed share"
+	case !reflect.DeepEqual(a.Windows, b.Windows):
+		return "windows"
+	case !reflect.DeepEqual(a.Regions, b.Regions):
+		return "region ledgers"
+	}
+	return ""
 }
 
 // TestConcurrentCheckpointSeeding seeds several detailed windows from one

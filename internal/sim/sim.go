@@ -72,13 +72,6 @@ func (r *Result) LFTimeShare() float64 {
 	return l / (l + f*b)
 }
 
-// Compare runs a benchmark under cfg and its derived baseline on the default
-// harness: both runs are scheduled over the shared worker pool and memoised
-// in the process-wide run-cache.
-func Compare(cfg cpu.Config, b *workloads.Benchmark) (*Result, error) {
-	return DefaultHarness().Compare(cfg, b)
-}
-
 // RunSuite compares every benchmark in the suite under cfg on the default
 // harness, fanning all runs out over the worker pool. Results are ordered
 // like the suite and are identical to a sequential one-benchmark-at-a-time

@@ -42,7 +42,7 @@ func TestCompareOnBenchmark(t *testing.T) {
 	if b == nil {
 		t.Fatal("imagick stand-in missing")
 	}
-	r, err := Compare(cpu.DefaultConfig(), b)
+	r, err := DefaultHarness().Compare(cpu.DefaultConfig(), b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func CollectMachine(reg *Registry, m *cpu.Machine) error {
 	}
 	// Region-keyed section: the per-region speculation ledgers, whose key
 	// space (region IDs) only exists at run time, exported as
-	// region.<id>.<counter>. Empty when Config.RegionLedger is off.
+	// region.<id>.<counter>.
 	reg.RegisterFunc(prefixRegion, func() []Metric {
 		return AppendRegionMetrics(nil, m.SnapshotStats().CPU.Regions)
 	})
