@@ -8,13 +8,7 @@
 //	        [-generality] [-area] [-quick] [-parallel N] [-metrics file]
 //	        [-chaos] [-seed N] [-sampled] [-sampledjson file]
 //	        [-spectre] [-spectrejson file]
-//	        [-report file] [-cpuprofile file] [-memprofile file]
-//
-// -report writes the suite-wide per-region speculation profile — every
-// workload's A/B pair with per-region ledgers, reconciled and joined with the
-// static region table — in lfreport's suite JSON schema. Used alone it runs
-// only the report (-quick restricts it to the reduced subset); combined with
-// experiment selectors it rides along after them.
+//	        [-cpuprofile file] [-memprofile file]
 //
 // Simulations are fanned out over all CPU cores by default; -parallel caps
 // the worker count. -metrics writes the harness's scheduling and run-cache
@@ -57,8 +51,6 @@ import (
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/experiments"
 	"loopfrog/internal/fault"
-	"loopfrog/internal/lint"
-	"loopfrog/internal/report"
 	"loopfrog/internal/sim"
 	"loopfrog/internal/telemetry"
 	"loopfrog/internal/workloads"
@@ -83,7 +75,6 @@ func main() {
 	tuneFlag := flag.Bool("tune", false, "run the autotuned-vs-static hint-selection study and exit")
 	tuneJSON := flag.String("tunejson", "BENCH_tune.json", "with the tune study, write the table and search-cost curve here")
 	parallel := flag.Int("parallel", 0, "simulation worker count (0 = all cores)")
-	reportPath := flag.String("report", "", "write the suite-wide per-region speculation profile (lfreport suite JSON) to this file")
 	metricsPath := flag.String("metrics", "", "write harness telemetry JSON to this file on exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -145,7 +136,7 @@ func main() {
 		return
 	}
 
-	all := *fig == 0 && *table == 0 && !*packing && !*assoc && !*generality && !*areaFlag && *reportPath == ""
+	all := *fig == 0 && *table == 0 && !*packing && !*assoc && !*generality && !*areaFlag
 	suite17 := workloads.CPU2017()
 	suite06 := workloads.CPU2006()
 	sweepSuite := suite17
@@ -255,13 +246,6 @@ func main() {
 		fmt.Println(experiments.Table3(sim.Geomean(xs)))
 	}
 
-	if *reportPath != "" {
-		if err := writeRegionReport(*reportPath, sweepSuite); err != nil {
-			die(err)
-		}
-		fmt.Printf("wrote %s\n", *reportPath)
-	}
-
 	if *metricsPath != "" {
 		reg := telemetry.NewRegistry()
 		if err := telemetry.CollectHarness(reg, sim.DefaultHarness()); err != nil {
@@ -279,48 +263,6 @@ func main() {
 			die(err)
 		}
 	}
-}
-
-// writeRegionReport runs the A/B pair with per-region ledgers for every suite
-// workload, reconciles each LoopFrog run's ledger totals against its global
-// counters, joins the dynamic profile with the linter's static region table,
-// and writes the result in lfreport's suite JSON schema ({"suite": [...]}).
-func writeRegionReport(path string, suite []*workloads.Benchmark) error {
-	cfg := cpu.DefaultConfig()
-	var profiles []*report.Profile
-	for _, b := range suite {
-		prog, err := b.Program()
-		if err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		lrep := lint.Run(prog, lint.Options{})
-		stats, err := sim.RunJobs([]sim.Job{
-			{Cfg: sim.BaselineOf(cfg), Prog: prog},
-			{Cfg: cfg, Prog: prog},
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", b.Name, err)
-		}
-		if err := stats[1].ReconcileRegions(); err != nil {
-			return fmt.Errorf("%s: region ledgers do not reconcile with the global counters (simulator bug): %w", b.Name, err)
-		}
-		profiles = append(profiles, report.Build(report.Input{
-			Program:        prog.Name,
-			Regions:        stats[1].Regions,
-			Cycles:         stats[1].Cycles,
-			BaselineCycles: stats[0].Cycles,
-			Lint:           lrep,
-		}))
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := report.WriteSuiteJSON(f, profiles); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // runSampled runs the sampled-simulation accuracy study over suite: full

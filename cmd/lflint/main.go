@@ -21,10 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"loopfrog/internal/asm"
-	"loopfrog/internal/compiler"
 	"loopfrog/internal/lint"
 	"loopfrog/internal/workloads"
 )
@@ -73,7 +70,7 @@ func main() {
 		}
 	}
 	for _, path := range flag.Args() {
-		p, err := loadProgram(path)
+		p, _, err := workloads.LoadFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lflint: %v\n", err)
 			os.Exit(2)
@@ -125,18 +122,4 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// loadProgram assembles a .s file or compiles anything else as LoopLang,
-// naming the image after the file so diagnostics point at it.
-func loadProgram(path string) (*asm.Program, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasSuffix(path, ".s") {
-		return asm.Assemble(path, string(src))
-	}
-	prog, _, err := compiler.Compile(path, string(src))
-	return prog, err
 }

@@ -26,10 +26,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"loopfrog/internal/asm"
-	"loopfrog/internal/compiler"
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/lint"
 	"loopfrog/internal/report"
@@ -200,29 +198,17 @@ func loadPrograms(bench string, suite bool, args []string) ([]*asm.Program, erro
 		return progs, nil
 	}
 	if bench != "" {
-		for _, s := range [][]*workloads.Benchmark{workloads.CPU2017(), workloads.CPU2006()} {
-			if b := workloads.ByName(s, bench); b != nil {
-				prog, err := b.Program()
-				if err != nil {
-					return nil, err
-				}
-				return []*asm.Program{prog}, nil
-			}
+		b := workloads.Find(bench)
+		if b == nil {
+			return nil, fmt.Errorf("unknown benchmark %q", bench)
 		}
-		return nil, fmt.Errorf("unknown benchmark %q", bench)
-	}
-	src, err := os.ReadFile(args[0])
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasSuffix(args[0], ".s") {
-		prog, err := asm.Assemble(args[0], string(src))
+		prog, err := b.Program()
 		if err != nil {
 			return nil, err
 		}
 		return []*asm.Program{prog}, nil
 	}
-	prog, diags, err := compiler.Compile(args[0], string(src))
+	prog, diags, err := workloads.LoadFile(args[0])
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, "lfreport: note:", d)
 	}

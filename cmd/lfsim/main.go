@@ -73,7 +73,6 @@ import (
 	"strings"
 
 	"loopfrog/internal/asm"
-	"loopfrog/internal/compiler"
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/fault"
 	"loopfrog/internal/lint"
@@ -426,24 +425,15 @@ func writeRegistry(reg *telemetry.Registry, path string) error {
 
 func loadProgram(bench string, args []string) (*asm.Program, error) {
 	if bench != "" {
-		for _, suite := range [][]*workloads.Benchmark{workloads.CPU2017(), workloads.CPU2006(), workloads.Security()} {
-			if b := workloads.ByName(suite, bench); b != nil {
-				return b.Program()
-			}
+		if b := workloads.Find(bench); b != nil {
+			return b.Program()
 		}
 		return nil, fmt.Errorf("unknown benchmark %q", bench)
 	}
 	if len(args) != 1 {
 		return nil, fmt.Errorf("usage: lfsim [flags] (-bench name | file.ll | file.s)")
 	}
-	src, err := os.ReadFile(args[0])
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasSuffix(args[0], ".s") {
-		return asm.Assemble(args[0], string(src))
-	}
-	prog, diags, err := compiler.Compile(args[0], string(src))
+	prog, diags, err := workloads.LoadFile(args[0])
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, "lfsim: note:", d)
 	}

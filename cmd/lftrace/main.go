@@ -1,53 +1,31 @@
-// Command lftrace runs a program on the LoopFrog machine and renders the
+// Command lftrace runs a program on the LoopFrog machine and prints the
 // threadlet lifecycle timeline — the dynamic view of figure 2: epochs
 // spawning ahead of the architectural thread, leapfrogging the window,
 // retiring in order, and being squashed on conflicts or loop exits.
 //
 // Usage:
 //
-//	lftrace [-format text|chrome] [-o file] [-max N] [-sample N]
-//	        (-bench name | file.ll | file.s)
+//	lftrace [-max N] (-bench name | file.ll | file.s)
 //
-// The default text format prints up to -max events to stdout. -format=chrome
-// writes Chrome trace-event JSON to -o (default lftrace.json), loadable in
-// Perfetto (https://ui.perfetto.dev) or chrome://tracing: one track per
-// threadlet context with epoch spans and squash/restart instants, plus a
-// stacked commit-slot attribution counter sampled every -sample cycles.
-// Invalid flag values exit 2 with a usage message.
+// Up to -max events go to stdout, then the run's totals (-max 0 prints only
+// the totals). For the Chrome trace-event JSON of the same run, use
+// lfsim -trace file.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"loopfrog/internal/asm"
-	"loopfrog/internal/compiler"
 	"loopfrog/internal/cpu"
-	"loopfrog/internal/telemetry"
 	"loopfrog/internal/workloads"
 )
 
 func main() {
-	maxEvents := flag.Int("max", 200, "maximum number of events to print (text format)")
+	maxEvents := flag.Int("max", 200, "maximum number of events to print")
 	bench := flag.String("bench", "", "run a named built-in benchmark")
-	format := flag.String("format", "text", "output format: text or chrome")
-	out := flag.String("o", "lftrace.json", "output file for -format=chrome")
-	sample := flag.Int64("sample", 0, "commit-slot sample interval in cycles (0 = default)")
 	flag.Parse()
-
-	// Usage errors exit 2 before any program is loaded or simulated.
-	if *format != "text" && *format != "chrome" {
-		fmt.Fprintf(os.Stderr, "lftrace: unknown format %q (want text or chrome)\n", *format)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *sample < 0 {
-		fmt.Fprintf(os.Stderr, "lftrace: -sample must be non-negative (got %d)\n", *sample)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	prog, err := load(*bench, flag.Args())
 	if err != nil {
@@ -60,33 +38,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	switch *format {
-	case "chrome":
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lftrace:", err)
-			os.Exit(1)
-		}
-		tr := telemetry.NewTrace(f)
-		mt := telemetry.AttachMachine(m, tr, *sample)
-		st, runErr := m.Run()
-		mt.Finish()
-		if err := tr.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "lftrace:", err)
-			os.Exit(1)
-		}
-		if runErr != nil {
-			fmt.Fprintln(os.Stderr, "lftrace:", runErr)
-			os.Exit(1)
-		}
-		fmt.Printf("%s: %d trace events over %d cycles (%d instructions, %d spawns, %d retires)\n",
-			*out, tr.Events(), st.Cycles, st.ArchInsts, st.Spawns, st.Retires)
-	case "text":
+	if *maxEvents > 0 {
 		printed := 0
-		if *maxEvents <= 0 {
-			runText(m)
-			return
-		}
 		m.SetEventHook(func(e cpu.Event) {
 			fmt.Println(e)
 			printed++
@@ -96,11 +49,7 @@ func main() {
 				m.SetEventHook(nil)
 			}
 		})
-		runText(m)
 	}
-}
-
-func runText(m *cpu.Machine) {
 	st, err := m.Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lftrace:", err)
@@ -112,23 +61,14 @@ func runText(m *cpu.Machine) {
 
 func load(bench string, args []string) (*asm.Program, error) {
 	if bench != "" {
-		for _, suite := range [][]*workloads.Benchmark{workloads.CPU2017(), workloads.CPU2006()} {
-			if b := workloads.ByName(suite, bench); b != nil {
-				return b.Program()
-			}
+		if b := workloads.Find(bench); b != nil {
+			return b.Program()
 		}
 		return nil, fmt.Errorf("unknown benchmark %q", bench)
 	}
 	if len(args) != 1 {
-		return nil, fmt.Errorf("usage: lftrace [-format text|chrome] [-o file] [-max N] (-bench name | file)")
+		return nil, fmt.Errorf("usage: lftrace [-max N] (-bench name | file)")
 	}
-	src, err := os.ReadFile(args[0])
-	if err != nil {
-		return nil, err
-	}
-	if strings.HasSuffix(args[0], ".s") {
-		return asm.Assemble(args[0], string(src))
-	}
-	prog, _, err := compiler.Compile(args[0], string(src))
+	prog, _, err := workloads.LoadFile(args[0])
 	return prog, err
 }

@@ -56,8 +56,7 @@ func run() int {
 	var name, src string
 	switch {
 	case *bench != "":
-		suite := append(workloads.CPU2017(), workloads.CPU2006()...)
-		b := workloads.ByName(suite, *bench)
+		b := workloads.Find(*bench)
 		if b == nil {
 			fmt.Fprintf(os.Stderr, "lftune: unknown benchmark %q\n", *bench)
 			return 2

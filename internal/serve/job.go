@@ -325,7 +325,7 @@ func resolveProgram(spec *JobSpec) (*asm.Program, error) {
 	}
 	switch {
 	case spec.Bench != "":
-		b := findBench(spec.Bench)
+		b := workloads.Find(spec.Bench)
 		if b == nil {
 			return nil, fmt.Errorf("unknown benchmark %q", spec.Bench)
 		}
@@ -484,7 +484,7 @@ func normalizeTuneSpec(spec *JobSpec) error {
 		if spec.Source != "" {
 			return fmt.Errorf("exactly one of source or bench must be set for a tune job")
 		}
-		b := findBench(spec.Bench)
+		b := workloads.Find(spec.Bench)
 		if b == nil {
 			return fmt.Errorf("unknown benchmark %q", spec.Bench)
 		}
@@ -513,16 +513,6 @@ func normalizeTuneSpec(spec *JobSpec) error {
 	}
 	if spec.Budget < 0 || spec.Eta < 0 || spec.MaxVariants < 0 {
 		return fmt.Errorf("budget, eta and max_variants must be non-negative")
-	}
-	return nil
-}
-
-// findBench looks a benchmark up across every suite the daemon serves.
-func findBench(name string) *workloads.Benchmark {
-	for _, suite := range [][]*workloads.Benchmark{workloads.CPU2017(), workloads.CPU2006(), workloads.Security()} {
-		if b := workloads.ByName(suite, name); b != nil {
-			return b
-		}
 	}
 	return nil
 }

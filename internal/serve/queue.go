@@ -34,7 +34,7 @@ func (s *Server) decodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bo
 		return JobSpec{}, false
 	}
 	var spec JobSpec
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {

@@ -48,6 +48,9 @@ import (
 // Version identifies the serving API generation.
 const Version = "1.0"
 
+// maxBodyBytes bounds a request body; a larger one is answered with 413.
+const maxBodyBytes = 4 << 20
+
 // Config tunes the daemon. The zero value is usable: every field falls back
 // to the documented default.
 type Config struct {
@@ -71,8 +74,6 @@ type Config struct {
 	// RetainJobs bounds the finished-job registry; older finished jobs are
 	// forgotten FIFO. <= 0 means 1024.
 	RetainJobs int
-	// MaxBodyBytes bounds a request body; <= 0 means 4 MiB.
-	MaxBodyBytes int64
 	// ProgressInterval is the SSE progress sampling period; <= 0 means 200ms.
 	ProgressInterval time.Duration
 	// Remote, when non-nil, executes admitted jobs on the distributed fabric
@@ -103,9 +104,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 4 << 20
 	}
 	if c.ProgressInterval <= 0 {
 		c.ProgressInterval = 200 * time.Millisecond

@@ -149,6 +149,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"unknown field", map[string]any{"asm": trivialAsm, "bogus": 1}, http.StatusBadRequest},
 		{"assembler error", map[string]any{"asm": "main: frob t0"}, http.StatusBadRequest},
 		{"lint reject", map[string]any{"asm": illegalAsm}, http.StatusUnprocessableEntity},
+		{"body over 4 MiB", map[string]any{"asm": strings.Repeat("#", 4<<20)}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -583,11 +584,11 @@ func TestDrainingRejectsAndReadyzFlips(t *testing.T) {
 }
 
 // TestSaturation64Clients is the acceptance-criterion load test: 64
-// concurrent clients, mixed cached and uncached quickstart jobs, against a
-// small queue so backpressure really engages. Every non-429 response must
-// succeed, every 429 must carry Retry-After, and after drain the process
-// must be back to its starting goroutine count (no leaked runner, watcher,
-// or machine).
+// concurrent clients, mixed cached A/B and uncached quickstart jobs, against
+// a small queue so backpressure really engages. Every non-429 response must
+// be a 200 with a result (an A/B one with a speedup), every 429 must carry
+// Retry-After, and after drain the process must be back to its starting
+// goroutine count (no leaked runner, watcher, or machine).
 func TestSaturation64Clients(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test")
@@ -613,9 +614,12 @@ func TestSaturation64Clients(t *testing.T) {
 			defer wg.Done()
 			client := &http.Client{Timeout: time.Minute}
 			for i := 0; time.Now().Before(deadline); i++ {
-				spec := map[string]any{"asm": string(src), "priority": "sweep"}
-				if c%2 == 1 {
-					// Distinct cache key per request: really simulates.
+				// Even clients resubmit one A/B job (cache hits and flight
+				// joins); odd clients vary max_cycles so every request is a
+				// distinct cache key and really simulates.
+				ab := c%2 == 0
+				spec := map[string]any{"asm": string(src), "priority": "sweep", "ab": ab}
+				if !ab {
 					spec["max_cycles"] = 1_000_000 + c*100_000 + i
 					spec["priority"] = "interactive"
 				}
@@ -630,10 +634,20 @@ func TestSaturation64Clients(t *testing.T) {
 				resp.Body.Close()
 				switch resp.StatusCode {
 				case http.StatusOK:
-					if !bytes.Contains(payload, []byte(`"done"`)) {
-						firstBad.CompareAndSwap(nil, "200 without done: "+string(payload))
+					var v struct {
+						Status string `json:"status"`
+						Result *struct {
+							Speedup float64 `json:"speedup"`
+						} `json:"result"`
+					}
+					switch err := json.Unmarshal(payload, &v); {
+					case err != nil || v.Status != "done" || v.Result == nil:
+						firstBad.CompareAndSwap(nil, "200 without a done result: "+string(payload))
 						other.Add(1)
-					} else {
+					case ab && v.Result.Speedup <= 0:
+						firstBad.CompareAndSwap(nil, "A/B 200 without a speedup: "+string(payload))
+						other.Add(1)
+					default:
 						ok.Add(1)
 					}
 				case http.StatusTooManyRequests:

@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 
 	"loopfrog/internal/asm"
@@ -178,4 +180,32 @@ func ByName(suite []*Benchmark, name string) *Benchmark {
 		}
 	}
 	return nil
+}
+
+// Find resolves a benchmark name across every suite the tools run by name:
+// CPU2017, CPU2006 and Security. Names are unique across the three, so the
+// search order does not matter. An unknown name returns nil.
+func Find(name string) *Benchmark {
+	for _, suite := range [][]*Benchmark{CPU2017(), CPU2006(), Security()} {
+		if b := ByName(suite, name); b != nil {
+			return b
+		}
+	}
+	return nil
+}
+
+// LoadFile reads a program from disk: a .s file is assembled, anything else
+// is compiled as LoopLang. The image is named after the path so diagnostics
+// point at it. The compiler's notes (de-selected loops) are returned for the
+// caller to print or drop.
+func LoadFile(path string) (*asm.Program, compiler.Diagnostics, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if strings.HasSuffix(path, ".s") {
+		prog, err := asm.Assemble(path, string(src))
+		return prog, nil, err
+	}
+	return compiler.Compile(path, string(src))
 }

@@ -89,3 +89,30 @@ func TestByName(t *testing.T) {
 		t.Error("found a non-existent benchmark")
 	}
 }
+
+// TestFindResolvesEverySuite checks the one name lookup every tool uses:
+// each CPU2017, CPU2006 and Security benchmark resolves to itself, no name
+// appears in two suites (so the search order cannot matter), and an unknown
+// name resolves to nil.
+func TestFindResolvesEverySuite(t *testing.T) {
+	seen := map[string]string{}
+	for _, suite := range [][]*Benchmark{CPU2017(), CPU2006(), Security()} {
+		for _, b := range suite {
+			if other, dup := seen[b.Name]; dup {
+				t.Errorf("%q is in both %s and %s", b.Name, other, b.Suite)
+			}
+			seen[b.Name] = b.Suite
+			got := Find(b.Name)
+			if got == nil {
+				t.Errorf("Find(%q) = nil", b.Name)
+				continue
+			}
+			if got.Name != b.Name || got.Suite != b.Suite {
+				t.Errorf("Find(%q) = %s/%s, want %s/%s", b.Name, got.Suite, got.Name, b.Suite, b.Name)
+			}
+		}
+	}
+	if b := Find("doesnotexist"); b != nil {
+		t.Errorf("Find(doesnotexist) = %s/%s, want nil", b.Suite, b.Name)
+	}
+}
