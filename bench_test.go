@@ -15,6 +15,7 @@ import (
 	"io"
 	"testing"
 
+	"loopfrog/internal/asm"
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/experiments"
 	"loopfrog/internal/sim"
@@ -207,49 +208,71 @@ func BenchmarkTable3(b *testing.B) {
 	}
 }
 
+// throughputMix is the simulated work of the two throughput benchmarks: the
+// six quickSuite programs, each run baseline and LoopFrog. It is the program
+// mix perfbench's detailed workload times, so a CPU profile of
+//
+//	go test -run '^$' -bench 'BenchmarkSimulatorThroughput$' -cpuprofile cpu.out .
+//
+// ranks the detailed core's costs as that workload sees them; a profile of
+// one program alone misranks them (leela alone puts execStore far above its
+// share of the mix).
+func throughputMix() (progs []*asm.Program, cfgs []cpu.Config) {
+	lf := cpu.DefaultConfig()
+	for _, bench := range quickSuite() {
+		prog := bench.MustProgram()
+		progs = append(progs, prog, prog)
+		cfgs = append(cfgs, sim.BaselineOf(lf), lf)
+	}
+	return progs, cfgs
+}
+
 // BenchmarkSimulatorThroughput reports raw single-core simulation speed, for
 // profiling: it calls sim.Run directly, bypassing the harness and its cache.
+// One iteration simulates the whole throughputMix.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	bench := workloads.ByName(workloads.CPU2017(), "leela")
-	prog := bench.MustProgram()
+	progs, cfgs := throughputMix()
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		st, err := sim.Run(cpu.DefaultConfig(), prog)
-		if err != nil {
-			b.Fatal(err)
+		for j, prog := range progs {
+			st, err := sim.Run(cfgs[j], prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			insts += st.ArchInsts
 		}
-		insts += st.ArchInsts
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }
 
 // BenchmarkSimulatorThroughputTelemetry is the telemetry-on counterpart: a
 // full trace sink (events + commit-slot samples) streams to io.Discard while
-// the same workload runs, so comparing insts/s against
+// the same mix runs, so comparing insts/s against
 // BenchmarkSimulatorThroughput measures the observability overhead. The
 // BENCH_overhead.json record at the repo root is generated from this pair.
 func BenchmarkSimulatorThroughputTelemetry(b *testing.B) {
-	bench := workloads.ByName(workloads.CPU2017(), "leela")
-	prog := bench.MustProgram()
+	progs, cfgs := throughputMix()
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {
-		m, err := cpu.NewMachine(cpu.DefaultConfig(), prog)
-		if err != nil {
-			b.Fatal(err)
+		for j, prog := range progs {
+			m, err := cpu.NewMachine(cfgs[j], prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := telemetry.NewTrace(io.Discard)
+			mt := telemetry.AttachMachine(m, tr, telemetry.DefaultSlotSampleInterval)
+			st, err := m.Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			mt.Finish()
+			if err := tr.Close(); err != nil {
+				b.Fatal(err)
+			}
+			insts += st.ArchInsts
 		}
-		tr := telemetry.NewTrace(io.Discard)
-		mt := telemetry.AttachMachine(m, tr, telemetry.DefaultSlotSampleInterval)
-		st, err := m.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		mt.Finish()
-		if err := tr.Close(); err != nil {
-			b.Fatal(err)
-		}
-		insts += st.ArchInsts
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }

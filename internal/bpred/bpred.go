@@ -67,13 +67,14 @@ type BranchState struct {
 	// Hist is the global history register value *before* this prediction was
 	// inserted. OnSquash restores it (plus the corrected outcome).
 	Hist uint64
+	// provider is the tagged table that provided the prediction (-1 for the
+	// bimodal base). providerIdx locates the provider entry. Both are
+	// 32-bit, and the flags follow them, so the state packs into 24 bytes:
+	// the core copies one per fetched branch.
+	provider    int32
+	providerIdx int32
 	// Taken is the overall prediction delivered.
 	Taken bool
-	// provider is the tagged table that provided the prediction (-1 for the
-	// bimodal base).
-	provider int
-	// providerIdx/providerTag locate the provider entry.
-	providerIdx int
 	// altTaken is the alternate (next-best) prediction, used for the
 	// usefulness update.
 	altTaken bool
@@ -212,8 +213,8 @@ func (p *Predictor) PredictBranch(tid int, pc int) BranchState {
 		e := &p.tables[t][idx]
 		if e.used && e.tag == p.tag(t, pc, h) {
 			if st.provider < 0 {
-				st.provider = t
-				st.providerIdx = idx
+				st.provider = int32(t)
+				st.providerIdx = int32(idx)
 				pred = e.ctr >= 0
 			} else {
 				alt = e.ctr >= 0
@@ -221,7 +222,7 @@ func (p *Predictor) PredictBranch(tid int, pc int) BranchState {
 			}
 		}
 	}
-	if st.provider >= 0 && st.provider == len(p.tables)-1 {
+	if st.provider >= 0 && int(st.provider) == len(p.tables)-1 {
 		alt = base
 	}
 	st.altTaken = alt
@@ -263,8 +264,8 @@ func (p *Predictor) UpdateBranch(tid int, pc int, taken bool, st BranchState) {
 	}
 	// Allocate a longer-history entry on a TAGE miss.
 	mispred := st.Taken != taken
-	if mispred && st.provider < len(p.tables)-1 {
-		p.allocate(st.provider+1, pc, h, taken)
+	if mispred && int(st.provider) < len(p.tables)-1 {
+		p.allocate(int(st.provider)+1, pc, h, taken)
 	}
 	p.loopTrain(pc, taken)
 }

@@ -5,6 +5,8 @@
 // into the full LoopFrog machine.
 package core
 
+import "math"
+
 // GranuleSet tracks a set of granule IDs (addresses right-shifted by the
 // granule size). The conflict detector keeps one read set and one write set
 // per threadlet (§4.2). Two implementations exist: an exact set, which the
@@ -23,33 +25,96 @@ type GranuleSet interface {
 }
 
 // ExactSet is a precise granule set: no false positives, no false negatives.
+// It is an open-addressed table with linear probing. Every slot records the
+// generation it was filled in, and only slots of the current generation are
+// members, so Clear empties the set by bumping the generation without
+// touching the table, whatever size it grew to: the conflict detector clears
+// two sets per threadlet at every epoch. The table doubles past 3/4 full and
+// never shrinks, so it settles at the largest epoch footprint seen.
 type ExactSet struct {
-	m map[uint64]struct{}
+	slots []exactSlot
+	shift uint // 64 - log2(len(slots)), for the multiplicative hash
+	gen   uint32
+	n     int
 }
+
+type exactSlot struct {
+	g   uint64
+	gen uint32
+}
+
+// exactSetBits sizes a new set's table: 1<<exactSetBits slots.
+const exactSetBits = 6
 
 // NewExactSet returns an empty exact set.
 func NewExactSet() *ExactSet {
-	return &ExactSet{m: make(map[uint64]struct{})}
+	return &ExactSet{slots: make([]exactSlot, 1<<exactSetBits), shift: 64 - exactSetBits, gen: 1}
 }
 
+// home returns g's first probe slot: Fibonacci hashing spreads runs of
+// consecutive granules over the table.
+func (s *ExactSet) home(g uint64) int { return int((g * 0x9e3779b97f4a7c15) >> s.shift) }
+
 // Add implements GranuleSet.
-func (s *ExactSet) Add(g uint64) { s.m[g] = struct{}{} }
+func (s *ExactSet) Add(g uint64) {
+	if 4*(s.n+1) > 3*len(s.slots) {
+		s.grow()
+	}
+	mask := len(s.slots) - 1
+	for i := s.home(g); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			*sl = exactSlot{g: g, gen: s.gen}
+			s.n++
+			return
+		}
+		if sl.g == g {
+			return
+		}
+	}
+}
+
+// grow doubles the table and reinserts the current members.
+func (s *ExactSet) grow() {
+	old := s.slots
+	s.slots = make([]exactSlot, 2*len(old))
+	s.shift--
+	s.n = 0
+	for _, sl := range old {
+		if sl.gen == s.gen {
+			s.Add(sl.g)
+		}
+	}
+}
 
 // Contains implements GranuleSet.
 func (s *ExactSet) Contains(g uint64) bool {
-	_, ok := s.m[g]
-	return ok
+	mask := len(s.slots) - 1
+	for i := s.home(g); ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		if sl.gen != s.gen {
+			return false
+		}
+		if sl.g == g {
+			return true
+		}
+	}
 }
 
 // Clear implements GranuleSet.
 func (s *ExactSet) Clear() {
-	// clear() keeps the map's buckets allocated, so the set is reused across
-	// epochs instead of reallocating at every squash/retire.
-	clear(s.m)
+	s.n = 0
+	if s.gen == math.MaxUint32 {
+		// The stamp would wrap onto slots still marked with old
+		// generations: wipe them once and start over.
+		clear(s.slots)
+		s.gen = 0
+	}
+	s.gen++
 }
 
 // Len implements GranuleSet.
-func (s *ExactSet) Len() int { return len(s.m) }
+func (s *ExactSet) Len() int { return s.n }
 
 // BloomSet is a Bloom-filter granule set as proposed for the hardware
 // implementation (§4.2, after Swarm): false positives are possible (safe —

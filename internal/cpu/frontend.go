@@ -29,16 +29,16 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 	count := 0
 	// The fetch queue entry is occupied only after the front-end pipe; an
 	// instruction spends FrontendDepth cycles in flight before it becomes
-	// queue-resident, so the in-flight window adds depth*width of capacity.
-	capacity := m.cfg.FetchQueue + m.cfg.FrontendDepth*m.cfg.Width
-	for count < budget && t.fq.len() < capacity {
+	// queue-resident, so the in-flight window adds depth*width of capacity
+	// (newFetchQueue is sized so).
+	for count < budget && !t.fq.full() {
 		pc := t.fetchPC
 		if pc < 0 || pc >= len(m.code) {
 			// Wrong-path fetch ran off the program; stall until redirected.
 			return count
 		}
 		// Instruction cache timing, one lookup per line.
-		lineTag := uint64(pc*instBytesForICache) / uint64(m.cfg.Hier.L1I.LineBytes)
+		lineTag := uint64(pc*instBytesForICache) >> m.iLineShift
 		if !t.lineValid || lineTag != t.lineTagFetched {
 			done := m.hier.Fetch(uint64(pc*instBytesForICache), m.now)
 			t.lineTagFetched = lineTag
@@ -48,13 +48,14 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 				return count
 			}
 		}
-		d := m.code[pc]
-		inst := d.Inst
-		fe := fetchEntry{pc: pc, inst: inst, meta: d.Meta, readyAt: m.now + int64(m.cfg.FrontendDepth)}
+		d := &m.code[pc]
+		inst := &d.Inst
+		fe := t.fq.push()
+		*fe = fetchEntry{dec: d, pc: pc, readyAt: m.now + int64(m.cfg.FrontendDepth)}
+		count++
 		next := pc + 1
-		meta := d.Meta
 		switch {
-		case meta.IsBranch:
+		case d.Meta.IsBranch:
 			st := m.bp.PredictBranch(t.id, pc)
 			fe.pred, fe.hasPred = st, true
 			fe.predTaken = st.Taken
@@ -67,17 +68,17 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 			fe.predTgt = next
 		case inst.Op == isa.JAL:
 			next = int(inst.Imm)
-			if bpred.IsCall(inst) {
+			if bpred.IsCall(*inst) {
 				m.bp.PushRAS(t.id, pc+1)
 			}
 			fe.predTgt = next
 		case inst.Op == isa.JALR:
 			switch {
-			case bpred.IsReturn(inst):
+			case bpred.IsReturn(*inst):
 				next = m.bp.PopRAS(t.id)
 				fe.predTgt = next
 			default:
-				if bpred.IsCall(inst) {
+				if bpred.IsCall(*inst) {
 					m.bp.PushRAS(t.id, pc+1)
 				}
 				if tgt, ok := m.bp.PredictIndirect(pc); ok {
@@ -87,21 +88,16 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 					// No target prediction: fetch stalls until the jump
 					// resolves in the back end.
 					fe.predTgt = -1
-					t.fq.push(fe)
 					t.fetchPC = -1 // poisoned until resolution
-					count++
 					return count
 				}
 			}
 		case inst.Op == isa.HALT:
-			t.fq.push(fe)
 			t.fetchHalted = true
 			t.haltSeen = true
-			return count + 1
+			return count
 		}
-		t.fq.push(fe)
 		t.fetchPC = next
-		count++
 	}
 	return count
 }
@@ -109,7 +105,7 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 // redirectFetch points a threadlet's front end at pc, discarding fetched but
 // not yet dispatched entries and charging the refill penalty.
 func (m *Machine) redirectFetch(t *threadlet, pc int) {
-	t.fq.truncate(0)
+	t.fq.reset()
 	t.fetchPC = pc
 	t.fetchReadyAt = m.now + int64(m.cfg.FrontendDepth)
 	t.lineValid = false

@@ -103,7 +103,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 // scheduler queue holding it after a squash, or the free list. An
 // instruction with no owner leaked (a free site was skipped); one with two
 // was freed while still reachable. A live instruction may sit in one
-// scheduler queue besides its ROB, but never in two.
+// scheduler queue besides its ROB, but never in two. A free instruction
+// must link to no other.
 func checkInstOwners(t *testing.T, m *Machine, when string) {
 	t.Helper()
 	owner := make(map[*dynInst]string, m.instMade)
@@ -141,6 +142,10 @@ func checkInstOwners(t *testing.T, m *Machine, when string) {
 	scan(m.delayedWake, "delayed-wake list")
 	for _, e := range m.instFree {
 		own(e, "free list")
+		// newInst reuses the links without clearing them (dynInst).
+		if e.srcProd != [2]*dynInst{} || e.oldMap.prod != nil || e.waiters != nil || e.waitBuf != [waitBufLen]*dynInst{} {
+			t.Fatalf("%s: free instruction from pc %d still links to other instructions", when, e.pc)
+		}
 	}
 	if held := len(owner) + m.instDropped; held != m.instMade {
 		t.Fatalf("%s: %d instructions taken from chunks, %d accounted for (%d owned, %d dropped)",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -39,6 +40,9 @@ type Machine struct {
 
 	threads []*threadlet
 	gens    []uint64 // context generation, bumped at spawn
+	// epochs counts spawns: each spawned threadlet takes the next number as
+	// its epoch (threadlet.epoch).
+	epochs uint64
 	// order lists live threadlets oldest-first; order[0] is architectural.
 	order []int
 	// contextFreeAt gates context reuse on the background slice flush.
@@ -49,7 +53,19 @@ type Machine struct {
 	// Shared structure occupancy.
 	robUsed, iqUsed, lqUsed, sqUsed int
 	intRegsUsed, fpRegsUsed         int
+	// shares[k] is each threadlet's cap on the ROB and IQ while k threadlets
+	// are live (dispatchOne), divided out once here rather than per dispatch.
+	shares []windowShare
+	// iLineShift is log2 of the I-cache line size: fetch finds an
+	// instruction's line with a shift, as the cache model does (mem).
+	iLineShift uint
 
+	// The scheduler lists. Each is filtered in place every cycle, and the
+	// slots past its length are left as they are: an append overwrites them
+	// before anything reads them, and the instructions they name are the
+	// machine's own, in flight or on instFree. (The speculative-leak
+	// configurations, which do not reuse instructions, keep at most a list's
+	// capacity of dropped ones reachable.)
 	readyQ    [isa.NumClasses][]*dynInst
 	executing []*dynInst
 	replayQ   []*dynInst
@@ -115,7 +131,6 @@ type Machine struct {
 	commitSnap, drainSnap, dispatchSnap []int
 	granScratch                         []uint64
 	finished                            []*dynInst // writeback
-	ageRank                             []int      // sortByAge, indexed by tid
 
 	// Instruction recycling (newInst, freeInst). instFree holds freed
 	// instructions, reused last-in first-out; instChunk is the unused tail of
@@ -126,6 +141,9 @@ type Machine struct {
 	instMade    int
 	instDropped int
 }
+
+// windowShare is one threadlet's cap on the shared ROB and IQ.
+type windowShare struct{ rob, iq int }
 
 // NewMachine builds a machine for the program.
 func NewMachine(cfg Config, prog *asm.Program) (*Machine, error) {
@@ -162,8 +180,12 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 		contextFreeAt: make([]int64, cfg.Threadlets),
 		gens:          make([]uint64, cfg.Threadlets),
 		archSpecInsts: make([]uint64, cfg.Threadlets),
-		ageRank:       make([]int, cfg.Threadlets),
 		code:          prog.Decoded(),
+		shares:        make([]windowShare, cfg.Threadlets+1),
+		iLineShift:    uint(bits.Len(uint(cfg.Hier.L1I.LineBytes)) - 1),
+	}
+	for k := 1; k < len(m.shares); k++ {
+		m.shares[k] = windowShare{rob: cfg.ROBSize / k, iq: cfg.IQSize / k}
 	}
 	// State a checkpoint supplies is cloned from it; only the rest is built
 	// cold.
@@ -215,7 +237,8 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 
 	m.threads = make([]*threadlet, cfg.Threadlets)
 	for i := range m.threads {
-		m.threads[i] = &threadlet{id: i, activeRegion: -1, homeRegion: -1}
+		m.threads[i] = &threadlet{id: i, activeRegion: -1, homeRegion: -1,
+			fq: newFetchQueue(cfg.FetchQueue + cfg.FrontendDepth*cfg.Width)}
 	}
 	t0 := m.threads[0]
 	t0.live = true

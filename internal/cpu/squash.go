@@ -70,6 +70,8 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 		m.freeSquashed(e)
 	}
 	t.rob.truncate(cut)
+	t.stIdx.truncate(recIndex(t.stIdx.items(), fromSeq))
+	t.ldIdx.truncate(recIndex(t.ldIdx.items(), fromSeq))
 	if m.spectreLive {
 		t.ctlSquashed(fromSeq)
 	}
@@ -226,13 +228,15 @@ func (m *Machine) purgeThreadlet(t *threadlet) {
 		m.freeSquashed(e)
 	}
 	t.rob.truncate(0)
+	t.stIdx.truncate(0)
+	t.ldIdx.truncate(0)
 	// Committed-but-undrained stores still hold SQ entries.
 	m.sqUsed -= t.drain.len()
 	for _, s := range t.drain.items() {
 		m.freeInst(s)
 	}
 	t.drain.truncate(0)
-	t.fq.truncate(0)
+	t.fq.reset()
 	if m.spectreLive {
 		// The whole epoch was misspeculation: candidates it committed are
 		// confirmed leaks, and its transient windows are gone.

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"loopfrog/internal/asm"
 	"loopfrog/internal/bpred"
 	"loopfrog/internal/isa"
 )
@@ -15,33 +16,60 @@ const (
 	stCommitted                   // committed to its threadlet
 )
 
-// dynInst is one dynamic instruction in flight. Word-sized fields come
-// first and the one-byte flags last, so the struct carries little padding:
-// every dispatch zeroes one, taken from the machine's free list (newInst).
+// dynInst is one dynamic instruction in flight, taken from the machine's
+// free list at dispatch (newInst). Its fields fall in three groups by how a
+// reused slot is made ready, so that newInst clears only the last: the head,
+// which dispatch writes in full; the links release empties when an
+// instruction leaves the window; and the tail (instTail), cleared in one
+// store. Within a group, word-sized fields come first and one-byte flags
+// last, so the struct carries little padding.
 type dynInst struct {
-	tid  int
-	seq  uint64 // per-threadlet age
-	pc   int
-	inst isa.Inst
-	meta *isa.Meta // points into isa's immutable metadata table
+	// Written by every dispatch (dispatchOne) before any other stage can
+	// reach the instruction.
+	tid   int
+	epoch uint64 // the threadlet's epoch (threadlet.epoch)
+	seq   uint64 // per-threadlet age
+	pc    int
+	inst  isa.Inst
+	meta  *isa.Meta // points into isa's immutable metadata table
+	pred  bpred.BranchState
+	// predTarget is the front end's next-fetch assumption (fetchEntry).
+	predTarget int
+	memSize    int
+	spawnedTid int32 // threadlet spawned by this detach, -1 otherwise
+	// gen counts the reuses of this slot (newInst). A rename-map entry
+	// records it, so an entry whose producer was since recycled is told
+	// apart from one naming the current occupant (mapEntry.gen).
+	gen uint32
+	// Operand readiness; src[0] is Rs1, src[1] is Rs2.
+	srcReady  [2]bool
+	hasDest   bool
+	destReg   isa.Reg
+	hasPred   bool
+	predTaken bool
 
-	// Operand capture. src[0] is Rs1, src[1] is Rs2.
-	srcVal  [2]uint64
+	// Links to other instructions, empty whenever the slot is free: release
+	// clears them as the instruction leaves the window, and a slot from a
+	// fresh chunk starts zero. oldMap's value part is stale on reuse; it is
+	// read only when hasDest, and dispatch writes it then.
 	srcProd [2]*dynInst
-
 	oldMap  mapEntry // previous rename-map entry, for rollback
+	// waiters are instructions whose operands this result feeds. The list
+	// starts on waitBuf, so the usual fan-out of a few consumers needs no
+	// allocation of its own.
+	waiters []*dynInst
+	waitBuf [waitBufLen]*dynInst
+
+	instTail
+}
+
+// instTail is the part of a dynInst that starts zero at every dispatch.
+type instTail struct {
+	srcVal  [2]uint64 // operand values, captured at rename or wakeup
 	result  uint64
 	readyAt int64 // writeback cycle once executing
 
-	// Memory state.
-	addr    uint64
-	memSize int
-	// fwdSeq is the store-queue entry a load forwarded from.
-	fwdSeq uint64
-
-	// Branch state.
-	pred         bpred.BranchState
-	predTarget   int
+	addr         uint64
 	actualTarget int
 
 	// dispRegion is the threadlet's active region when this instruction
@@ -54,27 +82,13 @@ type dynInst struct {
 
 	// Hint bookkeeping. The prev* fields snapshot threadlet epoch state a
 	// hint mutated at dispatch, so wrong-path rollback can restore it.
-	spawnedTid int32 // threadlet spawned by this detach, -1 otherwise
-	// gen counts the reuses of this slot (newInst). A rename-map entry
-	// records it, so an entry whose producer was since recycled is told
-	// apart from one naming the current occupant (mapEntry.gen).
-	gen        uint32
 	prevRegion int64
 	prevSkip   int
 
-	// waiters are instructions whose operands this result feeds. The list
-	// starts on waitBuf, so the usual fan-out of a few consumers needs no
-	// allocation of its own.
-	waiters []*dynInst
-	waitBuf [waitBufLen]*dynInst
 	// ckptWaiters are (threadlet, reg) checkpoint slots this result fills.
 	ckptWaiters []ckptWaiter
 
-	// One-byte state, grouped like the fields above.
-	srcReady [2]bool
-	hasDest  bool
-	destReg  isa.Reg
-	state    instState
+	state instState
 
 	// Memory flags.
 	addrValid bool
@@ -93,8 +107,6 @@ type dynInst struct {
 	wakeHeld  bool    // result withheld from dependents (mitigation)
 
 	// Branch flags.
-	hasPred      bool
-	predTaken    bool
 	mispredicted bool
 
 	// Hint flags.
@@ -145,10 +157,60 @@ type mapEntry struct {
 // been freed and reused.
 func (me *mapEntry) recycled() bool { return me.prod != nil && me.prod.gen != me.gen }
 
+// memRec is one load or store in a threadlet's ROB, as its memory index
+// holds it. Dispatch pushes it, execution fills in the address, commit pops
+// it, and a rollback or purge truncates it with the ROB. The searches read
+// these records and dereference e only on a hit.
+type memRec struct {
+	seq  uint64
+	addr uint64 // meaningful once valid
+	// fwdSeq is the store a load forwarded from, 0 when none. A load that
+	// forwarded from the store of age 0 reads alike, and correctly: the
+	// check it feeds (execStore) asks only whether fwdSeq is younger than a
+	// given store.
+	fwdSeq uint64
+	e      *dynInst
+	size   int32
+	valid  bool // executed: addr is resolved
+}
+
+// overlaps reports whether [a, a+asz) and [b, b+bsz) share a byte.
+func overlaps(a uint64, asz int32, b uint64, bsz int32) bool {
+	return a < b+uint64(bsz) && b < a+uint64(asz)
+}
+
+// recIndex returns the index of the first record in recs whose age is at
+// least seq; like the ROB, an index is in strictly increasing age order.
+func recIndex(recs []memRec, seq uint64) int {
+	lo, hi := 0, len(recs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if recs[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// recOf returns e's record in idx, or nil when e has none: an instruction
+// squashed earlier in the same issue pass still executes, after rollbackTo
+// dropped its record.
+func recOf(idx *fifo[memRec], e *dynInst) *memRec {
+	recs := idx.items()
+	if i := recIndex(recs, e.seq); i < len(recs) && recs[i].e == e {
+		return &recs[i]
+	}
+	return nil
+}
+
+// fetchEntry is one fetched instruction waiting to rename. dec points into
+// the program's shared predecoded image (asm.DecInst) instead of carrying
+// copies of the instruction and its metadata.
 type fetchEntry struct {
+	dec       *asm.DecInst
 	pc        int
-	inst      isa.Inst
-	meta      *isa.Meta
 	readyAt   int64 // cycle the entry may rename (models front-end depth)
 	pred      bpred.BranchState
 	predTgt   int
@@ -156,18 +218,64 @@ type fetchEntry struct {
 	predTaken bool
 }
 
+// fetchQueue is a threadlet's fetch queue: a ring over an array sized once,
+// for the most entries fetch lets a threadlet hold. Fetch fills a claimed
+// slot in place. An entry points only into the shared predecoded image, so a
+// pop or reset leaves its slot as it is instead of clearing it.
+type fetchQueue struct {
+	buf     []fetchEntry
+	head, n int
+}
+
+func newFetchQueue(capacity int) fetchQueue {
+	return fetchQueue{buf: make([]fetchEntry, capacity)}
+}
+
+func (q *fetchQueue) len() int   { return q.n }
+func (q *fetchQueue) full() bool { return q.n == len(q.buf) }
+
+// front returns the oldest entry of a non-empty queue.
+func (q *fetchQueue) front() *fetchEntry { return &q.buf[q.head] }
+
+// push claims the slot behind the youngest entry of a queue that is not
+// full; the caller overwrites all of it.
+func (q *fetchQueue) push() *fetchEntry {
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.n++
+	return &q.buf[i]
+}
+
+// pop drops the oldest entry of a non-empty queue.
+func (q *fetchQueue) pop() {
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+}
+
+// reset empties the queue.
+func (q *fetchQueue) reset() { q.head, q.n = 0, 0 }
+
 // threadlet is one execution context (§4): PC, rename map, ROB slice, and
 // the LoopFrog epoch state.
 type threadlet struct {
 	id   int
 	live bool
+	// epoch numbers the threadlet's spawn, 0 for the initial context. It
+	// grows along m.order and survives a restart, so it orders instructions
+	// of different threadlets as their epochs are ordered (olderThan).
+	epoch uint64
 
 	// Front end.
 	fetchPC        int
 	fetchHalted    bool // stopped at reattach epoch end or HALT
 	haltSeen       bool
 	fetchReadyAt   int64
-	fq             fifo[fetchEntry]
+	fq             fetchQueue
 	lineTagFetched uint64 // last I-cache line fetched (for timing)
 	lineValid      bool
 
@@ -204,6 +312,9 @@ type threadlet struct {
 
 	// ROB slice (in-flight instructions, oldest first).
 	rob fifo[*dynInst]
+	// stIdx and ldIdx index the ROB's stores and loads, oldest first, by
+	// value (memRec): the store-to-load searches scan them instead of the ROB.
+	stIdx, ldIdx fifo[memRec]
 
 	// Post-commit store drain queue (the store buffer in front of SSB/L1D).
 	drain fifo[*dynInst]
