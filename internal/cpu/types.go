@@ -24,8 +24,8 @@ const (
 // store. Within a group, word-sized fields come first and one-byte flags
 // last, so the struct carries little padding.
 type dynInst struct {
-	// Written by every dispatch (dispatchOne) before any other stage can
-	// reach the instruction.
+	// Written by every dispatch (dispatchOne; newInst bumps gen) before any
+	// other stage can reach the instruction.
 	tid   int
 	epoch uint64 // the threadlet's epoch (threadlet.epoch)
 	seq   uint64 // per-threadlet age
