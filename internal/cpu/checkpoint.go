@@ -25,12 +25,13 @@ import (
 
 // Checkpoint is a machine-state snapshot at an architectural instruction
 // boundary. It is cloned at capture time and treated as immutable afterwards;
-// seeding clones again. The predictor, cache, monitor and pack state are
-// private deep copies. Mem shares its pages copy-on-write with the memory it
-// was captured from and with every machine seeded from it, but it owns none
-// of them, so no write ever reaches it and cloning it mutates nothing (see
-// mem.Memory). Any number of machines may therefore start from the same
-// checkpoint concurrently.
+// seeding clones again. The predictor, monitor and pack state are private
+// deep copies. Mem shares its pages, and Hier its cache sets, copy-on-write
+// with the state they were captured from and with every machine seeded from
+// them, but they own none of them, so no write ever reaches them and
+// cloning them mutates nothing (see mem.Memory and mem.Hierarchy.CloneAt).
+// Any number of machines may therefore start from the same checkpoint
+// concurrently, while tier 1 goes on running.
 type Checkpoint struct {
 	// PC is the instruction index execution resumes at.
 	PC int

@@ -74,7 +74,8 @@ type Result struct {
 	Regs     [isa.NumRegs]uint64
 	Mem      *mem.Memory
 	DynInsts uint64
-	// Checkpoints are the emitted snapshots, in instruction order.
+	// Checkpoints are the emitted snapshots, in instruction order (none
+	// under Stream, which hands them out instead).
 	Checkpoints []*cpu.Checkpoint
 }
 
@@ -85,7 +86,8 @@ const instBytesForICache = 4
 // Run executes the program to completion, warming predictor/cache state and
 // emitting checkpoints per opts.
 func Run(p *asm.Program, opts Options) (*Result, error) {
-	return run(p, opts, nil)
+	res := &Result{}
+	return run(p, opts, nil, res, res.collect)
 }
 
 // Resume executes the remainder of the program from a checkpoint. Warming
@@ -93,10 +95,25 @@ func Run(p *asm.Program, opts Options) (*Result, error) {
 // opts) or starts cold. Result.DynInsts and checkpoint positions count from
 // the resume point, not from program start.
 func Resume(p *asm.Program, ck *cpu.Checkpoint, opts Options) (*Result, error) {
-	return run(p, opts, ck)
+	res := &Result{}
+	return run(p, opts, ck, res, res.collect)
 }
 
-func run(p *asm.Program, opts Options, start *cpu.Checkpoint) (*Result, error) {
+// Stream is Run handing each checkpoint to emit as soon as it is taken,
+// instead of collecting them in Result.Checkpoints, so a consumer can start
+// on a checkpoint while the run goes on. A checkpoint is immutable once
+// emitted and safe to read from any goroutine. An error from emit stops the
+// run, and Stream returns it.
+func Stream(p *asm.Program, opts Options, emit func(*cpu.Checkpoint) error) (*Result, error) {
+	return run(p, opts, nil, &Result{}, emit)
+}
+
+func (res *Result) collect(ck *cpu.Checkpoint) error {
+	res.Checkpoints = append(res.Checkpoints, ck)
+	return nil
+}
+
+func run(p *asm.Program, opts Options, start *cpu.Checkpoint, res *Result, emit func(*cpu.Checkpoint) error) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,7 +156,6 @@ func run(p *asm.Program, opts Options, start *cpu.Checkpoint) (*Result, error) {
 			lf = newLFState(opts.LF, nil, nil)
 		}
 	}
-	res := &Result{}
 	regs := &res.Regs
 	if start != nil {
 		res.Mem = start.Mem.Clone()
@@ -168,7 +184,9 @@ func run(p *asm.Program, opts Options, start *cpu.Checkpoint) (*Result, error) {
 			return nil, fmt.Errorf("fastsim: pc %d out of range [0,%d) after %d instructions", pc, n, res.DynInsts)
 		}
 		if res.DynInsts == nextCkpt {
-			res.Checkpoints = append(res.Checkpoints, checkpoint(pc, res, bp, hier, now, lf))
+			if err := emit(checkpoint(pc, res, bp, hier, now, lf)); err != nil {
+				return nil, err
+			}
 			if nextCkpt == 0 && opts.CheckpointLead > 0 && opts.CheckpointLead < opts.CheckpointEvery {
 				nextCkpt = opts.CheckpointEvery - opts.CheckpointLead
 			} else {
@@ -296,8 +314,10 @@ func run(p *asm.Program, opts Options, start *cpu.Checkpoint) (*Result, error) {
 }
 
 // checkpoint captures an immutable snapshot of the current state. The memory
-// clone copies only the page table: the live memory then owns none of its
-// pages, and its next write to each copies that page once.
+// and cache clones copy only the page and set tables: the live memory and
+// caches then own none of their pages and sets, and their next write to
+// each copies that page or set once. The predictor, monitor and pack state
+// are copied whole.
 func checkpoint(pc int, res *Result, bp *bpred.Predictor, hier *mem.Hierarchy, now int64, lf *lfState) *cpu.Checkpoint {
 	ck := &cpu.Checkpoint{
 		PC:    pc,

@@ -101,12 +101,33 @@ type strideEntry struct {
 	valid bool
 }
 
+// slabShift sizes the slabs that owned sets are carved from: a slab holds
+// 1<<slabShift sets.
+const slabShift = 5
+
 // level is one cache level.
+//
+// Sets are copy-on-write, under the rule mem.Memory follows for pages. A
+// level writes in place only to the sets it owns: those carved from its own
+// slabs, slabs[own:]. The first write to any other set copies that set into
+// the level's current slab, and an empty set gets fresh ways there. A clone
+// shares every set with its source and owns none; cloning a level that owns
+// sets disowns them first, and cloning one that owns none writes nothing to
+// it. The set table holds slab indices rather than pointers, so a clone's
+// table is a flat copy the garbage collector never scans.
 type level struct {
 	cfg CacheConfig
-	// lines holds every set's ways back to back: set i is
-	// lines[i*assoc : (i+1)*assoc].
-	lines    []line
+	// sets maps each set to its ways. 0 is an empty set (every way
+	// invalid); r > 0 names slot r-1 of the slab space (see ways).
+	sets []uint32
+	// slabs hold the ways of every non-empty set, 1<<slabShift sets each.
+	// Slabs before own may be shared and are never written.
+	slabs [][]line
+	own   int
+	// ownBase is own<<slabShift: set r is owned exactly when r > ownBase.
+	ownBase uint32
+	// used counts the sets carved from the last slab.
+	used     int
 	assoc    int
 	setMask  uint64
 	lineBits uint
@@ -124,7 +145,7 @@ func newLevel(cfg CacheConfig) *level {
 	}
 	l := &level{
 		cfg:     cfg,
-		lines:   make([]line, numSets*cfg.Assoc),
+		sets:    make([]uint32, numSets),
 		assoc:   cfg.Assoc,
 		setMask: uint64(numSets - 1),
 	}
@@ -136,24 +157,53 @@ func newLevel(cfg CacheConfig) *level {
 
 func (l *level) block(addr uint64) uint64 { return addr >> l.lineBits }
 
-func (l *level) set(block uint64) []line {
-	i := int(block&l.setMask) * l.assoc
-	return l.lines[i : i+l.assoc : i+l.assoc]
+// ways returns the ways of non-empty set reference r.
+func (l *level) ways(r uint32) []line {
+	k := int(r - 1)
+	i := (k & (1<<slabShift - 1)) * l.assoc
+	return l.slabs[k>>slabShift][i : i+l.assoc : i+l.assoc]
 }
 
-func (l *level) probe(block uint64) *line {
-	set := l.set(block)
+// find looks block up without writing anything: it returns the index of
+// block's set and the way holding block, or way -1.
+func (l *level) find(block uint64) (si, way int) {
+	si = int(block & l.setMask)
+	r := l.sets[si]
+	if r == 0 {
+		return si, -1
+	}
+	set := l.ways(r)
 	for i := range set {
 		if set[i].valid && set[i].tag == block {
-			return &set[i]
+			return si, i
 		}
 	}
-	return nil
+	return si, -1
+}
+
+// set returns set si for writing: an owned set as it is, any other copied
+// into an owned slot first (an empty set's ways start invalid).
+func (l *level) set(si int) []line {
+	r := l.sets[si]
+	if r > l.ownBase {
+		return l.ways(r)
+	}
+	if l.own == len(l.slabs) || l.used == 1<<slabShift {
+		l.slabs = append(l.slabs, make([]line, l.assoc<<slabShift))
+		l.used = 0
+	}
+	nr := uint32((len(l.slabs)-1)<<slabShift+l.used) + 1
+	l.used++
+	set := l.ways(nr)
+	if r != 0 {
+		copy(set, l.ways(r))
+	}
+	l.sets[si] = nr
+	return set
 }
 
 // victim picks an eviction slot in the set (invalid first, then LRU).
-func (l *level) victim(block uint64) *line {
-	set := l.set(block)
+func victim(set []line) *line {
 	best := &set[0]
 	for i := range set {
 		if !set[i].valid {
@@ -178,10 +228,17 @@ func (l *level) pruneMSHRs(now int64) {
 
 // Hierarchy is the timing memory system: L1I and L1D backed by a unified L2
 // and DRAM.
+//
+// Every timestamp inside a hierarchy (line fills and uses, MSHR and write
+// buffer completions, DRAM channel time) is kept on its own clock, which
+// runs off cycles ahead of the caller's: the entry points add off to the
+// cycle they are given and subtract it from the cycles they return. A clone
+// shares its source's timestamps and differs only in off.
 type Hierarchy struct {
 	cfg      HierConfig
 	l1i, l1d *level
 	l2       *level
+	off      int64
 	dramFree int64
 	l1dPref  strideTable
 	l2Pref   strideTable
@@ -208,50 +265,60 @@ func (h *Hierarchy) Stats() (l1i, l1d, l2 CacheStats) {
 	return h.l1i.stats, h.l1d.stats, h.l2.stats
 }
 
-// CloneAt returns a deep copy of the hierarchy's warm state — tags, MSHRs,
-// write buffers, stride tables — rebased so that `now` becomes cycle 0, with
-// statistics counters reset. It is how the fast-functional tier's warm cache
-// state seeds a detailed machine whose clock starts at zero: timestamps in
-// the past become non-positive (complete), in-flight fills stay slightly in
-// the future, and LRU ordering is preserved because rebasing is monotonic.
+// CloneAt returns an independent copy of the hierarchy's warm state — tags,
+// MSHRs, write buffers, stride tables — whose clock reads 0 where h's reads
+// now, with statistics counters reset. It is how the fast-functional tier's
+// warm cache state seeds a detailed machine whose clock starts at zero:
+// timestamps in the past become non-positive (complete), in-flight fills
+// stay slightly in the future, and LRU ordering is preserved because the
+// shift is the same for every line.
+//
+// The copy costs the set tables, not the tags: the clone shares every cache
+// set with h copy-on-write (see level), and the clock shift is the clone's
+// off. Cloning a hierarchy that owns no sets — a clone nothing has written
+// since — does not modify it, so any number of goroutines may clone one
+// checkpoint's hierarchy at once.
 func (h *Hierarchy) CloneAt(now int64) *Hierarchy {
+	at := now + h.off
 	c := &Hierarchy{
 		cfg:      h.cfg,
-		l1i:      h.l1i.cloneAt(now),
-		l1d:      h.l1d.cloneAt(now),
-		l2:       h.l2.cloneAt(now),
-		dramFree: h.dramFree - now,
+		l1i:      h.l1i.cloneAt(at),
+		l1d:      h.l1d.cloneAt(at),
+		l2:       h.l2.cloneAt(at),
+		off:      at,
+		dramFree: h.dramFree,
 	}
 	c.l1dPref.entries = append([]strideEntry(nil), h.l1dPref.entries...)
 	c.l2Pref.entries = append([]strideEntry(nil), h.l2Pref.entries...)
 	return c
 }
 
-// cloneAt deep-copies one level with timestamps rebased to now and stats
-// reset.
-func (l *level) cloneAt(now int64) *level {
+// cloneAt returns a copy of the level sharing its sets, with stats reset and
+// the MSHRs and write buffers that are still busy at clock time at.
+func (l *level) cloneAt(at int64) *level {
+	if l.own < len(l.slabs) {
+		l.own = len(l.slabs)
+		l.ownBase = uint32(l.own << slabShift)
+	}
+	n := len(l.slabs)
 	c := &level{
 		cfg:      l.cfg,
-		lines:    append([]line(nil), l.lines...),
+		sets:     append([]uint32(nil), l.sets...),
+		slabs:    l.slabs[:n:n],
+		own:      n,
+		ownBase:  uint32(n << slabShift),
 		assoc:    l.assoc,
 		setMask:  l.setMask,
 		lineBits: l.lineBits,
 	}
-	if now != 0 { // rebasing to 0 changes no timestamp
-		for j := range c.lines {
-			c.lines[j].lastUse -= now
-			c.lines[j].readyAt -= now
-		}
-	}
 	for _, e := range l.mshrs {
-		if e.fillAt > now { // expired entries would be pruned anyway
-			e.fillAt -= now
+		if e.fillAt > at { // expired entries would be pruned anyway
 			c.mshrs = append(c.mshrs, e)
 		}
 	}
 	for _, t := range l.storeBusy {
-		if t > now {
-			c.storeBusy = append(c.storeBusy, t-now)
+		if t > at {
+			c.storeBusy = append(c.storeBusy, t)
 		}
 	}
 	return c
@@ -261,11 +328,13 @@ func (l *level) cloneAt(now int64) *level {
 // pc. It returns the completion cycle, or ok=false when the access must be
 // replayed because the L1D MSHRs (or merge targets) are exhausted.
 func (h *Hierarchy) Load(pc int, addr uint64, now int64) (done int64, ok bool) {
+	now += h.off
 	done, ok = h.access(h.l1d, addr, now, false)
-	if ok {
-		h.stridePrefetch(&h.l1dPref, h.cfg.L1DPrefetch, h.l1d, uint64(pc), addr, now)
+	if !ok {
+		return 0, false
 	}
-	return done, ok
+	h.stridePrefetch(&h.l1dPref, h.cfg.L1DPrefetch, h.l1d, uint64(pc), addr, now)
+	return done - h.off, true
 }
 
 // Store models a demand store performed at cycle `now`. Stores complete into
@@ -273,9 +342,11 @@ func (h *Hierarchy) Load(pc int, addr uint64, now int64) (done int64, ok bool) {
 // must wait before accepting it (0 on hit or free buffer). ok=false means no
 // buffer or MSHR is available and the drain must retry.
 func (h *Hierarchy) Store(addr uint64, now int64) (stall int64, ok bool) {
+	now += h.off
 	l := h.l1d
 	block := l.block(addr)
-	if ln := l.probe(block); ln != nil {
+	if si, w := l.find(block); w >= 0 {
+		ln := &l.set(si)[w]
 		l.stats.Accesses++
 		l.stats.Hits++
 		if ln.prefetch {
@@ -283,11 +354,8 @@ func (h *Hierarchy) Store(addr uint64, now int64) (stall int64, ok bool) {
 			l.stats.PrefetchUseful++
 		}
 		ln.lastUse = now
+		// A store to an in-flight fill merges into the MSHR.
 		ln.dirty = true
-		// In-flight fill: the write merges into the MSHR.
-		if ln.readyAt > now {
-			return 0, true
-		}
 		return 0, true
 	}
 	// Write miss: needs a write buffer while the line is fetched for
@@ -316,6 +384,7 @@ func (h *Hierarchy) Store(addr uint64, now int64) (stall int64, ok bool) {
 // addr. It returns the completion cycle; instruction fetches always succeed
 // (front ends stall rather than replay).
 func (h *Hierarchy) Fetch(addr uint64, now int64) int64 {
+	now += h.off
 	done, ok := h.access(h.l1i, addr, now, false)
 	if !ok {
 		// Out of MSHRs: serialise after the oldest outstanding fill.
@@ -325,16 +394,18 @@ func (h *Hierarchy) Fetch(addr uint64, now int64) int64 {
 				oldest = e.fillAt
 			}
 		}
-		return oldest + h.l1i.cfg.HitLatency
+		done = oldest + h.l1i.cfg.HitLatency
 	}
-	return done
+	return done - h.off
 }
 
 // access runs the generic lookup/miss path for one level backed by L2/DRAM.
+// Like every method below it, it works on the hierarchy's own clock.
 func (h *Hierarchy) access(l *level, addr uint64, now int64, isStore bool) (int64, bool) {
 	l.stats.Accesses++
 	block := l.block(addr)
-	if ln := l.probe(block); ln != nil {
+	if si, w := l.find(block); w >= 0 {
+		ln := &l.set(si)[w]
 		ln.lastUse = now
 		if ln.prefetch {
 			ln.prefetch = false
@@ -396,7 +467,7 @@ func (h *Hierarchy) dram(now int64) int64 {
 // insert places a (possibly in-flight) line into the tags, handling
 // eviction/writeback.
 func (h *Hierarchy) insert(l *level, block uint64, readyAt int64, dirty, prefetch bool, now int64) {
-	v := l.victim(block)
+	v := victim(l.set(int(block & l.setMask)))
 	if v.valid && v.dirty {
 		l.stats.Writebacks++
 		if l == h.l2 {
@@ -411,7 +482,7 @@ func (h *Hierarchy) insert(l *level, block uint64, readyAt int64, dirty, prefetc
 // prefetchLine issues a prefetch fill into level l if the line is absent.
 func (h *Hierarchy) prefetchLine(l *level, addr uint64, now int64) {
 	block := l.block(addr)
-	if l.probe(block) != nil {
+	if _, w := l.find(block); w >= 0 {
 		return
 	}
 	l.pruneMSHRs(now)
@@ -473,7 +544,8 @@ func (h *Hierarchy) stridePrefetch(t *strideTable, cfg StrideConfig, l *level, k
 func (h *Hierarchy) Snoop(addr uint64, invalidate bool) bool {
 	held := false
 	for _, l := range []*level{h.l1d, h.l2} {
-		if ln := l.probe(l.block(addr)); ln != nil {
+		if si, w := l.find(l.block(addr)); w >= 0 {
+			ln := &l.set(si)[w]
 			held = true
 			l.stats.SnoopInvalidate++
 			if invalidate {
@@ -487,9 +559,10 @@ func (h *Hierarchy) Snoop(addr uint64, invalidate bool) bool {
 }
 
 // Contains reports whether the L1D currently holds the line with addr, for
-// tests and prefetch-effect analysis.
+// tests and prefetch-effect analysis. It writes nothing.
 func (h *Hierarchy) Contains(addr uint64) bool {
-	return h.l1d.probe(h.l1d.block(addr)) != nil
+	_, w := h.l1d.find(h.l1d.block(addr))
+	return w >= 0
 }
 
 func max(a, b int) int {

@@ -5,6 +5,7 @@
 package mem
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -55,9 +56,23 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint64]pageRef), id: memIDs.Add(1)}
 }
 
-// LoadProgram initialises memory with the program's data segment.
+// zeroPage is what an absent page reads as.
+var zeroPage [pageSize]byte
+
+// LoadProgram initialises memory with the program's data segment. Unlike
+// WriteBytes it builds no page the segment leaves all zero: an absent page
+// reads as zero already, so such a page is only built by the first write
+// to it. Large zero-initialised arrays therefore cost nothing to load.
 func (m *Memory) LoadProgram(p *asm.Program) {
-	m.WriteBytes(p.DataBase, p.Data)
+	addr, data := p.DataBase, p.Data
+	for len(data) > 0 {
+		n := min(len(data), pageSize-int(addr&pageMask))
+		if _, ok := m.pages[addr>>pageShift]; ok || !bytes.Equal(data[:n], zeroPage[:n]) {
+			m.WriteBytes(addr, data[:n])
+		}
+		addr += uint64(n)
+		data = data[n:]
+	}
 }
 
 // ReadBytes copies n bytes starting at addr into a fresh slice, one page at
@@ -76,7 +91,8 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 }
 
 // WriteBytes writes p starting at addr, one page at a time. Every page the
-// range touches exists afterwards, even where p holds only zeros.
+// range touches exists afterwards, even where p holds only zeros (only
+// LoadProgram skips all-zero pages).
 func (m *Memory) WriteBytes(addr uint64, p []byte) {
 	for len(p) > 0 {
 		page, off := m.page(addr, true)
@@ -241,17 +257,16 @@ func (m *Memory) diff(o *Memory) string {
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
 	var out string
 	count := 0
-	var zero [pageSize]byte
 	for _, pn := range pns {
 		a, b := m.pages[pn].data, o.pages[pn].data
 		if a == b {
 			continue
 		}
 		if a == nil {
-			a = &zero
+			a = &zeroPage
 		}
 		if b == nil {
-			b = &zero
+			b = &zeroPage
 		}
 		if *a == *b {
 			continue

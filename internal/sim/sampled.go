@@ -14,8 +14,9 @@ package sim
 //
 // Checkpoints are independent, so the windows of one long program fan out
 // across the harness worker pool like unrelated jobs — parallel-in-time
-// simulation of a single run. The result: order-of-magnitude effective
-// simulation speed at low single-digit percent cycle error.
+// simulation of a single run — and each checkpoint's windows start as soon
+// as tier 1 emits it, while tier 1 runs on. The result: order-of-magnitude
+// effective simulation speed at low single-digit percent cycle error.
 
 import (
 	"context"
@@ -120,7 +121,10 @@ type SampledStats struct {
 	Regions []cpu.RegionLedger
 	// Tier1Nanos and WallNanos time the functional pass and the whole sampled
 	// run (tier 1 + all windows, as scheduled); EffectiveIPS is
-	// TotalInsts/WallNanos — the headline effective simulation speed.
+	// TotalInsts/WallNanos — the headline effective simulation speed. Tier 1
+	// runs beside the windows of the checkpoints it has emitted, so
+	// Tier1Nanos includes the time it shared the CPUs with them, and
+	// WallNanos is less than Tier1Nanos plus the windows' own wall time.
 	Tier1Nanos   int64
 	WallNanos    int64
 	Tier1IPS     float64
@@ -201,41 +205,71 @@ func (h *Harness) RunSampledABCtx(ctx context.Context, cfg cpu.Config, prog *asm
 }
 
 // sampled is the one sampled-run path. A single tier-1 pass under warm
-// checkpoints the program; every side config then runs one detailed window
-// per checkpoint, all windows of all sides fanning out over the pool
-// together; and each side's windows assemble into its estimate. observe, when
+// checkpoints the program, and every side config runs one detailed window
+// per checkpoint. The windows of a checkpoint join the pool as soon as tier
+// 1 emits it, so tier 1 runs beside the windows of the checkpoints before.
+// Each side's windows then assemble into its estimate. observe, when
 // non-nil, sees each side's window i as window i.
+//
+// The whole call is one harness batch. If tier 1 fails, the windows already
+// started are cancelled and tier 1's error is returned.
 func (h *Harness) sampled(ctx context.Context, warm cpu.Config, sides []cpu.Config, prog *asm.Program, sc SampleConfig, observe func(win int, m *cpu.Machine)) ([]*SampledStats, error) {
 	sc = sc.withDefaults()
 	start := time.Now()
-	ckpts, total, t1, err := h.tier1(ctx, warm, prog, sc)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("sim: sampled run not started: %w", err)
+	}
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	// One window per checkpoint and side; only the feeder appends, and
+	// workers write only the slots of their own task.
+	type window struct {
+		at    uint64
+		stats []*cpu.Stats
+		errs  []error
+	}
+	var wins []*window
+	var total uint64
+	var t1 int64
+	var err error
+	h.batch(wctx, h.workers(), func(send func(task)) {
+		total, t1, err = tier1(warm, prog, sc, func(ck *cpu.Checkpoint) error {
+			i := len(wins)
+			w := &window{at: ck.Insts, stats: make([]*cpu.Stats, len(sides)), errs: make([]error, len(sides))}
+			wins = append(wins, w)
+			for s, cfg := range sides {
+				j := windowJob(cfg, prog, ck, sc)
+				if observe != nil {
+					j.Observe = func(m *cpu.Machine) { observe(i, m) }
+				}
+				send(task{job: j, st: &w.stats[s], err: &w.errs[s]})
+			}
+			return wctx.Err()
+		})
+		if err != nil {
+			cancel()
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	n := len(ckpts)
-	jobs := make([]Job, 0, len(sides)*n)
-	for _, cfg := range sides {
-		for i, ck := range ckpts {
-			j := windowJob(cfg, prog, ck, sc)
-			if observe != nil {
-				j.Observe = func(m *cpu.Machine) { observe(i, m) }
+	for s := range sides {
+		for _, w := range wins {
+			if werr := w.errs[s]; werr != nil {
+				return nil, fmt.Errorf("sim: sampled %s window @%d: %w", sideName(sides[s]), w.at, werr)
 			}
-			jobs = append(jobs, j)
-		}
-	}
-	stats, errs := h.RunJobsCtx(ctx, jobs)
-	for i, werr := range errs {
-		if werr != nil {
-			return nil, fmt.Errorf("sim: sampled %s window @%d: %w", sideName(sides[i/n]), ckpts[i%n].Insts, werr)
 		}
 	}
 	out := make([]*SampledStats, len(sides))
 	for s := range sides {
 		st := &SampledStats{Sample: sc, TotalInsts: total, Tier1Nanos: t1}
 		var regions RegionAccumulator
-		for i, ck := range ckpts {
-			ws := stats[s*n+i]
-			w, werr := measureWindow(ck, total, sc, ws)
+		for _, win := range wins {
+			ws := win.stats[s]
+			w, werr := measureWindow(win.at, total, sc, ws)
 			if werr != nil {
 				return nil, werr
 			}
@@ -270,15 +304,10 @@ func sideName(cfg cpu.Config) string {
 	return "loopfrog"
 }
 
-// tier1 runs the fast-functional warming pass and returns the checkpoints,
-// the total instruction count, and the pass's wall time.
-func (h *Harness) tier1(ctx context.Context, cfg cpu.Config, prog *asm.Program, sc SampleConfig) ([]*cpu.Checkpoint, uint64, int64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, fmt.Errorf("sim: sampled run not started: %w", err)
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, 0, 0, err
-	}
+// tier1 runs the fast-functional warming pass, handing each checkpoint to
+// emit as it is taken, and returns the total instruction count and the
+// pass's wall time.
+func tier1(cfg cpu.Config, prog *asm.Program, sc SampleConfig, emit func(*cpu.Checkpoint) error) (uint64, int64, error) {
 	start := time.Now()
 	opts := fastsim.Options{
 		CheckpointEvery: sc.Interval,
@@ -302,14 +331,13 @@ func (h *Harness) tier1(ctx context.Context, cfg cpu.Config, prog *asm.Program, 
 			SSB:        cfg.SSB,
 		}
 	}
-	fres, err := fastsim.Run(prog, opts)
+	// The first checkpoint is taken before instruction 0 executes, so a
+	// pass that succeeds has emitted at least one.
+	fres, err := fastsim.Stream(prog, opts, emit)
 	if err != nil {
-		return nil, 0, 0, fmt.Errorf("sim: tier-1 functional pass: %w", err)
+		return 0, 0, fmt.Errorf("sim: tier-1 functional pass: %w", err)
 	}
-	if len(fres.Checkpoints) == 0 {
-		return nil, 0, 0, fmt.Errorf("sim: tier-1 produced no checkpoints (program ran %d insts)", fres.DynInsts)
-	}
-	return fres.Checkpoints, fres.DynInsts, int64(time.Since(start)), nil
+	return fres.DynInsts, int64(time.Since(start)), nil
 }
 
 // windowJob builds the detailed-window job for one checkpoint.
@@ -341,15 +369,15 @@ func windowJob(cfg cpu.Config, prog *asm.Program, ck *cpu.Checkpoint, sc SampleC
 // instructions as ArchInsts plus the live speculative commits — the smooth
 // counter — so epochs promoted in bulk across a window edge do not skew the
 // measured IPC (their instructions and cycles land on the same side).
-func measureWindow(ck *cpu.Checkpoint, total uint64, sc SampleConfig, st *cpu.Stats) (WindowStat, error) {
-	w := WindowStat{At: ck.Insts, SimInsts: st.ArchInsts}
+func measureWindow(at, total uint64, sc SampleConfig, st *cpu.Stats) (WindowStat, error) {
+	w := WindowStat{At: at, SimInsts: st.ArchInsts}
 	// The window stands for the interval its MEASURED slice starts in: the
 	// checkpoint leads the interval boundary by the warmup length (tier1's
 	// CheckpointLead), so measurement begins at the boundary itself. The
 	// first checkpoint is the boot state and measures from zero.
-	tile := ck.Insts
-	if ck.Insts > 0 {
-		tile = ck.Insts + sc.Warmup
+	tile := at
+	if at > 0 {
+		tile = at + sc.Warmup
 	}
 	if tile >= total {
 		// The terminal fragment is shorter than the warmup: the slice it
@@ -371,7 +399,7 @@ func measureWindow(ck *cpu.Checkpoint, total uint64, sc SampleConfig, st *cpu.St
 		w.MeasCycles = st.Cycles
 	}
 	if w.MeasCycles <= 0 || w.MeasInsts == 0 {
-		return w, fmt.Errorf("sim: sampled window @%d measured nothing (insts=%d cycles=%d)", ck.Insts, w.MeasInsts, w.MeasCycles)
+		return w, fmt.Errorf("sim: sampled window @%d measured nothing (insts=%d cycles=%d)", at, w.MeasInsts, w.MeasCycles)
 	}
 	w.IPC = float64(w.MeasInsts) / float64(w.MeasCycles)
 	return w, nil

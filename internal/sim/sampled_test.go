@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"loopfrog/internal/asm"
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/fastsim"
 	"loopfrog/internal/isa"
@@ -259,7 +262,11 @@ func TestConcurrentCheckpointSeeding(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			prog := workloads.ByName(workloads.CPU2017(), name).MustProgram()
 			tier1 := func() *cpu.Checkpoint {
-				cks, _, _, err := (&Harness{}).tier1(context.Background(), cfg, prog, sc)
+				var cks []*cpu.Checkpoint
+				_, _, err := tier1(cfg, prog, sc.withDefaults(), func(ck *cpu.Checkpoint) error {
+					cks = append(cks, ck)
+					return nil
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -402,5 +409,56 @@ func TestSampledJobKeys(t *testing.T) {
 	ck0b := *ck0
 	if jobKey(Job{Cfg: win, Prog: prog, Ckpt: ck0}) != jobKey(Job{Cfg: win, Prog: prog, Ckpt: &ck0b}) {
 		t.Error("equal sampled jobs do not share a cache key")
+	}
+}
+
+// TestSampledTier1FailureStopsWindows fails tier 1 after it has streamed
+// about 120 checkpoints (the program jumps out of its code after 6M
+// instructions): the sampled call must return tier 1's error, cancel the
+// windows it started, start none of those still queued, and leave no
+// goroutine behind. The call, and a streamed call that succeeds, each count
+// as one harness batch with a utilization of at most 1.
+func TestSampledTier1FailureStopsWindows(t *testing.T) {
+	bad := asm.MustAssemble("jumps-out", `
+main:   li   t0, 0
+        li   t1, 3000000
+loop:   addi t0, t0, 1
+        blt  t0, t1, loop
+        li   t2, 1000000
+        jalr zero, t2, 0
+        halt
+`)
+	cfg := cpu.DefaultConfig()
+	before := runtime.NumGoroutine()
+	h := &Harness{Workers: 2}
+	var started atomic.Int64
+	_, err := h.RunSampledObservedCtx(context.Background(), cfg, bad, SampleConfig{},
+		func(int, *cpu.Machine) { started.Add(1) })
+	if err == nil || !strings.Contains(err.Error(), "tier-1 functional pass") || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("err = %v, want tier 1's pc-out-of-range error", err)
+	}
+	// Tier 1 runs far ahead of two workers, so most windows are still
+	// queued when it fails.
+	if n := started.Load(); n == 0 || n >= 100 {
+		t.Errorf("%d of ~120 windows started; want some, but not the queued ones", n)
+	}
+	if st := h.Stats(); st.Batches != 1 || st.Utilization > 1 {
+		t.Errorf("failed call: %d batches, utilization %.3f; want 1 batch, utilization <= 1", st.Batches, st.Utilization)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked after tier 1 failed: %d before, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
+	good := workloads.ByName(workloads.CPU2017(), "deepsjeng").MustProgram()
+	h = &Harness{Workers: 2}
+	if _, err := h.RunSampledABCtx(context.Background(), cfg, good, SampleConfig{Interval: 50_000, Window: 10_000, Warmup: 2_000}); err != nil {
+		t.Fatal(err)
+	}
+	if st := h.Stats(); st.Batches != 1 || st.Jobs < 2 || st.Utilization > 1 {
+		t.Errorf("streamed call: %d batches, %d jobs, utilization %.3f; want 1 batch, >= 2 jobs, utilization <= 1", st.Batches, st.Jobs, st.Utilization)
 	}
 }

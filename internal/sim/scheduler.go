@@ -218,45 +218,100 @@ func (h *Harness) RunJobsErrs(jobs []Job) ([]*cpu.Stats, []error) {
 // call always returns with every worker goroutine finished — cancellation
 // can never leak a runner.
 func (h *Harness) RunJobsCtx(ctx context.Context, jobs []Job) ([]*cpu.Stats, []error) {
+	out := make([]*cpu.Stats, len(jobs))
+	errs := make([]error, len(jobs))
+	h.batch(ctx, min(h.workers(), len(jobs)), func(send func(task)) {
+		for i := range jobs {
+			send(task{job: jobs[i], st: &out[i], err: &errs[i]})
+		}
+	})
+	return out, errs
+}
+
+// task is one job of a batch and the slots its outcome goes to.
+type task struct {
+	job Job
+	st  **cpu.Stats
+	err *error
+}
+
+// batch is the harness's one worker loop. feed sends the batch's jobs
+// through send, which never blocks, so feed may go on producing jobs while
+// the first ones run; n workers run them in the order sent, each storing
+// the job's outcome through its task's slots. batch returns once feed has
+// returned and every job sent has finished, with every worker goroutine
+// gone, and counts as one batch in Stats however long feed took.
+func (h *Harness) batch(ctx context.Context, n int, feed func(send func(task))) {
 	batchStart := time.Now()
 	h.batches.Add(1)
 	defer func() { h.wallNanos.Add(int64(time.Since(batchStart))) }()
-	out := make([]*cpu.Stats, len(jobs))
-	errs := make([]error, len(jobs))
-	runOne := func(i int) {
-		if err := ctx.Err(); err != nil {
-			errs[i] = fmt.Errorf("sim: job not started: %w", err)
-			return
-		}
-		out[i], errs[i] = h.runOne(ctx, jobs[i])
-	}
-	n := h.workers()
-	if n > len(jobs) {
-		n = len(jobs)
-	}
-	if n <= 1 {
-		for i := range jobs {
-			runOne(i)
-		}
-		return out, errs
-	}
-	var next atomic.Int64
+	var q taskQueue
+	q.ready.L = &q.mu
 	var wg sync.WaitGroup
 	wg.Add(n)
 	for w := 0; w < n; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
+				t, ok := q.pop()
+				if !ok {
 					return
 				}
-				runOne(i)
+				if err := ctx.Err(); err != nil {
+					*t.err = fmt.Errorf("sim: job not started: %w", err)
+					continue
+				}
+				*t.st, *t.err = h.runOne(ctx, t.job)
 			}
 		}()
 	}
-	wg.Wait()
-	return out, errs
+	defer wg.Wait()
+	defer q.close()
+	feed(q.push)
+}
+
+// taskQueue is a batch's unbounded FIFO of tasks: the feeder never waits
+// for a worker, and workers wait for tasks until the queue is closed. It is
+// unbounded so that tier 1 never waits for a window: held to the windows'
+// pace, a tier 1 that fails would report it only after every window before
+// the failure had run.
+type taskQueue struct {
+	mu     sync.Mutex
+	ready  sync.Cond
+	tasks  []task
+	head   int
+	closed bool
+}
+
+func (q *taskQueue) push(t task) {
+	q.mu.Lock()
+	q.tasks = append(q.tasks, t)
+	q.mu.Unlock()
+	q.ready.Signal()
+}
+
+func (q *taskQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.ready.Broadcast()
+}
+
+// pop returns the oldest task, waiting for one while the queue is open; ok
+// is false once the queue is closed and drained.
+func (q *taskQueue) pop() (t task, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for q.head == len(q.tasks) && !q.closed {
+		q.ready.Wait()
+	}
+	if q.head == len(q.tasks) {
+		return task{}, false
+	}
+	t = q.tasks[q.head]
+	q.tasks[q.head] = task{} // drop the job, and the checkpoint it holds
+	q.head++
+	return t, true
 }
 
 // RunJobs executes all jobs and returns their statistics indexed exactly

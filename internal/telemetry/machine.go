@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"fmt"
+	"sort"
+	"strconv"
 	"sync"
 
 	"loopfrog/internal/core"
@@ -136,6 +138,7 @@ type MachineTracer struct {
 	m    *cpu.Machine
 	pid  int
 	open []bool // per-context: an epoch span is open on its track
+	args []byte // the last commit-slot sample's args, reused
 }
 
 // AttachMachine wires m's threadlet lifecycle events and commit-slot
@@ -219,13 +222,41 @@ func (mt *MachineTracer) closeSpan(tid int, cycle int64) {
 	}
 }
 
+// onSlotSample emits one commit-slot counter sample. It encodes the args
+// as Counter would from a map of the slot classes, without building one.
 func (mt *MachineTracer) onSlotSample(cycle int64, delta [cpu.NumSlotClasses]uint64) {
-	names := cpu.SlotClassNames()
-	series := make(map[string]int64, cpu.NumSlotClasses)
-	for i, d := range delta {
-		series[names[i]] = int64(d)
+	b := mt.args[:0]
+	for _, k := range slotArgKeys {
+		b = append(b, k.key...)
+		b = strconv.AppendInt(b, int64(delta[k.class]), 10)
 	}
-	mt.tr.Counter(mt.pid, cycle, "commit-slots", series)
+	mt.args = append(b, '}')
+	mt.tr.eventBytes("C", mt.pid, 0, cycle, "commit-slots", mt.args)
+}
+
+// slotArgKeys are the commit-slot classes in the order encodeArgs writes
+// their names (sorted), each with its encoded key and the separator or
+// opening before it.
+var slotArgKeys = func() []slotArgKey {
+	names := cpu.SlotClassNames()
+	keys := make([]slotArgKey, len(names))
+	for i := range names {
+		keys[i].class = i
+	}
+	sort.Slice(keys, func(i, j int) bool { return names[keys[i].class] < names[keys[j].class] })
+	for i := range keys {
+		sep := ","
+		if i == 0 {
+			sep = `,"args":{`
+		}
+		keys[i].key = sep + strconv.Quote(names[keys[i].class]) + ":"
+	}
+	return keys
+}()
+
+type slotArgKey struct {
+	class int
+	key   string
 }
 
 // TraceSampledWindows builds the observer pair for tracing a sampled run's

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -27,7 +26,8 @@ type Trace struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
 	closer io.Closer
-	n      int // events written
+	n      int    // events written
+	buf    []byte // the event being encoded, reused across events
 	err    error
 }
 
@@ -81,13 +81,46 @@ func (t *Trace) raw(s string) {
 func (t *Trace) event(ph string, pid, tid int, ts int64, name, body string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sep := ",\n"
-	if t.n == 0 {
-		sep = "\n"
+	t.write(append(t.head(ph, pid, tid, ts, name), body...))
+}
+
+// eventBytes is event with the body in a byte slice.
+func (t *Trace) eventBytes(ph string, pid, tid int, ts int64, name string, body []byte) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.write(append(t.head(ph, pid, tid, ts, name), body...))
+}
+
+// head encodes an event's separator and common fields into t.buf, leaving
+// the object open for the body. t.mu must be held.
+func (t *Trace) head(ph string, pid, tid int, ts int64, name string) []byte {
+	b := t.buf[:0]
+	if t.n > 0 {
+		b = append(b, ',')
 	}
 	t.n++
-	t.raw(fmt.Sprintf(`%s{"ph":%q,"pid":%d,"tid":%d,"ts":%d,"name":%s%s}`,
-		sep, ph, pid, tid, ts, strconv.Quote(name), body))
+	b = append(b, "\n{\"ph\":"...)
+	b = strconv.AppendQuote(b, ph)
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"ts":`...)
+	b = strconv.AppendInt(b, ts, 10)
+	b = append(b, `,"name":`...)
+	return strconv.AppendQuote(b, name)
+}
+
+// write closes the encoded event b and writes it. t.mu must be held.
+func (t *Trace) write(b []byte) {
+	b = append(b, '}')
+	t.buf = b
+	if t.err != nil {
+		return
+	}
+	if _, err := t.w.Write(b); err != nil {
+		t.err = err
+	}
 }
 
 // MetaProcess names a process track.
