@@ -20,7 +20,7 @@ func (m *Machine) commit() {
 			continue // squashed by an earlier threadlet's verify this cycle
 		}
 		for budget > 0 && t.rob.len() > 0 {
-			e := t.rob.front()
+			e := m.at(t.rob.front())
 			if e.state != stDone || e.wakeHeld {
 				// A withheld load result (spectre.go mitigation) keeps its
 				// ROB slot until the wakeup is released: a committed entry
@@ -51,7 +51,7 @@ func (m *Machine) commit() {
 // commitOne commits a single instruction to its threadlet.
 func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 	e.state = stCommitted
-	e.release()
+	m.release(e)
 	t.rob.pop()
 	m.robUsed--
 	t.robHeld--
@@ -64,20 +64,23 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 		} else {
 			m.intRegsUsed--
 		}
-		t.committedRegs[e.destReg] = e.result
-		t.writtenMask[e.destReg] = true
-		if arch {
+		if arch && e.taint {
 			// Architectural commit closes every transient window the value
 			// could have been sourced in: the taint dies here.
 			e.taint = false
+			m.untaintCkptFills(e)
 		}
+		t.committedRegs[e.destReg] = e.result
+		t.committedTaint[e.destReg] = e.taint
+		t.writtenMask[e.destReg] = true
 	}
 	if e.leakCand && !arch {
 		// The candidate committed to a speculative epoch: it confirms if the
 		// epoch squashes, and is dropped at promotion (spectre.go).
 		t.pendingLeaks = append(t.pendingLeaks, pendingLeak{pc: e.pc, region: e.dispRegion})
 	}
-	if e.meta.IsLoad {
+	meta := e.meta()
+	if meta.IsLoad {
 		m.lqUsed--
 		t.ldIdx.pop()
 		if e.memFaulted {
@@ -93,13 +96,13 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 			}
 		}
 	}
-	if e.meta.IsStore {
+	if meta.IsStore {
 		// The store performs later, from the post-commit drain queue; the
 		// SQ entry is held until then.
 		t.stIdx.pop()
-		t.drain.push(e)
+		t.drain.push(e.self)
 	}
-	if e.meta.IsBranch {
+	if meta.IsBranch {
 		m.stats.Branches++
 		if e.mispredicted {
 			m.stats.Mispredicts++
@@ -116,10 +119,10 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 	// committed detaches.
 	if inRegion {
 		region := e.dispRegion
-		if e.meta.HasRs1 && e.inst.Rs1 != isa.X0 && !t.writtenThisIter[e.inst.Rs1] {
+		if meta.HasRs1 && e.inst.Rs1 != isa.X0 && !t.writtenThisIter[e.inst.Rs1] {
 			m.pack.ObserveLiveIn(region, e.inst.Rs1)
 		}
-		if e.meta.HasRs2 && e.inst.Rs2 != isa.X0 && !t.writtenThisIter[e.inst.Rs2] {
+		if meta.HasRs2 && e.inst.Rs2 != isa.X0 && !t.writtenThisIter[e.inst.Rs2] {
 			m.pack.ObserveLiveIn(region, e.inst.Rs2)
 		}
 		if e.hasDest {
@@ -155,7 +158,7 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 		}
 		m.ledger(e.dispRegion).Slots[SlotRetiredSpec]++
 	}
-	if !e.meta.IsStore {
+	if !meta.IsStore {
 		m.freeInst(e) // a store is freed when it drains
 	}
 }
@@ -199,9 +202,10 @@ func (m *Machine) packVerify(t *threadlet, region int64) {
 	}
 	// Safe repair: the stale values were never consumed.
 	for _, r := range bad {
-		if succ.renameMap[r].prod == nil && !succ.writtenMask[r] {
+		if succ.renameMap[r].prod == 0 && !succ.writtenMask[r] {
 			succ.renameMap[r] = mapEntry{val: t.committedRegs[r]}
 			succ.committedRegs[r] = t.committedRegs[r]
+			succ.committedTaint[r] = false
 		}
 	}
 	m.stats.PackRepairs++
@@ -222,7 +226,7 @@ func (m *Machine) drainStores() {
 			continue
 		}
 		for budget > 0 && t.drain.len() > 0 {
-			s := t.drain.front()
+			s := m.at(t.drain.front())
 			if !m.isSpec(tid) {
 				if err := mem.ValidateAccess(s.addr, s.memSize); err != nil {
 					// The bad store became architectural, so sequential

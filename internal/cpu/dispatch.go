@@ -51,7 +51,8 @@ func (m *Machine) dispatch() {
 // structural resource as the cause. fe points into t's fetch queue, which a
 // reattach hint empties, so it is read only before the hint takes effect.
 func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
-	inst, meta := &fe.dec.Inst, fe.dec.Meta
+	d := &m.code[fe.pc]
+	inst, meta := &d.Inst, d.Meta
 	if m.robUsed >= m.cfg.ROBSize {
 		return false, true
 	}
@@ -90,7 +91,6 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 	e.seq = t.seqCounter
 	e.pc = fe.pc
 	e.inst = *inst
-	e.meta = meta
 	e.pred = fe.pred
 	e.predTarget = fe.predTgt
 	e.memSize = meta.MemBytes
@@ -107,16 +107,16 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 
 	if meta.HasRs1 {
 		e.srcReady[0] = false
-		capture(t, e, 0, inst.Rs1)
+		m.capture(t, e, 0, inst.Rs1)
 	}
 	if meta.HasRs2 {
 		e.srcReady[1] = false
-		capture(t, e, 1, inst.Rs2)
+		m.capture(t, e, 1, inst.Rs2)
 	}
 
 	if hasDest {
 		e.oldMap = t.renameMap[e.destReg]
-		t.renameMap[e.destReg] = mapEntry{prod: e, gen: e.gen}
+		t.renameMap[e.destReg] = mapEntry{prod: e.self, gen: e.gen}
 		if e.destReg.IsFP() {
 			m.fpRegsUsed++
 		} else {
@@ -126,18 +126,18 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 
 	m.robUsed++
 	t.robHeld++
-	t.rob.push(e)
+	t.rob.push(e.self)
 	if needsIQ {
 		m.iqUsed++
 		t.iqHeld++
 	}
 	if meta.IsLoad {
 		m.lqUsed++
-		t.ldIdx.push(memRec{seq: e.seq, e: e, size: int32(meta.MemBytes)})
+		t.ldIdx.push(memRec{seq: e.seq, e: e.self, size: int32(meta.MemBytes)})
 	}
 	if meta.IsStore {
 		m.sqUsed++
-		t.stIdx.push(memRec{seq: e.seq, e: e, size: int32(meta.MemBytes)})
+		t.stIdx.push(memRec{seq: e.seq, e: e.self, size: int32(meta.MemBytes)})
 	}
 
 	switch {
@@ -162,14 +162,13 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 
 // capture reads operand slot of e, register r, through t's rename map: a
 // value is taken at once, a pending producer records e as its waiter.
-func capture(t *threadlet, e *dynInst, slot int, r isa.Reg) {
+func (m *Machine) capture(t *threadlet, e *dynInst, slot int, r isa.Reg) {
 	if r == isa.X0 && !r.IsFP() {
 		e.srcReady[slot] = true
 		return
 	}
 	me := t.renameMap[r]
-	p := me.prod
-	if p == nil {
+	if me.prod == 0 {
 		e.srcReady[slot] = true
 		e.srcVal[slot] = me.val
 		e.srcTaint[slot] = me.taint
@@ -178,11 +177,13 @@ func capture(t *threadlet, e *dynInst, slot int, r isa.Reg) {
 		}
 		return
 	}
-	if me.recycled() {
+	p := m.at(me.prod)
+	if p.gen != me.gen {
 		// The producer committed and its slot was reused: the value is the
 		// threadlet's committed one (mapEntry).
 		e.srcReady[slot] = true
 		e.srcVal[slot] = t.committedRegs[r]
+		e.srcTaint[slot] = t.committedTaint[r]
 		return
 	}
 	if p.state >= stDone && !p.wakeHeld {
@@ -191,51 +192,110 @@ func capture(t *threadlet, e *dynInst, slot int, r isa.Reg) {
 		e.srcTaint[slot] = p.taint
 		return
 	}
-	e.srcProd[slot] = p
-	if p.waiters == nil {
-		p.waiters = p.waitBuf[:0]
-	}
-	p.waiters = append(p.waiters, e)
+	e.srcProd[slot] = p.self
+	m.addWaiter(p, e.self)
 }
 
-// instChunk is the number of dynInsts allocated at once when the free list
-// is empty. Once the window has filled, every instruction is a reused one.
-const instChunk = 64
+// addWaiter records w as a consumer of p's result: inline while p has room,
+// else on a node of the machine's waiter list.
+func (m *Machine) addWaiter(p *dynInst, w instRef) {
+	if p.nWait < waitBufLen {
+		p.waitBuf[p.nWait] = w
+		p.nWait++
+		return
+	}
+	n := m.waitFree
+	if n != 0 {
+		m.waitFree = m.waitNodes[n].next
+		m.waitNodes[n] = waitNode{w: w}
+	} else {
+		if len(m.waitNodes) == 0 {
+			m.waitNodes = append(m.waitNodes, waitNode{}) // index 0 is the null link
+		}
+		n = uint32(len(m.waitNodes))
+		m.waitNodes = append(m.waitNodes, waitNode{w: w})
+	}
+	if p.waitTail == 0 {
+		p.waitHead = n
+	} else {
+		m.waitNodes[p.waitTail].next = n
+	}
+	p.waitTail = n
+}
+
+// dropWaiters empties p's waiter list, returning its nodes to the free list.
+func (m *Machine) dropWaiters(p *dynInst) {
+	if p.waitTail != 0 {
+		m.waitNodes[p.waitTail].next = m.waitFree
+		m.waitFree = p.waitHead
+		p.waitHead, p.waitTail = 0, 0
+	}
+	p.nWait = 0
+}
+
+// addCkptWait records that p's result fills register reg of threadlet tid's
+// checkpoint, made at the threadlet's generation tgen.
+func (m *Machine) addCkptWait(p *dynInst, tid int, reg isa.Reg, tgen uint64) {
+	m.ckptWaits = append(m.ckptWaits, ckptWait{prod: p.self, tid: int32(tid), reg: reg, tgen: tgen})
+	p.ckptWaited = true
+}
+
+// takeCkptWaits removes p's checkpoint slots from m.ckptWaits, filling each
+// (fillCkpt) in the order they were added when fill is set.
+func (m *Machine) takeCkptWaits(p *dynInst, fill bool) {
+	p.ckptWaited = false
+	kept := m.ckptWaits[:0]
+	for _, cw := range m.ckptWaits {
+		switch {
+		case cw.prod != p.self:
+			kept = append(kept, cw)
+		case fill:
+			m.fillCkpt(p, cw)
+		}
+	}
+	m.ckptWaits = kept
+}
+
+// release empties e's links to other instructions. It runs when e leaves
+// the window (commit, rollback, purge): a squashed waiter then no longer
+// names its producer, so wake skips it, and a free slot holds no live link
+// (DESIGN.md, "Instruction lifetime").
+func (m *Machine) release(e *dynInst) {
+	e.srcProd = [2]instRef{}
+	e.oldMap.prod = 0
+	m.dropWaiters(e)
+}
 
 // newInst returns a dynInst for dispatch to fill: the most recently freed
-// one, with its generation bumped and its tail cleared, or else the next
-// entry of the machine's current chunk. Either way the tail is zero and the
-// links are empty (dynInst).
+// one, with its generation bumped and its tail cleared, or else a fresh slot
+// of the arena. Either way the tail is zero and the links are empty
+// (dynInst).
 func (m *Machine) newInst() *dynInst {
 	if n := len(m.instFree); n > 0 {
-		e := m.instFree[n-1]
+		e := m.at(m.instFree[n-1])
 		m.instFree = m.instFree[:n-1]
 		e.gen++
 		e.instTail = instTail{}
 		return e
 	}
-	if len(m.instChunk) == 0 {
-		m.instChunk = make([]dynInst, instChunk)
-	}
-	e := &m.instChunk[0]
-	m.instChunk = m.instChunk[1:]
-	m.instMade++
-	return e
+	return m.insts.fresh()
 }
 
 // freeInst returns an instruction nothing can read any more to the free list
 // (DESIGN.md, "Instruction lifetime"). Rename entries and waiter lists may
 // still name it; the generation tag and wake's srcProd test make those
-// entries inert once it is reused. Speculative-leak configurations, off by
-// default, do not reuse instructions: a recycled producer's taint could not
-// be reproduced exactly, so the entry is left to the collector.
+// entries inert once it is reused. A producer squashed before it completed
+// takes its checkpoint slots with it: they were younger threadlets', which
+// the squash took too.
 func (m *Machine) freeInst(e *dynInst) {
-	if m.spectreLive {
-		m.instDropped++
-		return
+	if e.ckptWaited {
+		m.takeCkptWaits(e, false)
 	}
-	m.instFree = append(m.instFree, e)
+	m.instFree = append(m.instFree, e.self)
 }
+
+// at returns the instruction h names.
+func (m *Machine) at(h instRef) *dynInst { return m.insts.at(h) }
 
 // startConsumable reports whether register r still carries the threadlet's
 // inherited starting value (for the packing repair decision, §4.3).
@@ -323,10 +383,11 @@ const maxDetachWait = 8
 // concrete inputs). Without the wait, tight loops dispatch the detach in the
 // same cycle as the IV update and packing could never engage.
 func (m *Machine) delayDetachForPacking(t *threadlet, fe *fetchEntry) bool {
-	if fe.dec.Inst.Op != isa.DETACH || !m.cfg.Pack.Enabled || m.cfg.Threadlets <= 1 {
+	inst := &m.code[fe.pc].Inst
+	if inst.Op != isa.DETACH || !m.cfg.Pack.Enabled || m.cfg.Threadlets <= 1 {
 		return false
 	}
-	region := fe.dec.Inst.Imm
+	region := inst.Imm
 	if t.detached || (t.activeRegion >= 0 && t.activeRegion != region) || m.mon.Disabled(region) {
 		return false
 	}
@@ -344,7 +405,7 @@ func (m *Machine) delayDetachForPacking(t *threadlet, fe *fetchEntry) bool {
 	if !free {
 		return false
 	}
-	_, resolved := t.regSnapshot()
+	_, resolved := m.regSnapshot(t)
 	for _, iv := range ivs {
 		if !resolved[iv] {
 			if t.detachWait < maxDetachWait {
@@ -386,7 +447,7 @@ func (m *Machine) trySpawn(t *threadlet, e *dynInst, region int64) {
 	// successor can start from concrete predicted values.
 	factor := 1
 	var predicted [isa.NumRegs]uint64
-	snapshot, resolved := t.regSnapshot()
+	snapshot, resolved := m.regSnapshot(t)
 	if m.cfg.Pack.Enabled {
 		allConcrete := true
 		for _, iv := range m.pack.IVs(region) {
@@ -430,18 +491,20 @@ func (m *Machine) trySpawn(t *threadlet, e *dynInst, region int64) {
 	m.emitEvent(EvSpawn, nt.id, region, factor)
 }
 
-// regSnapshot returns the threadlet's current speculative register values
-// where resolved, with a mask of which registers are concrete.
-func (t *threadlet) regSnapshot() (vals [isa.NumRegs]uint64, resolved [isa.NumRegs]bool) {
+// regSnapshot returns t's current speculative register values where
+// resolved, with a mask of which registers are concrete.
+func (m *Machine) regSnapshot(t *threadlet) (vals [isa.NumRegs]uint64, resolved [isa.NumRegs]bool) {
 	for r := 0; r < isa.NumRegs; r++ {
 		me := t.renameMap[r]
-		switch {
-		case me.prod == nil:
+		if me.prod == 0 {
 			vals[r], resolved[r] = me.val, true
-		case me.recycled():
+			continue
+		}
+		switch p := m.at(me.prod); {
+		case p.gen != me.gen:
 			vals[r], resolved[r] = t.committedRegs[r], true
-		case me.prod.state >= stDone && !me.prod.wakeHeld:
-			vals[r], resolved[r] = me.prod.result, true
+		case p.state >= stDone && !p.wakeHeld:
+			vals[r], resolved[r] = p.result, true
 		}
 	}
 	return vals, resolved
@@ -502,17 +565,20 @@ func (m *Machine) spawnInto(parent, nt *threadlet, contPC int, factor int, predi
 			continue
 		}
 		me := parent.renameMap[r]
-		switch {
-		case me.recycled():
-			me = mapEntry{val: parent.committedRegs[r]}
-		case me.prod != nil && me.prod.state >= stDone && !me.prod.wakeHeld:
-			me = mapEntry{val: me.prod.result, taint: me.prod.taint}
+		if me.prod != 0 {
+			switch p := m.at(me.prod); {
+			case p.gen != me.gen:
+				me = mapEntry{val: parent.committedRegs[r], taint: parent.committedTaint[r]}
+			case p.state >= stDone && !p.wakeHeld:
+				me = mapEntry{val: p.result, taint: p.taint}
+			}
 		}
 		nt.renameMap[r] = me
-		if me.prod == nil {
+		if me.prod == 0 {
 			nt.ckptRegs[r] = me.val
 			nt.ckptTaint[r] = me.taint
 			nt.committedRegs[r] = me.val
+			nt.committedTaint[r] = me.taint
 			if parent.startConsumable(isa.Reg(r)) {
 				// Handing an inherited start value on to a successor is a
 				// consumption: if the §4.3 verification later finds this
@@ -523,7 +589,7 @@ func (m *Machine) spawnInto(parent, nt *threadlet, contPC int, factor int, predi
 			}
 		} else {
 			nt.ckptPending[r] = me.prod
-			me.prod.ckptWaiters = append(me.prod.ckptWaiters, ckptWaiter{tid: nt.id, reg: isa.Reg(r), gen: m.gens[nt.id]})
+			m.addCkptWait(m.at(me.prod), nt.id, isa.Reg(r), m.gens[nt.id])
 		}
 	}
 	m.bp.SetHistory(nt.id, nt.ckptGHR)

@@ -13,13 +13,14 @@ func (m *Machine) enqueueReady(e *dynInst) {
 		return
 	}
 	e.state = stReady
-	q := append(m.readyQ[e.meta.Class], e)
+	c := e.meta().Class
+	q := append(m.readyQ[c], e.self)
 	i := len(q) - 1
-	for ; i > 0 && e.olderThan(q[i-1]); i-- {
+	for ; i > 0 && e.olderThan(m.at(q[i-1])); i-- {
 		q[i] = q[i-1]
 	}
-	q[i] = e
-	m.readyQ[e.meta.Class] = q
+	q[i] = e.self
+	m.readyQ[c] = q
 }
 
 // olderThan reports whether e comes before o in age order: by epoch order,
@@ -67,13 +68,14 @@ func (m *Machine) issue() {
 	if len(m.replayQ) > 0 {
 		q := m.replayQ
 		m.replayQ = m.replayQ[:0]
-		for _, e := range q {
+		for _, h := range q {
+			e := m.at(h)
 			if e.squashed {
 				m.freeInst(e)
 				continue
 			}
 			if loadBudget == 0 {
-				m.replayQ = append(m.replayQ, e)
+				m.replayQ = append(m.replayQ, h)
 				continue
 			}
 			if m.execLoad(e) {
@@ -97,14 +99,14 @@ func (m *Machine) issue() {
 		live := q[:0]
 		k := 0
 		for ; k < len(q) && len(live) < units; k++ {
-			if e := q[k]; e.squashed {
+			if e := m.at(q[k]); e.squashed {
 				m.freeInst(e)
 			} else if e.state == stReady {
-				live = append(live, e)
+				live = append(live, q[k])
 			}
 		}
-		for _, e := range live {
-			m.execOne(e)
+		for _, h := range live {
+			m.execOne(m.at(h))
 		}
 		m.readyQ[c] = append(q[:0], q[k:]...)
 	}
@@ -113,14 +115,15 @@ func (m *Machine) issue() {
 // sortByAge orders instructions oldest first (olderThan). It is a stable
 // insertion sort, since the lists it sorts are short and mostly in order
 // already, and allocates nothing.
-func sortByAge(q []*dynInst) {
+func (m *Machine) sortByAge(q []instRef) {
 	for i := 1; i < len(q); i++ {
-		e := q[i]
+		h := q[i]
+		e := m.at(h)
 		j := i
-		for ; j > 0 && e.olderThan(q[j-1]); j-- {
+		for ; j > 0 && e.olderThan(m.at(q[j-1])); j-- {
 			q[j] = q[j-1]
 		}
-		q[j] = e
+		q[j] = h
 	}
 }
 
@@ -131,24 +134,24 @@ func (m *Machine) execOne(e *dynInst) {
 	e.state = stExecuting
 	m.iqUsed--
 	m.threads[e.tid].iqHeld--
-	switch {
-	case e.meta.IsLoad:
+	switch meta := e.meta(); {
+	case meta.IsLoad:
 		m.execLoad(e)
-	case e.meta.IsStore:
+	case meta.IsStore:
 		m.execStore(e)
-	case e.meta.IsBranch:
+	case meta.IsBranch:
 		e.result = 0
 		e.readyAt = m.now + 1
-		m.executing = append(m.executing, e)
+		m.executing = append(m.executing, e.self)
 	case e.inst.Op == isa.JAL || e.inst.Op == isa.JALR:
 		e.result = uint64(e.pc + 1)
 		e.readyAt = m.now + 1
-		m.executing = append(m.executing, e)
+		m.executing = append(m.executing, e.self)
 	default:
 		e.result = isa.EvalALU(e.inst, e.srcVal[0], e.srcVal[1])
 		e.taint = e.srcTaint[0] || e.srcTaint[1]
-		e.readyAt = m.now + int64(e.meta.Latency)
-		m.executing = append(m.executing, e)
+		e.readyAt = m.now + int64(meta.Latency)
+		m.executing = append(m.executing, e.self)
 	}
 }
 
@@ -174,7 +177,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 	if st, partial := m.findOlderStore(t, e); st != nil {
 		if partial || !st.srcReady[1] {
 			// Partial overlap or data not ready: wait and retry.
-			m.replayQ = append(m.replayQ, e)
+			m.replayQ = append(m.replayQ, e.self)
 			return false
 		}
 		// Store-to-load forwarding within the threadlet.
@@ -189,7 +192,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 			rec.fwdSeq = st.seq
 		}
 		e.readyAt = m.now + 1
-		m.executing = append(m.executing, e)
+		m.executing = append(m.executing, e.self)
 		return true
 	}
 
@@ -201,7 +204,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 		e.memFaulted = true
 		e.result = 0
 		e.readyAt = m.now + 1
-		m.executing = append(m.executing, e)
+		m.executing = append(m.executing, e.self)
 		return true
 	}
 
@@ -217,7 +220,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 	done, ok := m.hier.Load(e.pc, e.addr, m.now)
 	if !ok {
 		m.stats.LoadRetriesMSHR++
-		m.replayQ = append(m.replayQ, e)
+		m.replayQ = append(m.replayQ, e.self)
 		return false
 	}
 	chain := m.chainUpTo(e.tid)
@@ -237,7 +240,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 		}
 	}
 	e.readyAt = done
-	m.executing = append(m.executing, e)
+	m.executing = append(m.executing, e.self)
 	return true
 }
 
@@ -253,12 +256,12 @@ func (m *Machine) findOlderStore(t *threadlet, load *dynInst) (st *dynInst, part
 	stores := t.stIdx.items()
 	for i := recIndex(stores, load.seq) - 1; i >= 0; i-- {
 		if r := &stores[i]; r.valid && overlaps(r.addr, r.size, load.addr, size) {
-			return r.e, !covers(r.addr, r.size)
+			return m.at(r.e), !covers(r.addr, r.size)
 		}
 	}
 	drain := t.drain.items()
 	for i := len(drain) - 1; i >= 0; i-- {
-		s := drain[i]
+		s := m.at(drain[i])
 		if sz := int32(s.memSize); overlaps(s.addr, sz, load.addr, size) {
 			return s, !covers(s.addr, sz)
 		}
@@ -274,7 +277,7 @@ func (m *Machine) execStore(e *dynInst) {
 	e.addr = e.srcVal[0] + uint64(e.inst.Imm)
 	e.addrValid = true
 	e.readyAt = m.now + 1
-	m.executing = append(m.executing, e)
+	m.executing = append(m.executing, e.self)
 	m.stats.Stores++
 
 	if r := recOf(&t.stIdx, e); r != nil {
@@ -294,18 +297,18 @@ func (m *Machine) execStore(e *dynInst) {
 			continue // forwarded from a store younger than this one
 		}
 		m.stats.LoadReplaysLSQ++
-		m.rollbackTo(t, l.seq, l.e.pc, nil)
+		m.rollbackTo(t, l.seq, m.at(l.e).pc, nil)
 		return
 	}
 }
 
 // seqIndex returns the index of the first instruction in rob whose age is at
 // least seq. A threadlet's ROB is in strictly increasing age order.
-func seqIndex(rob []*dynInst, seq uint64) int {
+func (m *Machine) seqIndex(rob []instRef, seq uint64) int {
 	lo, hi := 0, len(rob)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if rob[mid].seq < seq {
+		if m.at(rob[mid]).seq < seq {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -322,20 +325,21 @@ func (m *Machine) writeback() {
 	}
 	remaining := m.executing[:0]
 	finished := m.finished[:0]
-	for _, e := range m.executing {
-		switch {
+	for _, h := range m.executing {
+		switch e := m.at(h); {
 		case e.squashed:
 			m.freeInst(e)
 		case e.readyAt <= m.now:
-			finished = append(finished, e)
+			finished = append(finished, h)
 		default:
-			remaining = append(remaining, e)
+			remaining = append(remaining, h)
 		}
 	}
 	m.executing = remaining
 	// Oldest-first resolution keeps branch recovery deterministic.
-	sortByAge(finished)
-	for _, e := range finished {
+	m.sortByAge(finished)
+	for _, h := range finished {
+		e := m.at(h)
 		if !e.squashed {
 			m.complete(e)
 		}
@@ -351,10 +355,11 @@ func (m *Machine) writeback() {
 // complete finishes one instruction.
 func (m *Machine) complete(e *dynInst) {
 	t := m.threads[e.tid]
-	if m.spectreLive && (e.meta.IsBranch || e.inst.Op == isa.JALR) {
+	meta := e.meta()
+	if m.spectreLive && (meta.IsBranch || e.inst.Op == isa.JALR) {
 		t.ctlResolved(e.seq)
 	}
-	if e.meta.IsBranch {
+	if meta.IsBranch {
 		m.resolveBranch(t, e)
 		if e.squashed {
 			return
@@ -367,11 +372,11 @@ func (m *Machine) complete(e *dynInst) {
 		}
 	}
 	e.state = stDone
-	if m.mitigate && e.meta.IsLoad && e.transient && !e.loadFwdSQ && !e.memFaulted {
+	if m.mitigate && meta.IsLoad && e.transient && !e.loadFwdSQ && !e.memFaulted {
 		// ShadowBinding-style delay: the transient load's result is withheld
 		// from dependents until the window closes (releaseDelayedWakes).
 		e.wakeHeld = true
-		m.delayedWake = append(m.delayedWake, e)
+		m.delayedWake = append(m.delayedWake, e.self)
 		m.stats.DelayedWakes++
 		return
 	}
@@ -383,37 +388,52 @@ func (m *Machine) complete(e *dynInst) {
 // squashed waiter's srcProd, and a recycled one names its new producers, so
 // a stale entry does nothing.
 func (m *Machine) wake(e *dynInst) {
-	for _, w := range e.waiters {
-		if w.srcProd[0] != e && w.srcProd[1] != e {
-			continue
-		}
-		for s := 0; s < 2; s++ {
-			if w.srcProd[s] == e {
-				w.srcProd[s] = nil
-				w.srcReady[s] = true
-				w.srcVal[s] = e.result
-				w.srcTaint[s] = e.taint
-			}
-		}
-		if w.srcReady[0] && w.srcReady[1] {
-			m.enqueueReady(w)
+	for i := uint8(0); i < e.nWait; i++ {
+		m.deliver(e, e.waitBuf[i])
+	}
+	for n := e.waitHead; n != 0; n = m.waitNodes[n].next {
+		m.deliver(e, m.waitNodes[n].w)
+	}
+	m.dropWaiters(e)
+	if e.ckptWaited {
+		m.takeCkptWaits(e, true)
+	}
+}
+
+// deliver hands e's result to the waiter h, if h still waits on e.
+func (m *Machine) deliver(e *dynInst, h instRef) {
+	w := m.at(h)
+	if w.srcProd[0] != e.self && w.srcProd[1] != e.self {
+		return
+	}
+	for s := 0; s < 2; s++ {
+		if w.srcProd[s] == e.self {
+			w.srcProd[s] = 0
+			w.srcReady[s] = true
+			w.srcVal[s] = e.result
+			w.srcTaint[s] = e.taint
 		}
 	}
-	e.waiters = nil
-	e.waitBuf = [waitBufLen]*dynInst{}
-	for _, cw := range e.ckptWaiters {
-		ct := m.threads[cw.tid]
-		if m.gens[cw.tid] != cw.gen || ct.ckptPending[cw.reg] != e {
-			continue
-		}
-		ct.ckptPending[cw.reg] = nil
-		ct.ckptRegs[cw.reg] = e.result
-		ct.ckptTaint[cw.reg] = e.taint
-		if !ct.writtenMask[cw.reg] {
-			ct.committedRegs[cw.reg] = e.result
-		}
+	if w.srcReady[0] && w.srcReady[1] {
+		m.enqueueReady(w)
 	}
-	e.ckptWaiters = nil
+}
+
+// fillCkpt writes e's result into the checkpoint slot cw, unless the slot's
+// threadlet was respawned or its slot no longer waits on e.
+func (m *Machine) fillCkpt(e *dynInst, cw ckptWait) {
+	ct := m.threads[cw.tid]
+	if m.gens[cw.tid] != cw.tgen || ct.ckptPending[cw.reg] != e.self {
+		return
+	}
+	ct.ckptPending[cw.reg] = 0
+	ct.ckptRegs[cw.reg] = e.result
+	ct.ckptTaint[cw.reg] = e.taint
+	if !ct.writtenMask[cw.reg] {
+		ct.committedRegs[cw.reg] = e.result
+		ct.committedTaint[cw.reg] = e.taint
+		ct.ckptFrom[cw.reg] = instID{e.self, e.gen}
+	}
 }
 
 // resolveBranch compares the execute-time outcome with the fetch-time

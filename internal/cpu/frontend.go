@@ -51,7 +51,7 @@ func (m *Machine) fetchOne(t *threadlet, budget int) int {
 		d := &m.code[pc]
 		inst := &d.Inst
 		fe := t.fq.push()
-		*fe = fetchEntry{dec: d, pc: pc, readyAt: m.now + int64(m.cfg.FrontendDepth)}
+		*fe = fetchEntry{pc: pc, readyAt: m.now + int64(m.cfg.FrontendDepth)}
 		count++
 		next := pc + 1
 		switch {

@@ -3,6 +3,7 @@ package cpu
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -98,39 +99,40 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// checkInstOwners checks that every instruction the machine took from a
-// chunk has exactly one owner: a threadlet's ROB or drain queue, the
+// checkInstOwners checks that every instruction the machine took from its
+// arena has exactly one owner: a threadlet's ROB or drain queue, the
 // scheduler queue holding it after a squash, or the free list. An
 // instruction with no owner leaked (a free site was skipped); one with two
 // was freed while still reachable. A live instruction may sit in one
 // scheduler queue besides its ROB, but never in two. A free instruction
-// must link to no other.
+// must link to no other and hold no checkpoint slot, and every node of the
+// waiter pool must be on exactly one producer's list or the free list.
 func checkInstOwners(t *testing.T, m *Machine, when string) {
 	t.Helper()
-	owner := make(map[*dynInst]string, m.instMade)
-	own := func(e *dynInst, where string) {
-		if prev, ok := owner[e]; ok {
-			t.Fatalf("%s: instruction at pc %d held by both %s and %s", when, e.pc, prev, where)
+	owner := make(map[instRef]string, m.insts.n)
+	own := func(h instRef, where string) {
+		if prev, ok := owner[h]; ok {
+			t.Fatalf("%s: instruction at pc %d held by both %s and %s", when, m.at(h).pc, prev, where)
 		}
-		owner[e] = where
+		owner[h] = where
 	}
 	for _, th := range m.threads {
-		for _, e := range th.rob.items() {
-			own(e, fmt.Sprintf("rob %d", th.id))
+		for _, h := range th.rob.items() {
+			own(h, fmt.Sprintf("rob %d", th.id))
 		}
-		for _, e := range th.drain.items() {
-			own(e, fmt.Sprintf("drain %d", th.id))
+		for _, h := range th.drain.items() {
+			own(h, fmt.Sprintf("drain %d", th.id))
 		}
 	}
-	queued := make(map[*dynInst]string)
-	scan := func(q []*dynInst, name string) {
-		for _, e := range q {
-			if prev, ok := queued[e]; ok {
-				t.Fatalf("%s: instruction at pc %d queued in both %s and %s", when, e.pc, prev, name)
+	queued := make(map[instRef]string)
+	scan := func(q []instRef, name string) {
+		for _, h := range q {
+			if prev, ok := queued[h]; ok {
+				t.Fatalf("%s: instruction at pc %d queued in both %s and %s", when, m.at(h).pc, prev, name)
 			}
-			queued[e] = name
-			if e.squashed {
-				own(e, name)
+			queued[h] = name
+			if m.at(h).squashed {
+				own(h, name)
 			}
 		}
 	}
@@ -140,16 +142,68 @@ func checkInstOwners(t *testing.T, m *Machine, when string) {
 	scan(m.executing, "executing list")
 	scan(m.replayQ, "replay queue")
 	scan(m.delayedWake, "delayed-wake list")
-	for _, e := range m.instFree {
-		own(e, "free list")
+	for _, h := range m.instFree {
+		own(h, "free list")
 		// newInst reuses the links without clearing them (dynInst).
-		if e.srcProd != [2]*dynInst{} || e.oldMap.prod != nil || e.waiters != nil || e.waitBuf != [waitBufLen]*dynInst{} {
+		if e := m.at(h); e.srcProd != [2]instRef{} || e.oldMap.prod != 0 || e.nWait != 0 || e.waitHead != 0 || e.ckptWaited {
 			t.Fatalf("%s: free instruction from pc %d still links to other instructions", when, e.pc)
 		}
 	}
-	if held := len(owner) + m.instDropped; held != m.instMade {
-		t.Fatalf("%s: %d instructions taken from chunks, %d accounted for (%d owned, %d dropped)",
-			when, m.instMade, held, len(owner), m.instDropped)
+	if held := len(owner); held != m.insts.n {
+		t.Fatalf("%s: %d instructions taken from the arena, %d accounted for", when, m.insts.n, held)
+	}
+	nodes := 0
+	for n := m.waitFree; n != 0; n = m.waitNodes[n].next {
+		nodes++
+	}
+	for i := 1; i <= m.insts.n; i++ {
+		for n := m.at(instRef(i)).waitHead; n != 0; n = m.waitNodes[n].next {
+			nodes++
+		}
+	}
+	if len(m.waitNodes) > 0 && nodes != len(m.waitNodes)-1 {
+		t.Fatalf("%s: %d waiter nodes made, %d on lists", when, len(m.waitNodes)-1, nodes)
+	}
+	for _, cw := range m.ckptWaits {
+		if !m.at(cw.prod).ckptWaited {
+			t.Fatalf("%s: checkpoint slot t%d r%d names a producer not marked as filling one", when, cw.tid, cw.reg)
+		}
+	}
+}
+
+// pointerPath returns the path to the first Go pointer t holds (a pointer,
+// slice, map, string, interface, channel or function), or "" when it holds
+// none.
+func pointerPath(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+		reflect.Interface, reflect.Chan, reflect.Func:
+		return t.String()
+	case reflect.Array:
+		if p := pointerPath(t.Elem()); p != "" {
+			return "[]" + p
+		}
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := pointerPath(t.Field(i).Type); p != "" {
+				return t.Field(i).Name + "." + p
+			}
+		}
+	}
+	return ""
+}
+
+// TestHotTypesHoldNoPointers checks that the instruction window's element
+// types hold no Go pointer, so that the collector never scans them and no
+// pipeline write takes a write barrier (DESIGN.md, "Instruction lifetime").
+func TestHotTypesHoldNoPointers(t *testing.T) {
+	for _, v := range []any{
+		dynInst{}, [1 << arenaChunkBits]dynInst{}, mapEntry{}, memRec{}, fetchEntry{},
+		instRef(0), waitNode{}, ckptWait{}, instID{},
+	} {
+		if p := pointerPath(reflect.TypeOf(v)); p != "" {
+			t.Errorf("%T holds a pointer: %s", v, p)
+		}
 	}
 }
 
@@ -244,22 +298,21 @@ func TestInstRecycleAccounting(t *testing.T) {
 			}
 			checkInstOwners(t, m, "end of run")
 			st := m.stats
-			t.Logf("%d cycles, %d committed, %d insts allocated, %d dropped; squashes %v",
-				st.Cycles, st.CommitSlotsUsed, m.instMade, m.instDropped, st.Squashes)
+			t.Logf("%d cycles, %d committed, %d insts allocated, %d waiter nodes; squashes %v",
+				st.Cycles, st.CommitSlotsUsed, m.insts.n, max(len(m.waitNodes)-1, 0), st.Squashes)
 			switch {
 			case tc.inject:
 				if st.Squashes[core.SquashOverflow] == 0 || st.Squashes[core.SquashConflict] == 0 {
 					t.Errorf("injector forced no overflow or no conflict squash: %v", st.Squashes)
 				}
 			case tc.cfg.DelaySpeculativeLoadDeps:
-				if st.DelayedWakes == 0 || m.instDropped == 0 {
-					t.Errorf("mitigated run held %d wakeups and dropped %d instructions, want both > 0",
-						st.DelayedWakes, m.instDropped)
+				if st.DelayedWakes == 0 {
+					t.Errorf("mitigated run held no wakeups")
 				}
 			}
-			if !tc.cfg.DelaySpeculativeLoadDeps && m.instMade > 4*tc.cfg.ROBSize {
+			if m.insts.n > 4*tc.cfg.ROBSize {
 				t.Errorf("%d instructions allocated for a %d-entry ROB: reuse is not happening",
-					m.instMade, tc.cfg.ROBSize)
+					m.insts.n, tc.cfg.ROBSize)
 			}
 		})
 	}

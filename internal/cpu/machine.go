@@ -60,15 +60,12 @@ type Machine struct {
 	// instruction's line with a shift, as the cache model does (mem).
 	iLineShift uint
 
-	// The scheduler lists. Each is filtered in place every cycle, and the
-	// slots past its length are left as they are: an append overwrites them
-	// before anything reads them, and the instructions they name are the
-	// machine's own, in flight or on instFree. (The speculative-leak
-	// configurations, which do not reuse instructions, keep at most a list's
-	// capacity of dropped ones reachable.)
-	readyQ    [isa.NumClasses][]*dynInst
-	executing []*dynInst
-	replayQ   []*dynInst
+	// The scheduler lists, of handles into the instruction arena. Each is
+	// filtered in place every cycle, and the slots past its length are left
+	// as they are: an append overwrites them before anything reads them.
+	readyQ    [isa.NumClasses][]instRef
+	executing []instRef
+	replayQ   []instRef
 
 	stats          Stats
 	halted         bool
@@ -117,7 +114,7 @@ type Machine struct {
 	spectreLive bool
 	mitigate    bool
 	leakPCs     map[int]uint64
-	delayedWake []*dynInst
+	delayedWake []instRef
 	ssbTaint    []map[uint64]bool
 
 	// Published statistics snapshot (snapshot.go): pub is the coherent copy
@@ -130,16 +127,18 @@ type Machine struct {
 	// allocation-free. Each belongs to exactly one pipeline stage.
 	commitSnap, drainSnap, dispatchSnap []int
 	granScratch                         []uint64
-	finished                            []*dynInst // writeback
+	finished                            []instRef // writeback
 
-	// Instruction recycling (newInst, freeInst). instFree holds freed
-	// instructions, reused last-in first-out; instChunk is the unused tail of
-	// the current chunk. instMade counts instructions taken from chunks and
-	// instDropped those freed without reuse, for the recycling tests.
-	instFree    []*dynInst
-	instChunk   []dynInst
-	instMade    int
-	instDropped int
+	// The instruction window (DESIGN.md, "Instruction lifetime"). insts
+	// holds every dynInst the machine made; instFree lists the freed ones,
+	// reused last-in first-out. waitNodes holds producers' waiters past
+	// their inline ones, with waitFree the head of its free list; ckptWaits
+	// holds the checkpoint slots in-flight producers fill.
+	insts     instArena
+	instFree  []instRef
+	waitNodes []waitNode
+	waitFree  uint32
+	ckptWaits []ckptWait
 }
 
 // windowShare is one threadlet's cap on the shared ROB and IQ.

@@ -118,7 +118,7 @@ func (m *Machine) promoteSpectre(b *threadlet) {
 	b.pendingLeaks = b.pendingLeaks[:0]
 	b.ckptTaint = [isa.NumRegs]bool{}
 	for r := range b.renameMap {
-		if b.renameMap[r].prod == nil {
+		if b.renameMap[r].prod == 0 {
 			b.renameMap[r].taint = false
 		}
 	}
@@ -176,7 +176,8 @@ func (m *Machine) releaseDelayedWakes() {
 		return
 	}
 	kept := m.delayedWake[:0]
-	for _, e := range m.delayedWake {
+	for _, h := range m.delayedWake {
+		e := m.at(h)
 		if e.squashed {
 			m.freeInst(e) // its dependents were squashed with it
 			continue
@@ -188,9 +189,8 @@ func (m *Machine) releaseDelayedWakes() {
 			m.wake(e)
 			continue
 		}
-		kept = append(kept, e)
+		kept = append(kept, h)
 	}
-	clear(m.delayedWake[len(kept):])
 	m.delayedWake = kept
 }
 
@@ -223,4 +223,18 @@ func (m *Machine) LeakReport() LeakReport {
 	}
 	sort.Slice(rep.Sites, func(i, j int) bool { return rep.Sites[i].PC < rep.Sites[j].PC })
 	return rep
+}
+
+// untaintCkptFills runs when e's taint dies at its architectural commit. A
+// younger threadlet whose checkpoint fill took e's result reads the register
+// through e while e's slot is not reused, and sees e's taint as it stands;
+// once the slot is reused it reads committedTaint, which must therefore
+// follow e's taint to false.
+func (m *Machine) untaintCkptFills(e *dynInst) {
+	id, r := instID{e.self, e.gen}, e.destReg
+	for _, tid := range m.order[1:] {
+		if ct := m.threads[tid]; ct.ckptFrom[r] == id && !ct.writtenMask[r] {
+			ct.committedTaint[r] = false
+		}
+	}
 }

@@ -14,11 +14,12 @@ import (
 // corrected history was already installed by the caller.
 func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedBranch *dynInst) {
 	rob := t.rob.items()
-	cut := seqIndex(rob, fromSeq)
+	cut := m.seqIndex(rob, fromSeq)
 	var oldestHist uint64
 	haveHist := false
 	for i := len(rob) - 1; i >= cut; i-- {
-		e := rob[i]
+		e := m.at(rob[i])
+		meta := e.meta()
 		e.squashed = true
 		if m.spectreLive {
 			m.squashSpectre(e)
@@ -35,10 +36,10 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 			m.iqUsed--
 			t.iqHeld--
 		}
-		if e.meta.IsLoad {
+		if meta.IsLoad {
 			m.lqUsed--
 		}
-		if e.meta.IsStore {
+		if meta.IsStore {
 			m.sqUsed--
 		}
 		m.robUsed--
@@ -47,7 +48,7 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 			// The detach that spawned was wrong-path: drop its successors.
 			m.squashFrom(int(e.spawnedTid), core.SquashWrongPath, false)
 		}
-		if e.meta.IsHint {
+		if meta.IsHint {
 			// Restore the epoch state the hint mutated at dispatch.
 			t.activeRegion = e.prevRegion
 			t.detached = e.prevDetached
@@ -66,7 +67,7 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 			oldestHist = e.pred.Hist
 			haveHist = true
 		}
-		e.release()
+		m.release(e)
 		m.freeSquashed(e)
 	}
 	t.rob.truncate(cut)
@@ -200,7 +201,9 @@ func (m *Machine) squashFrom(victimTid int, cause core.SquashCause, restart bool
 // purgeThreadlet removes all of a threadlet's in-flight state from the
 // shared structures.
 func (m *Machine) purgeThreadlet(t *threadlet) {
-	for _, e := range t.rob.items() {
+	for _, h := range t.rob.items() {
+		e := m.at(h)
+		meta := e.meta()
 		e.squashed = true
 		if m.spectreLive {
 			m.squashSpectre(e)
@@ -218,13 +221,13 @@ func (m *Machine) purgeThreadlet(t *threadlet) {
 			m.iqUsed--
 			t.iqHeld--
 		}
-		if e.meta.IsLoad {
+		if meta.IsLoad {
 			m.lqUsed--
 		}
-		if e.meta.IsStore {
+		if meta.IsStore {
 			m.sqUsed--
 		}
-		e.release()
+		m.release(e)
 		m.freeSquashed(e)
 	}
 	t.rob.truncate(0)
@@ -232,8 +235,8 @@ func (m *Machine) purgeThreadlet(t *threadlet) {
 	t.ldIdx.truncate(0)
 	// Committed-but-undrained stores still hold SQ entries.
 	m.sqUsed -= t.drain.len()
-	for _, s := range t.drain.items() {
-		m.freeInst(s)
+	for _, h := range t.drain.items() {
+		m.freeInst(m.at(h))
 	}
 	t.drain.truncate(0)
 	t.fq.reset()
@@ -271,18 +274,21 @@ func (m *Machine) restartThreadlet(t *threadlet) {
 	t.writtenThisIter = [isa.NumRegs]bool{}
 	t.consumedStart = [isa.NumRegs]bool{}
 	t.committedRegs = t.ckptRegs
+	t.committedTaint = t.ckptTaint
 	for r := 0; r < isa.NumRegs; r++ {
-		if p := t.ckptPending[r]; p != nil {
+		if h := t.ckptPending[r]; h != 0 {
+			p := m.at(h)
 			if p.state >= stDone && !p.wakeHeld {
 				// The future resolved while we were squashing.
-				t.ckptPending[r] = nil
+				t.ckptPending[r] = 0
 				t.ckptRegs[r] = p.result
 				t.ckptTaint[r] = p.taint
 				t.committedRegs[r] = p.result
+				t.committedTaint[r] = p.taint
 				t.renameMap[r] = mapEntry{val: p.result, taint: p.taint}
 				continue
 			}
-			t.renameMap[r] = mapEntry{prod: p, gen: p.gen}
+			t.renameMap[r] = mapEntry{prod: h, gen: p.gen}
 			continue
 		}
 		t.renameMap[r] = mapEntry{val: t.ckptRegs[r], taint: t.ckptTaint[r]}

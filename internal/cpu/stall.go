@@ -109,7 +109,7 @@ func (m *Machine) stallCause() SlotClass {
 			return SlotFrontend
 		}
 	}
-	if t.rob.front().state == stDone {
+	if m.at(t.rob.front()).state == stDone {
 		// The head is complete but blocked from committing: a HALT waiting
 		// for the threadlet to become architectural or for stores to drain.
 		return SlotStoreDrain

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"loopfrog/internal/asm"
 	"loopfrog/internal/bpred"
 	"loopfrog/internal/isa"
 )
@@ -17,12 +16,15 @@ const (
 )
 
 // dynInst is one dynamic instruction in flight, taken from the machine's
-// free list at dispatch (newInst). Its fields fall in three groups by how a
-// reused slot is made ready, so that newInst clears only the last: the head,
-// which dispatch writes in full; the links release empties when an
-// instruction leaves the window; and the tail (instTail), cleared in one
-// store. Within a group, word-sized fields come first and one-byte flags
-// last, so the struct carries little padding.
+// arena at dispatch (newInst). It holds no Go pointer: every link to another
+// instruction is an instRef, so a pipeline write never pays a GC write
+// barrier and the collector never scans the window (DESIGN.md, "Instruction
+// lifetime"). Its fields fall in three groups by how a reused slot is made
+// ready, so that newInst clears only the last: the head, which dispatch
+// writes in full; the links release empties when an instruction leaves the
+// window; and the tail (instTail), cleared in one store. Within a group,
+// word-sized fields come first and one-byte flags last, so the struct
+// carries little padding.
 type dynInst struct {
 	// Written by every dispatch (dispatchOne; newInst bumps gen) before any
 	// other stage can reach the instruction.
@@ -31,7 +33,6 @@ type dynInst struct {
 	seq   uint64 // per-threadlet age
 	pc    int
 	inst  isa.Inst
-	meta  *isa.Meta // points into isa's immutable metadata table
 	pred  bpred.BranchState
 	// predTarget is the front end's next-fetch assumption (fetchEntry).
 	predTarget int
@@ -41,6 +42,8 @@ type dynInst struct {
 	// records it, so an entry whose producer was since recycled is told
 	// apart from one naming the current occupant (mapEntry.gen).
 	gen uint32
+	// self is the slot's own handle, fixed when its chunk is made.
+	self instRef
 	// Operand readiness; src[0] is Rs1, src[1] is Rs2.
 	srcReady  [2]bool
 	hasDest   bool
@@ -52,16 +55,20 @@ type dynInst struct {
 	// clears them as the instruction leaves the window, and a slot from a
 	// fresh chunk starts zero. oldMap's value part is stale on reuse; it is
 	// read only when hasDest, and dispatch writes it then.
-	srcProd [2]*dynInst
+	srcProd [2]instRef
 	oldMap  mapEntry // previous rename-map entry, for rollback
-	// waiters are instructions whose operands this result feeds. The list
-	// starts on waitBuf, so the usual fan-out of a few consumers needs no
-	// allocation of its own.
-	waiters []*dynInst
-	waitBuf [waitBufLen]*dynInst
+	// waiters are instructions whose operands this result feeds: the first
+	// waitBufLen inline in waitBuf[:nWait], the rest on a list of the
+	// machine's waitNodes from waitHead to waitTail (0 when none).
+	waitBuf            [waitBufLen]instRef
+	waitHead, waitTail uint32
+	nWait              uint8
 
 	instTail
 }
+
+// meta returns the instruction's static opcode metadata.
+func (e *dynInst) meta() *isa.Meta { return isa.MetaOf(e.inst.Op) }
 
 // instTail is the part of a dynInst that starts zero at every dispatch.
 type instTail struct {
@@ -85,10 +92,11 @@ type instTail struct {
 	prevRegion int64
 	prevSkip   int
 
-	// ckptWaiters are (threadlet, reg) checkpoint slots this result fills.
-	ckptWaiters []ckptWaiter
-
 	state instState
+
+	// ckptWaited marks a producer with entries in m.ckptWaits: checkpoint
+	// slots of younger threadlets its result fills (addCkptWait).
+	ckptWaited bool
 
 	// Memory flags.
 	addrValid bool
@@ -121,46 +129,94 @@ type instTail struct {
 // waitBufLen is the number of waiters an instruction stores inline.
 const waitBufLen = 4
 
-// release drops every pointer e holds to another instruction. It runs when e
-// leaves the window (commit, rollback, purge): a finished instruction then
-// keeps nothing older reachable, and a squashed waiter no longer names its
-// producer, so wake skips it (DESIGN.md, "Instruction lifetime").
-func (e *dynInst) release() {
-	e.srcProd = [2]*dynInst{}
-	e.oldMap.prod = nil
-	e.waiters = nil
-	e.waitBuf = [waitBufLen]*dynInst{}
+// instRef is the handle of a dynInst in its machine's arena: the slot's
+// index plus one, so that the zero instRef names no instruction.
+type instRef uint32
+
+// instID names one occupancy of an arena slot: the handle and the slot's
+// generation at the time. It stays inert once the slot is reused.
+type instID struct {
+	ref instRef
+	gen uint32
 }
 
-type ckptWaiter struct {
-	tid int
-	reg isa.Reg
-	gen uint64
+// arenaChunkBits sets the arena's chunk size, 1<<arenaChunkBits slots.
+const arenaChunkBits = 6
+
+// instArena holds a machine's dynInsts in fixed-size chunks that never move,
+// so a slot's address and handle stay valid for the machine's lifetime. The
+// chunks hold no pointers: the collector neither scans them nor asks for a
+// write barrier when they are written. Only the chunk table is a pointer
+// slice, written once per chunk.
+type instArena struct {
+	chunks []*[1 << arenaChunkBits]dynInst
+	n      int // slots handed out so far
+}
+
+// at returns the instruction h names; h must not be 0.
+func (a *instArena) at(h instRef) *dynInst {
+	i := uint32(h) - 1
+	return &a.chunks[i>>arenaChunkBits][i&(1<<arenaChunkBits-1)]
+}
+
+// fresh returns a slot never handed out before, adding a chunk when the
+// last one is full. The slot is zero apart from its handle.
+func (a *instArena) fresh() *dynInst {
+	if a.n == len(a.chunks)<<arenaChunkBits {
+		c := new([1 << arenaChunkBits]dynInst)
+		for i := range c {
+			c[i].self = instRef(a.n + i + 1)
+		}
+		a.chunks = append(a.chunks, c)
+	}
+	a.n++
+	return a.at(instRef(a.n))
+}
+
+// waitNode is one waiter past a producer's inline ones, on a singly linked
+// list through the machine's waitNodes; index 0 is the null link.
+type waitNode struct {
+	w    instRef
+	next uint32
+}
+
+// ckptWait is one checkpoint slot, register reg of threadlet tid, that the
+// producer prod fills when it completes. tgen is the threadlet's generation
+// (Machine.gens) when the slot was made: a slot of a context since respawned
+// is skipped.
+type ckptWait struct {
+	prod instRef
+	tid  int32
+	reg  isa.Reg
+	tgen uint64
 }
 
 // mapEntry is a rename-map slot: either a pending producer or a value.
 // taint marks a resolved value that derives from a transiently-loaded one
 // (spectre.go); pending entries carry taint on the producer instead.
 //
-// gen is prod.gen when the entry was made. A producer whose gen has moved on
-// was recycled (see recycled); it had committed into the threadlet holding
-// the entry, or filled the threadlet's checkpoint slot, so the register then
-// reads as that threadlet's committedRegs value.
+// gen is the producer's gen when the entry was made. A producer whose gen
+// has moved on was recycled (Machine.recycled); it had committed into the
+// threadlet holding the entry, or filled the threadlet's checkpoint slot, so
+// the register then reads as that threadlet's committedRegs value, with
+// committedTaint as its taint.
 type mapEntry struct {
-	prod  *dynInst
 	val   uint64
-	taint bool
+	prod  instRef
 	gen   uint32
+	taint bool
 }
 
-// recycled reports whether the entry names a producer whose slot has since
-// been freed and reused.
-func (me *mapEntry) recycled() bool { return me.prod != nil && me.prod.gen != me.gen }
+// recycled reports whether me names a producer whose slot has since been
+// freed and reused.
+func (m *Machine) recycled(me mapEntry) bool {
+	return me.prod != 0 && m.at(me.prod).gen != me.gen
+}
 
 // memRec is one load or store in a threadlet's ROB, as its memory index
 // holds it. Dispatch pushes it, execution fills in the address, commit pops
 // it, and a rollback or purge truncates it with the ROB. The searches read
-// these records and dereference e only on a hit.
+// these records and look e up only on a hit.
 type memRec struct {
 	seq  uint64
 	addr uint64 // meaningful once valid
@@ -169,7 +225,7 @@ type memRec struct {
 	// check it feeds (execStore) asks only whether fwdSeq is younger than a
 	// given store.
 	fwdSeq uint64
-	e      *dynInst
+	e      instRef
 	size   int32
 	valid  bool // executed: addr is resolved
 }
@@ -199,17 +255,16 @@ func recIndex(recs []memRec, seq uint64) int {
 // dropped its record.
 func recOf(idx *fifo[memRec], e *dynInst) *memRec {
 	recs := idx.items()
-	if i := recIndex(recs, e.seq); i < len(recs) && recs[i].e == e {
+	if i := recIndex(recs, e.seq); i < len(recs) && recs[i].e == e.self {
 		return &recs[i]
 	}
 	return nil
 }
 
-// fetchEntry is one fetched instruction waiting to rename. dec points into
-// the program's shared predecoded image (asm.DecInst) instead of carrying
-// copies of the instruction and its metadata.
+// fetchEntry is one fetched instruction waiting to rename. Its instruction
+// and metadata are read from the program's shared predecoded image at pc
+// (Machine.code) instead of being copied or pointed to.
 type fetchEntry struct {
-	dec       *asm.DecInst
 	pc        int
 	readyAt   int64 // cycle the entry may rename (models front-end depth)
 	pred      bpred.BranchState
@@ -220,8 +275,8 @@ type fetchEntry struct {
 
 // fetchQueue is a threadlet's fetch queue: a ring over an array sized once,
 // for the most entries fetch lets a threadlet hold. Fetch fills a claimed
-// slot in place. An entry points only into the shared predecoded image, so a
-// pop or reset leaves its slot as it is instead of clearing it.
+// slot in place. An entry holds no pointer, so a pop or reset leaves its
+// slot as it is instead of clearing it.
 type fetchQueue struct {
 	buf     []fetchEntry
 	head, n int
@@ -287,9 +342,12 @@ type threadlet struct {
 
 	// Committed architectural state of the threadlet. writtenMask marks
 	// registers written by this epoch's own commits, so late checkpoint
-	// fills never clobber newer values.
-	committedRegs [isa.NumRegs]uint64
-	writtenMask   [isa.NumRegs]bool
+	// fills never clobber newer values. committedTaint is the taint of each
+	// committedRegs value (spectre.go): a register whose rename entry names
+	// a recycled producer reads both from here.
+	committedRegs  [isa.NumRegs]uint64
+	committedTaint [isa.NumRegs]bool
+	writtenMask    [isa.NumRegs]bool
 	seqCounter    uint64
 	// specCommitted counts instructions committed while speculative;
 	// specCommittedRegion is the in-parallel-region subset.
@@ -311,13 +369,13 @@ type threadlet struct {
 	memFault *MemFault
 
 	// ROB slice (in-flight instructions, oldest first).
-	rob fifo[*dynInst]
+	rob fifo[instRef]
 	// stIdx and ldIdx index the ROB's stores and loads, oldest first, by
 	// value (memRec): the store-to-load searches scan them instead of the ROB.
 	stIdx, ldIdx fifo[memRec]
 
 	// Post-commit store drain queue (the store buffer in front of SSB/L1D).
-	drain fifo[*dynInst]
+	drain fifo[instRef]
 
 	// LoopFrog epoch state.
 	activeRegion int64 // region the epoch belongs to; -1 when none
@@ -346,10 +404,12 @@ type threadlet struct {
 	epochStartPC    int
 
 	// Checkpoint: the register starting state of the epoch (§4, "checkpoint
-	// store"). pendingFrom[r] != nil while the value is an unresolved future
-	// inherited from the parent at spawn.
+	// store"). ckptPending[r] != 0 while the value is an unresolved future
+	// inherited from the parent at spawn. ckptFrom[r] is the producer whose
+	// completion last filled committedRegs[r] from the checkpoint (wake).
 	ckptRegs    [isa.NumRegs]uint64
-	ckptPending [isa.NumRegs]*dynInst
+	ckptPending [isa.NumRegs]instRef
+	ckptFrom    [isa.NumRegs]instID
 	ckptGHR     uint64
 
 	// Statistics for this epoch.
@@ -377,7 +437,7 @@ func (t *threadlet) robCount() int { return t.rob.len() }
 // array full moves the live entries back to its front when they fill at most
 // half of it, and grows the array otherwise. A queue in steady state never
 // reallocates, unlike a slice popped with q = q[1:], which append copies to a
-// new array every few pops, and it holds no stale pointers.
+// new array every few pops, and it holds no stale entries.
 type fifo[T any] struct {
 	buf  []T // the live entries are buf[head:]
 	head int

@@ -211,7 +211,7 @@ func (m *Machine) snapshot() Snapshot {
 			Stalled:  t.overflowStalled || t.drainFaulted,
 		}
 		if t.rob.len() > 0 {
-			c.ROBHead = t.rob.front().pc
+			c.ROBHead = m.at(t.rob.front()).pc
 		}
 		s.Contexts = append(s.Contexts, c)
 	}
