@@ -348,7 +348,7 @@ type threadlet struct {
 	committedRegs  [isa.NumRegs]uint64
 	committedTaint [isa.NumRegs]bool
 	writtenMask    [isa.NumRegs]bool
-	seqCounter    uint64
+	seqCounter     uint64
 	// specCommitted counts instructions committed while speculative;
 	// specCommittedRegion is the in-parallel-region subset.
 	specCommitted       uint64
