@@ -37,7 +37,7 @@ func TestAssembleSumLoop(t *testing.T) {
 	if p.Entry != p.MustLabel("main") {
 		t.Errorf("entry = %d, want main at %d", p.Entry, p.MustLabel("main"))
 	}
-	if got := len(p.Data); got != 40 {
+	if got := p.Data.Len(); got != 40 {
 		t.Errorf("data length = %d, want 40", got)
 	}
 	if addr := p.MustSymbol("arr"); addr != DefaultDataBase {
@@ -146,19 +146,20 @@ main:   halt
 	if got := p.MustSymbol("end"); got != base+40 {
 		t.Errorf("end at %#x, want %#x (after .align 8)", got, base+40)
 	}
-	if p.Data[0] != 1 || p.Data[1] != 2 || p.Data[2] != 0xff {
-		t.Errorf(".byte payload wrong: % x", p.Data[:3])
+	data := p.Data.Bytes()
+	if data[0] != 1 || data[1] != 2 || data[2] != 0xff {
+		t.Errorf(".byte payload wrong: % x", data[:3])
 	}
-	if p.Data[4] != 0x34 || p.Data[5] != 0x12 {
-		t.Errorf(".half not little-endian: % x", p.Data[4:6])
+	if data[4] != 0x34 || data[5] != 0x12 {
+		t.Errorf(".half not little-endian: % x", data[4:6])
 	}
 	for i := 8; i < 12; i++ {
-		if p.Data[i] != 0xff {
-			t.Errorf(".word -1 byte %d = %#x", i, p.Data[i])
+		if data[i] != 0xff {
+			t.Errorf(".word -1 byte %d = %#x", i, data[i])
 		}
 	}
-	if p.Data[16] != 0xf0 || p.Data[23] != 0x12 {
-		t.Errorf(".quad payload wrong: % x", p.Data[16:24])
+	if data[16] != 0xf0 || data[23] != 0x12 {
+		t.Errorf(".quad payload wrong: % x", data[16:24])
 	}
 }
 
@@ -284,8 +285,8 @@ func TestBuilderMirrorsAssembler(t *testing.T) {
 			t.Errorf("inst %d: builder %+v != assembler %+v", i, built.Insts[i], asmP.Insts[i])
 		}
 	}
-	if string(built.Data) != string(asmP.Data) {
-		t.Errorf("data segments differ: % x vs % x", built.Data, asmP.Data)
+	if string(built.Data.Bytes()) != string(asmP.Data.Bytes()) {
+		t.Errorf("data segments differ: % x vs % x", built.Data.Bytes(), asmP.Data.Bytes())
 	}
 }
 

@@ -143,7 +143,7 @@ func (a *assembler) defineLabel(label string) error {
 	if _, dup := a.prog.Symbols[label]; dup {
 		return a.errf("duplicate symbol %q", label)
 	}
-	a.prog.Symbols[label] = a.prog.DataBase + uint64(len(a.prog.Data))
+	a.prog.Symbols[label] = a.prog.DataBase + uint64(a.prog.Data.Len())
 	return nil
 }
 
@@ -162,7 +162,7 @@ func (a *assembler) directive(text string) error {
 	case ".global", ".globl":
 		// Accepted for familiarity; all labels are already visible.
 	case ".base":
-		if len(a.prog.Data) > 0 {
+		if a.prog.Data.Len() > 0 {
 			return a.errf(".base after data was emitted")
 		}
 		v, err := parseInt(rest)
@@ -175,13 +175,13 @@ func (a *assembler) directive(text string) error {
 		if err != nil || n <= 0 || n&(n-1) != 0 {
 			return a.errf(".align wants a positive power of two, got %q", rest)
 		}
-		a.alignData(int(n))
+		a.prog.Data.Align(int(n))
 	case ".zero":
 		n, err := parseInt(rest)
 		if err != nil || n < 0 {
 			return a.errf(".zero wants a non-negative size, got %q", rest)
 		}
-		a.prog.Data = append(a.prog.Data, make([]byte, n)...)
+		a.prog.Data.Zero(int(n))
 	case ".byte", ".half", ".word", ".quad":
 		// No implicit alignment: labels bind before directives are seen, so
 		// auto-aligning would silently detach a label from its datum. Use
@@ -214,16 +214,10 @@ func (a *assembler) directive(text string) error {
 	return nil
 }
 
-func (a *assembler) alignData(n int) {
-	for len(a.prog.Data)%n != 0 {
-		a.prog.Data = append(a.prog.Data, 0)
-	}
-}
-
 func (a *assembler) emitData(v uint64, size int) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
-	a.prog.Data = append(a.prog.Data, buf[:size]...)
+	a.prog.Data.Append(buf[:size])
 }
 
 func (a *assembler) emit(inst isa.Inst) {

@@ -17,7 +17,7 @@ type Builder struct {
 	labels  map[string]int
 	fixups  []fixup
 	laFix   []fixup
-	data    []byte
+	data    DataImage
 	base    uint64
 	symbols map[string]uint64
 	err     error
@@ -134,9 +134,7 @@ func (b *Builder) Nop() *Builder { return b.I(isa.Inst{Op: isa.NOP}) }
 
 // Align pads the data segment to a multiple of n bytes.
 func (b *Builder) Align(n int) *Builder {
-	for len(b.data)%n != 0 {
-		b.data = append(b.data, 0)
-	}
+	b.data.Align(n)
 	return b
 }
 
@@ -146,7 +144,7 @@ func (b *Builder) Sym(name string) *Builder {
 		b.setErr(fmt.Errorf("asm: duplicate symbol %q", name))
 		return b
 	}
-	b.symbols[name] = b.base + uint64(len(b.data))
+	b.symbols[name] = b.base + uint64(b.data.Len())
 	return b
 }
 
@@ -157,7 +155,7 @@ func (b *Builder) Quad(vs ...uint64) *Builder {
 	var buf [8]byte
 	for _, v := range vs {
 		binary.LittleEndian.PutUint64(buf[:], v)
-		b.data = append(b.data, buf[:]...)
+		b.data.Append(buf[:])
 	}
 	return b
 }
@@ -172,13 +170,14 @@ func (b *Builder) Double(vs ...float64) *Builder {
 
 // Bytes appends raw bytes to the data segment.
 func (b *Builder) Bytes(p []byte) *Builder {
-	b.data = append(b.data, p...)
+	b.data.Append(p)
 	return b
 }
 
-// Zero appends n zero bytes to the data segment.
+// Zero appends n zero bytes to the data segment. It only grows the
+// segment's size: no bytes are stored for them (DataImage).
 func (b *Builder) Zero(n int) *Builder {
-	b.data = append(b.data, make([]byte, n)...)
+	b.data.Zero(n)
 	return b
 }
 

@@ -37,8 +37,8 @@ type Program struct {
 	// Labels maps code labels to instruction indices.
 	Labels map[string]int
 	// Data is the initial data segment, loaded at DataBase.
-	Data []byte
-	// DataBase is the byte address of Data[0].
+	Data DataImage
+	// DataBase is the byte address of the segment's first byte.
 	DataBase uint64
 	// Symbols maps data labels to byte addresses.
 	Symbols map[string]uint64
@@ -84,8 +84,10 @@ func (p *Program) Decoded() []DecInst {
 // Fingerprint returns a content hash of the executable image: the encoded
 // instruction stream, entry point, and initial data segment. Two programs
 // with equal fingerprints simulate identically under any configuration, so
-// the run-cache keys on it. Labels and symbols are debug metadata and are
-// excluded. The program must not be mutated after the first call.
+// the run-cache keys on it. The data segment is hashed by its content, not
+// by how it was written (DataImage), in time proportional to its written
+// bytes. Labels and symbols are debug metadata and are excluded. The program
+// must not be mutated after the first call.
 func (p *Program) Fingerprint() string {
 	p.fpOnce.Do(func() {
 		h := sha256.New()
@@ -96,12 +98,11 @@ func (p *Program) Fingerprint() string {
 			n, _ := isa.Encode(inst, buf[:])
 			h.Write(buf[:n])
 		}
-		var tail [24]byte
+		var tail [16]byte
 		binary.LittleEndian.PutUint64(tail[0:], uint64(p.Entry))
 		binary.LittleEndian.PutUint64(tail[8:], p.DataBase)
-		binary.LittleEndian.PutUint64(tail[16:], uint64(len(p.Data)))
 		h.Write(tail[:])
-		h.Write(p.Data)
+		p.Data.hashTo(h)
 		p.fp = fmt.Sprintf("%x", h.Sum(nil))
 	})
 	return p.fp

@@ -38,8 +38,8 @@ cont:   addi t0, t0, 128
         add  a1, t6, t4
         halt
 `)
-	if len(prog.Data) < 16<<12 {
-		t.Fatalf("data segment is %d bytes, want at least 16 pages", len(prog.Data))
+	if prog.Data.Len() < 16<<12 {
+		t.Fatalf("data segment is %d bytes, want at least 16 pages", prog.Data.Len())
 	}
 	for _, cfg := range []Config{BaselineConfig(), DefaultConfig()} {
 		m, err := NewMachine(cfg, prog)

@@ -5,7 +5,6 @@
 package mem
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -59,19 +58,14 @@ func NewMemory() *Memory {
 // zeroPage is what an absent page reads as.
 var zeroPage [pageSize]byte
 
-// LoadProgram initialises memory with the program's data segment. Unlike
-// WriteBytes it builds no page the segment leaves all zero: an absent page
-// reads as zero already, so such a page is only built by the first write
-// to it. Large zero-initialised arrays therefore cost nothing to load.
+// LoadProgram initialises memory with the program's data segment. It writes
+// only the segment's written runs (asm.DataImage): an absent page reads as
+// zero already, so a page the segment leaves zero is only built by the
+// first write to it, and loading costs the written bytes, not the segment's
+// size.
 func (m *Memory) LoadProgram(p *asm.Program) {
-	addr, data := p.DataBase, p.Data
-	for len(data) > 0 {
-		n := min(len(data), pageSize-int(addr&pageMask))
-		if _, ok := m.pages[addr>>pageShift]; ok || !bytes.Equal(data[:n], zeroPage[:n]) {
-			m.WriteBytes(addr, data[:n])
-		}
-		addr += uint64(n)
-		data = data[n:]
+	for _, r := range p.Data.Runs() {
+		m.WriteBytes(p.DataBase+uint64(r.Off), r.Bytes)
 	}
 }
 
@@ -91,8 +85,8 @@ func (m *Memory) ReadBytes(addr uint64, n int) []byte {
 }
 
 // WriteBytes writes p starting at addr, one page at a time. Every page the
-// range touches exists afterwards, even where p holds only zeros (only
-// LoadProgram skips all-zero pages).
+// range touches exists afterwards, even where p holds only zeros; a loader
+// that would skip zeros passes only the nonzero runs (LoadProgram).
 func (m *Memory) WriteBytes(addr uint64, p []byte) {
 	for len(p) > 0 {
 		page, off := m.page(addr, true)
