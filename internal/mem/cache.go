@@ -115,6 +115,12 @@ const slabShift = 5
 // sets disowns them first, and cloning one that owns none writes nothing to
 // it. The set table holds slab indices rather than pointers, so a clone's
 // table is a flat copy the garbage collector never scans.
+//
+// Every copy leaves the old slot behind as garbage, and a level that is
+// cloned again and again while it runs (tier 1's live hierarchy, disowned at
+// every checkpoint) would keep all of it. So when a new slab is due and the
+// garbage outgrows the live sets, set first copies the live sets into fresh
+// slabs (compact); the old slabs stay with the clones that share them.
 type level struct {
 	cfg CacheConfig
 	// sets maps each set to its ways. 0 is an empty set (every way
@@ -127,7 +133,9 @@ type level struct {
 	// ownBase is own<<slabShift: set r is owned exactly when r > ownBase.
 	ownBase uint32
 	// used counts the sets carved from the last slab.
-	used     int
+	used int
+	// live counts the non-empty sets. A set never becomes empty again.
+	live     int
 	assoc    int
 	setMask  uint64
 	lineBits uint
@@ -189,17 +197,53 @@ func (l *level) set(si int) []line {
 		return l.ways(r)
 	}
 	if l.own == len(l.slabs) || l.used == 1<<slabShift {
-		l.slabs = append(l.slabs, make([]line, l.assoc<<slabShift))
-		l.used = 0
+		if garbage := len(l.slabs)<<slabShift - l.live; garbage > l.live+compactSlack {
+			l.compact()
+			if r = l.sets[si]; r != 0 {
+				return l.ways(r)
+			}
+		}
+		if l.own == len(l.slabs) || l.used == 1<<slabShift {
+			l.slabs = append(l.slabs, make([]line, l.assoc<<slabShift))
+			l.used = 0
+		}
 	}
 	nr := uint32((len(l.slabs)-1)<<slabShift+l.used) + 1
 	l.used++
 	set := l.ways(nr)
 	if r != 0 {
 		copy(set, l.ways(r))
+	} else {
+		l.live++
 	}
 	l.sets[si] = nr
 	return set
+}
+
+// compactSlack is the garbage, in sets, a level may hold beyond the size of
+// its live sets before set compacts it: a few slabs, so that small levels do
+// not compact over and over.
+const compactSlack = 4 << slabShift
+
+// compact copies the level's live sets into fresh slabs, which it owns, and
+// drops its references to the old ones. It only reads the old slabs, which
+// clones may share.
+func (l *level) compact() {
+	slabs := make([][]line, 0, l.live>>slabShift+1)
+	used := 1 << slabShift
+	for si, r := range l.sets {
+		if r == 0 {
+			continue
+		}
+		if used == 1<<slabShift {
+			slabs = append(slabs, make([]line, l.assoc<<slabShift))
+			used = 0
+		}
+		copy(slabs[len(slabs)-1][used*l.assoc:], l.ways(r))
+		used++
+		l.sets[si] = uint32((len(slabs)-1)<<slabShift+used-1) + 1
+	}
+	l.slabs, l.own, l.ownBase, l.used = slabs, 0, 0, used
 }
 
 // victim picks an eviction slot in the set (invalid first, then LRU).
@@ -307,6 +351,7 @@ func (l *level) cloneAt(at int64) *level {
 		slabs:    l.slabs[:n:n],
 		own:      n,
 		ownBase:  uint32(n << slabShift),
+		live:     l.live,
 		assoc:    l.assoc,
 		setMask:  l.setMask,
 		lineBits: l.lineBits,

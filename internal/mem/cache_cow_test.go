@@ -185,3 +185,52 @@ func TestHierarchyCOWMatchesDeepCopy(t *testing.T) {
 		})
 	}
 }
+
+// TestSlabsBoundedByLiveSets clones a hierarchy after every round of
+// accesses, as tier 1 does at every checkpoint, and checks that each level's
+// slabs stay within a small multiple of its live sets however many rounds
+// run: the copies a clone forces leave garbage behind, and the level
+// compacts once the garbage outgrows the live sets. A clone kept from an
+// early round must not change, and the compacted source must still agree
+// with a deep copy.
+func TestSlabsBoundedByLiveSets(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	h := NewHierarchy(DefaultHierConfig())
+	var now int64
+	var kept, keptSnap *Hierarchy
+	for round := 0; round < 200; round++ {
+		_, now = drive(h, randomOps(rng, 1_000), now)
+		c := h.CloneAt(now)
+		if round == 5 {
+			kept, keptSnap = c, snapshot(c)
+		}
+	}
+	if !reflect.DeepEqual(kept, keptSnap) {
+		t.Fatal("a later clone or compaction wrote to an earlier clone's sets")
+	}
+	for _, l := range []*level{h.l1i, h.l1d, h.l2} {
+		slab, live := len(l.slabs)<<slabShift, l.live
+		t.Logf("%s: %d live sets, %d slab slots", l.cfg.Name, live, slab)
+		if limit := 2*live + compactSlack + 1<<slabShift; slab > limit {
+			t.Errorf("%s: %d slab slots for %d live sets, want at most %d", l.cfg.Name, slab, live, limit)
+		}
+		n := 0
+		for _, r := range l.sets {
+			if r != 0 {
+				n++
+			}
+		}
+		if n != live {
+			t.Errorf("%s: %d non-empty sets, live count says %d", l.cfg.Name, n, live)
+		}
+	}
+	// A deep copy at h's own clock; h's stats count every round, so only
+	// the outcomes compare.
+	r := deepCloneAt(h, 0)
+	ops := randomOps(rng, 30_000)
+	got, _ := drive(h, ops, now)
+	want, _ := drive(r, ops, now)
+	if !slices.Equal(got, want) {
+		t.Error("the compacted hierarchy and its deep copy disagree")
+	}
+}
