@@ -183,16 +183,25 @@ func ByName(suite []*Benchmark, name string) *Benchmark {
 }
 
 // Find resolves a benchmark name across every suite the tools run by name:
-// CPU2017, CPU2006 and Security. Names are unique across the three, so the
-// search order does not matter. An unknown name returns nil.
-func Find(name string) *Benchmark {
+// CPU2017, CPU2006 and Security. Names are unique across the three. An
+// unknown name returns nil.
+//
+// The suites are built once per process and Find returns the same shared
+// Benchmark for a name every time, so its program is compiled at most once
+// however often it is looked up (a serve job names its program this way).
+// No caller modifies a Benchmark or its program.
+func Find(name string) *Benchmark { return named()[name] }
+
+// named indexes the suites Find searches, built on first use.
+var named = sync.OnceValue(func() map[string]*Benchmark {
+	idx := make(map[string]*Benchmark)
 	for _, suite := range [][]*Benchmark{CPU2017(), CPU2006(), Security()} {
-		if b := ByName(suite, name); b != nil {
-			return b
+		for _, b := range suite {
+			idx[b.Name] = b
 		}
 	}
-	return nil
-}
+	return idx
+})
 
 // LoadFile reads a program from disk: a .s file is assembled, anything else
 // is compiled as LoopLang. The image is named after the path so diagnostics

@@ -116,3 +116,20 @@ func TestFindResolvesEverySuite(t *testing.T) {
 		t.Errorf("Find(doesnotexist) = %s/%s, want nil", b.Suite, b.Name)
 	}
 }
+
+// TestFindSharesPrograms checks that Find hands out one shared Benchmark
+// per name, so two lookups yield the same compiled program: a serve job
+// that names a benchmark neither rebuilds the suites nor recompiles it.
+func TestFindSharesPrograms(t *testing.T) {
+	for _, name := range []string{"mcf", "gcc06", "boundsbypass"} {
+		a, b := Find(name), Find(name)
+		if a != b {
+			t.Errorf("Find(%q) returned two Benchmarks", name)
+			continue
+		}
+		pa, pb := a.MustProgram(), b.MustProgram()
+		if pa != pb {
+			t.Errorf("two Find(%q) calls yield different programs", name)
+		}
+	}
+}
