@@ -254,13 +254,16 @@ skip:   addi t0, t0, 1
 // TestInstRecycleAccounting runs whole programs through every squash path
 // and checks, every few hundred cycles and at the end, that each instruction
 // is owned exactly once (checkInstOwners), and that reuse keeps the number
-// of instructions ever allocated near the window size.
+// of instructions ever allocated near the window size, in the
+// speculative-leak configurations too.
 func TestInstRecycleAccounting(t *testing.T) {
 	cpu2017 := workloads.CPU2017()
 	leela := workloads.ByName(cpu2017, "leela").MustProgram()
 	mcf := workloads.ByName(cpu2017, "mcf").MustProgram()
 	branchy := workloads.ByName(workloads.ChaosSuite(), "chaos-branchy").MustProgram()
-	mitigated := DefaultConfig()
+	detect := DefaultConfig()
+	detect.SpectreAnalysis = true
+	mitigated := detect
 	mitigated.DelaySpeculativeLoadDeps = true
 	cases := []struct {
 		name   string
@@ -275,6 +278,7 @@ func TestInstRecycleAccounting(t *testing.T) {
 		{"random-loop", DefaultConfig(), workloads.RandomHintedLoop(rand.New(rand.NewSource(7))), false},
 		{"replay-shadow", BaselineConfig(), asm.MustAssemble("replay-shadow", replayShadowSrc), false},
 		{"chaos-branchy/injected", DefaultConfig(), branchy, true},
+		{"boundsbypass/detect", detect, securityProg(t, "boundsbypass"), false},
 		{"boundsbypass/mitigated", mitigated, securityProg(t, "boundsbypass"), false},
 	}
 	for _, tc := range cases {
