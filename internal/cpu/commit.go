@@ -12,8 +12,7 @@ import (
 // itself commits to the architectural state at retire (§4).
 func (m *Machine) commit() {
 	budget := m.cfg.Width
-	m.commitSnap = append(m.commitSnap[:0], m.order...)
-	snapshot := m.commitSnap
+	snapshot := m.commitSnap[:copy(m.commitSnap, m.order)]
 	for _, tid := range snapshot {
 		t := m.threads[tid]
 		if !t.live || m.orderIdx(tid) < 0 {
@@ -218,8 +217,7 @@ func (m *Machine) packVerify(t *threadlet, region int64) {
 // write check runs (§4.1, §4.2).
 func (m *Machine) drainStores() {
 	budget := m.cfg.StorePipes
-	m.drainSnap = append(m.drainSnap[:0], m.order...)
-	snapshot := m.drainSnap
+	snapshot := m.drainSnap[:copy(m.drainSnap, m.order)]
 	for _, tid := range snapshot {
 		t := m.threads[tid]
 		if !t.live || m.orderIdx(tid) < 0 {
@@ -241,8 +239,7 @@ func (m *Machine) drainStores() {
 					break
 				}
 				m.mem.Write(s.addr, s.memSize, s.srcVal[1])
-				m.granScratch = m.ssb.AppendGranules(m.granScratch[:0], s.addr, s.memSize)
-				victim, squash := m.cd.OnWrite(tid, m.granScratch, m.youngerThan(tid))
+				victim, squash := m.cd.OnWrite(tid, m.granules(s.addr, s.memSize), m.youngerThan(tid))
 				if m.inj != nil {
 					victim, squash = m.injectConflict(tid, victim, squash)
 				}

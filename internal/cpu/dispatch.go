@@ -11,8 +11,7 @@ import (
 // on a shared structural resource, younger threadlets may not steal it.
 func (m *Machine) dispatch() {
 	budget := m.cfg.Width
-	m.dispatchSnap = append(m.dispatchSnap[:0], m.order...)
-	snapshot := m.dispatchSnap
+	snapshot := m.dispatchSnap[:copy(m.dispatchSnap, m.order)]
 	for _, tid := range snapshot {
 		if budget == 0 {
 			return
@@ -236,7 +235,7 @@ func (m *Machine) dropWaiters(p *dynInst) {
 // addCkptWait records that p's result fills register reg of threadlet tid's
 // checkpoint, made at the threadlet's generation tgen.
 func (m *Machine) addCkptWait(p *dynInst, tid int, reg isa.Reg, tgen uint64) {
-	m.ckptWaits = append(m.ckptWaits, ckptWait{prod: p.self, tid: int32(tid), reg: reg, tgen: tgen})
+	m.ckptWaits.push(ckptWait{prod: p.self, tid: int32(tid), reg: reg, tgen: tgen})
 	p.ckptWaited = true
 }
 
@@ -244,16 +243,17 @@ func (m *Machine) addCkptWait(p *dynInst, tid int, reg isa.Reg, tgen uint64) {
 // (fillCkpt) in the order they were added when fill is set.
 func (m *Machine) takeCkptWaits(p *dynInst, fill bool) {
 	p.ckptWaited = false
-	kept := m.ckptWaits[:0]
-	for _, cw := range m.ckptWaits {
+	kept := 0
+	for _, cw := range m.ckptWaits.items() {
 		switch {
 		case cw.prod != p.self:
-			kept = append(kept, cw)
+			m.ckptWaits.buf[kept] = cw
+			kept++
 		case fill:
 			m.fillCkpt(p, cw)
 		}
 	}
-	m.ckptWaits = kept
+	m.ckptWaits.truncate(kept)
 }
 
 // release empties e's links to other instructions. It runs when e leaves
@@ -271,9 +271,9 @@ func (m *Machine) release(e *dynInst) {
 // of the arena. Either way the tail is zero and the links are empty
 // (dynInst).
 func (m *Machine) newInst() *dynInst {
-	if n := len(m.instFree); n > 0 {
-		e := m.at(m.instFree[n-1])
-		m.instFree = m.instFree[:n-1]
+	if n := m.instFree.len(); n > 0 {
+		e := m.at(m.instFree.buf[n-1])
+		m.instFree.truncate(n - 1)
 		e.gen++
 		e.instTail = instTail{}
 		return e
@@ -291,7 +291,7 @@ func (m *Machine) freeInst(e *dynInst) {
 	if e.ckptWaited {
 		m.takeCkptWaits(e, false)
 	}
-	m.instFree = append(m.instFree, e.self)
+	m.instFree.push(e.self)
 }
 
 // at returns the instruction h names.

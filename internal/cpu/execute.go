@@ -13,14 +13,14 @@ func (m *Machine) enqueueReady(e *dynInst) {
 		return
 	}
 	e.state = stReady
-	c := e.meta().Class
-	q := append(m.readyQ[c], e.self)
+	rq := &m.readyQ[e.meta().Class]
+	rq.push(e.self)
+	q := rq.items()
 	i := len(q) - 1
 	for ; i > 0 && e.olderThan(m.at(q[i-1])); i-- {
 		q[i] = q[i-1]
 	}
 	q[i] = e.self
-	m.readyQ[c] = q
 }
 
 // olderThan reports whether e comes before o in age order: by epoch order,
@@ -65,9 +65,11 @@ func (m *Machine) unitsFor(c isa.Class) int {
 func (m *Machine) issue() {
 	// Replayed loads retry ahead of fresh issues on the load pipes.
 	loadBudget := m.cfg.LoadPipes
-	if len(m.replayQ) > 0 {
-		q := m.replayQ
-		m.replayQ = m.replayQ[:0]
+	if m.replayQ.len() > 0 {
+		// Kept and re-deferred loads refill the list from its front, never
+		// past the entry being read.
+		q := m.replayQ.items()
+		m.replayQ.truncate(0)
 		for _, h := range q {
 			e := m.at(h)
 			if e.squashed {
@@ -75,7 +77,7 @@ func (m *Machine) issue() {
 				continue
 			}
 			if loadBudget == 0 {
-				m.replayQ = append(m.replayQ, h)
+				m.replayQ.push(h)
 				continue
 			}
 			if m.execLoad(e) {
@@ -84,10 +86,11 @@ func (m *Machine) issue() {
 		}
 	}
 	for c := isa.Class(0); c < isa.NumClasses; c++ {
-		q := m.readyQ[c]
-		if len(q) == 0 {
+		rq := &m.readyQ[c]
+		if rq.len() == 0 {
 			continue
 		}
+		q := rq.items()
 		units := m.unitsFor(c)
 		if c == isa.ClassLoad {
 			units = loadBudget
@@ -96,6 +99,8 @@ func (m *Machine) issue() {
 		// oldest units ready entries issue, picked before any executes.
 		// Squashed entries met on the way are dropped; those further back
 		// wait until they reach the front.
+		// The picked entries are moved to the front of the queue's own
+		// array, behind which the rest is moved up once they executed.
 		live := q[:0]
 		k := 0
 		for ; k < len(q) && len(live) < units; k++ {
@@ -108,7 +113,7 @@ func (m *Machine) issue() {
 		for _, h := range live {
 			m.execOne(m.at(h))
 		}
-		m.readyQ[c] = append(q[:0], q[k:]...)
+		rq.truncate(copy(q, q[k:]))
 	}
 }
 
@@ -142,16 +147,16 @@ func (m *Machine) execOne(e *dynInst) {
 	case meta.IsBranch:
 		e.result = 0
 		e.readyAt = m.now + 1
-		m.executing = append(m.executing, e.self)
+		m.executing.push(e.self)
 	case e.inst.Op == isa.JAL || e.inst.Op == isa.JALR:
 		e.result = uint64(e.pc + 1)
 		e.readyAt = m.now + 1
-		m.executing = append(m.executing, e.self)
+		m.executing.push(e.self)
 	default:
 		e.result = isa.EvalALU(e.inst, e.srcVal[0], e.srcVal[1])
 		e.taint = e.srcTaint[0] || e.srcTaint[1]
 		e.readyAt = m.now + int64(meta.Latency)
-		m.executing = append(m.executing, e.self)
+		m.executing.push(e.self)
 	}
 }
 
@@ -177,7 +182,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 	if st, partial := m.findOlderStore(t, e); st != nil {
 		if partial || !st.srcReady[1] {
 			// Partial overlap or data not ready: wait and retry.
-			m.replayQ = append(m.replayQ, e.self)
+			m.replayQ.push(e.self)
 			return false
 		}
 		// Store-to-load forwarding within the threadlet.
@@ -192,7 +197,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 			rec.fwdSeq = st.seq
 		}
 		e.readyAt = m.now + 1
-		m.executing = append(m.executing, e.self)
+		m.executing.push(e.self)
 		return true
 	}
 
@@ -204,7 +209,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 		e.memFaulted = true
 		e.result = 0
 		e.readyAt = m.now + 1
-		m.executing = append(m.executing, e.self)
+		m.executing.push(e.self)
 		return true
 	}
 
@@ -220,7 +225,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 	done, ok := m.hier.Load(e.pc, e.addr, m.now)
 	if !ok {
 		m.stats.LoadRetriesMSHR++
-		m.replayQ = append(m.replayQ, e.self)
+		m.replayQ.push(e.self)
 		return false
 	}
 	chain := m.chainUpTo(e.tid)
@@ -230,9 +235,9 @@ func (m *Machine) execLoad(e *dynInst) bool {
 	if m.isSpec(e.tid) {
 		// The read is serviced now: record it (Algorithm 1) and charge the
 		// SSB read latency (3 cycles including the L1D probe).
-		m.granScratch = m.ssb.AppendGranules(m.granScratch[:0], e.addr, e.memSize)
-		m.cd.OnRead(e.tid, m.granScratch)
-		if m.spectreLive && !e.taint && m.granulesTainted(chain, m.granScratch) {
+		gs := m.granules(e.addr, e.memSize)
+		m.cd.OnRead(e.tid, gs)
+		if m.spectreLive && !e.taint && m.granulesTainted(chain, gs) {
 			e.taint = true // tainted store data observed through the SSB
 		}
 		if ssbDone := m.now + m.ssb.Config().ReadLatency; ssbDone > done {
@@ -240,8 +245,19 @@ func (m *Machine) execLoad(e *dynInst) bool {
 		}
 	}
 	e.readyAt = done
-	m.executing = append(m.executing, e.self)
+	m.executing.push(e.self)
 	return true
+}
+
+// granules returns the SSB granules the access [addr, addr+size) covers, in
+// a scratch buffer the next call reuses. The buffer is stored back only when
+// it grew, so that a call writes no slice header (list).
+func (m *Machine) granules(addr uint64, size int) []uint64 {
+	g := m.ssb.AppendGranules(m.granScratch[:0], addr, size)
+	if cap(g) != cap(m.granScratch) {
+		m.granScratch = g
+	}
+	return g
 }
 
 // findOlderStore returns the youngest store older than the load in the same
@@ -277,7 +293,7 @@ func (m *Machine) execStore(e *dynInst) {
 	e.addr = e.srcVal[0] + uint64(e.inst.Imm)
 	e.addrValid = true
 	e.readyAt = m.now + 1
-	m.executing = append(m.executing, e.self)
+	m.executing.push(e.self)
 	m.stats.Stores++
 
 	if r := recOf(&t.stIdx, e); r != nil {
@@ -320,23 +336,25 @@ func (m *Machine) seqIndex(rob []instRef, seq uint64) int {
 // writeback completes instructions whose results are ready: it wakes
 // dependents, fills checkpoint futures, and resolves branches.
 func (m *Machine) writeback() {
-	if len(m.executing) == 0 {
+	if m.executing.len() == 0 {
 		return
 	}
-	remaining := m.executing[:0]
-	finished := m.finished[:0]
-	for _, h := range m.executing {
+	remaining := 0
+	m.finished.truncate(0)
+	for _, h := range m.executing.items() {
 		switch e := m.at(h); {
 		case e.squashed:
 			m.freeInst(e)
 		case e.readyAt <= m.now:
-			finished = append(finished, h)
+			m.finished.push(h)
 		default:
-			remaining = append(remaining, h)
+			m.executing.buf[remaining] = h
+			remaining++
 		}
 	}
-	m.executing = remaining
+	m.executing.truncate(remaining)
 	// Oldest-first resolution keeps branch recovery deterministic.
+	finished := m.finished.items()
 	m.sortByAge(finished)
 	for _, h := range finished {
 		e := m.at(h)
@@ -349,7 +367,6 @@ func (m *Machine) writeback() {
 			m.freeInst(e)
 		}
 	}
-	m.finished = finished[:0]
 }
 
 // complete finishes one instruction.
@@ -376,7 +393,7 @@ func (m *Machine) complete(e *dynInst) {
 		// ShadowBinding-style delay: the transient load's result is withheld
 		// from dependents until the window closes (releaseDelayedWakes).
 		e.wakeHeld = true
-		m.delayedWake = append(m.delayedWake, e.self)
+		m.delayedWake.push(e.self)
 		m.stats.DelayedWakes++
 		return
 	}

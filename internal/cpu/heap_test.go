@@ -137,12 +137,12 @@ func checkInstOwners(t *testing.T, m *Machine, when string) {
 		}
 	}
 	for c := range m.readyQ {
-		scan(m.readyQ[c], fmt.Sprintf("ready queue %d", c))
+		scan(m.readyQ[c].items(), fmt.Sprintf("ready queue %d", c))
 	}
-	scan(m.executing, "executing list")
-	scan(m.replayQ, "replay queue")
-	scan(m.delayedWake, "delayed-wake list")
-	for _, h := range m.instFree {
+	scan(m.executing.items(), "executing list")
+	scan(m.replayQ.items(), "replay queue")
+	scan(m.delayedWake.items(), "delayed-wake list")
+	for _, h := range m.instFree.items() {
 		own(h, "free list")
 		// newInst reuses the links without clearing them (dynInst).
 		if e := m.at(h); e.srcProd != [2]instRef{} || e.oldMap.prod != 0 || e.nWait != 0 || e.waitHead != 0 || e.ckptWaited {
@@ -164,7 +164,7 @@ func checkInstOwners(t *testing.T, m *Machine, when string) {
 	if len(m.waitNodes) > 0 && nodes != len(m.waitNodes)-1 {
 		t.Fatalf("%s: %d waiter nodes made, %d on lists", when, len(m.waitNodes)-1, nodes)
 	}
-	for _, cw := range m.ckptWaits {
+	for _, cw := range m.ckptWaits.items() {
 		if !m.at(cw.prod).ckptWaited {
 			t.Fatalf("%s: checkpoint slot t%d r%d names a producer not marked as filling one", when, cw.tid, cw.reg)
 		}

@@ -63,9 +63,9 @@ type Machine struct {
 	// The scheduler lists, of handles into the instruction arena. Each is
 	// filtered in place every cycle, and the slots past its length are left
 	// as they are: an append overwrites them before anything reads them.
-	readyQ    [isa.NumClasses][]instRef
-	executing []instRef
-	replayQ   []instRef
+	readyQ    [isa.NumClasses]list[instRef]
+	executing list[instRef]
+	replayQ   list[instRef]
 
 	stats          Stats
 	halted         bool
@@ -114,7 +114,7 @@ type Machine struct {
 	spectreLive bool
 	mitigate    bool
 	leakPCs     map[int]uint64
-	delayedWake []instRef
+	delayedWake list[instRef]
 	ssbTaint    []map[uint64]bool
 
 	// Published statistics snapshot (snapshot.go): pub is the coherent copy
@@ -124,10 +124,11 @@ type Machine struct {
 	snapWanted atomic.Bool
 
 	// Per-cycle scratch buffers, reused to keep the pipeline loops
-	// allocation-free. Each belongs to exactly one pipeline stage.
+	// allocation-free. Each belongs to exactly one pipeline stage. The
+	// snapshots of m.order are sized once, for every context.
 	commitSnap, drainSnap, dispatchSnap []int
 	granScratch                         []uint64
-	finished                            []instRef // writeback
+	finished                            list[instRef] // writeback
 
 	// The instruction window (DESIGN.md, "Instruction lifetime"). insts
 	// holds every dynInst the machine made; instFree lists the freed ones,
@@ -135,10 +136,10 @@ type Machine struct {
 	// their inline ones, with waitFree the head of its free list; ckptWaits
 	// holds the checkpoint slots in-flight producers fill.
 	insts     instArena
-	instFree  []instRef
+	instFree  list[instRef]
 	waitNodes []waitNode
 	waitFree  uint32
-	ckptWaits []ckptWait
+	ckptWaits list[ckptWait]
 }
 
 // windowShare is one threadlet's cap on the shared ROB and IQ.
@@ -181,6 +182,9 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 		archSpecInsts: make([]uint64, cfg.Threadlets),
 		code:          prog.Decoded(),
 		shares:        make([]windowShare, cfg.Threadlets+1),
+		commitSnap:    make([]int, cfg.Threadlets),
+		drainSnap:     make([]int, cfg.Threadlets),
+		dispatchSnap:  make([]int, cfg.Threadlets),
 		iLineShift:    uint(bits.Len(uint(cfg.Hier.L1I.LineBytes)) - 1),
 	}
 	for k := 1; k < len(m.shares); k++ {

@@ -172,11 +172,11 @@ func (m *Machine) clearSSBTaint(tid int) {
 // resolving, whose operand producers are older still, so by induction on
 // age the oldest blocked chain always releases.
 func (m *Machine) releaseDelayedWakes() {
-	if len(m.delayedWake) == 0 {
+	if m.delayedWake.len() == 0 {
 		return
 	}
-	kept := m.delayedWake[:0]
-	for _, h := range m.delayedWake {
+	kept := 0
+	for _, h := range m.delayedWake.items() {
 		e := m.at(h)
 		if e.squashed {
 			m.freeInst(e) // its dependents were squashed with it
@@ -189,9 +189,10 @@ func (m *Machine) releaseDelayedWakes() {
 			m.wake(e)
 			continue
 		}
-		kept = append(kept, h)
+		m.delayedWake.buf[kept] = h
+		kept++
 	}
-	m.delayedWake = kept
+	m.delayedWake.truncate(kept)
 }
 
 // LeakSite is one confirmed-leak program counter and its count.

@@ -432,47 +432,77 @@ type threadlet struct {
 
 func (t *threadlet) robCount() int { return t.rob.len() }
 
-// fifo is a first-in first-out queue over one reused backing array. A pop
-// clears the vacated slot and advances a head index; a push that finds the
-// array full moves the live entries back to its front when they fill at most
-// half of it, and grows the array otherwise. A queue in steady state never
-// reallocates, unlike a slice popped with q = q[1:], which append copies to a
-// new array every few pops, and it holds no stale entries.
+// fifo is a first-in first-out queue over one reused backing array: the
+// live entries are buf[head:head+n]. A push that finds the array's end
+// moves the live entries back to its front when they fill at most half of
+// it, and grows the array otherwise. A queue in steady state never
+// reallocates, and since pushes and pops write only its indices, neither
+// takes a GC write barrier: the element types are pointer-free, so nothing
+// vacated needs clearing.
 type fifo[T any] struct {
-	buf  []T // the live entries are buf[head:]
-	head int
+	buf     []T
+	head, n int
 }
 
-func (q *fifo[T]) len() int   { return len(q.buf) - q.head }
-func (q *fifo[T]) items() []T { return q.buf[q.head:] }
+func (q *fifo[T]) len() int   { return q.n }
+func (q *fifo[T]) items() []T { return q.buf[q.head : q.head+q.n] }
 func (q *fifo[T]) front() T   { return q.buf[q.head] }
 
 func (q *fifo[T]) push(v T) {
-	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.len() <= cap(q.buf) {
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
+	if q.head+q.n == len(q.buf) {
+		if q.head > 0 && 2*q.n <= len(q.buf) {
+			copy(q.buf, q.items())
+		} else {
+			buf := make([]T, max(2*len(q.buf), 16))
+			copy(buf, q.items())
+			q.buf = buf
+		}
+		q.head = 0
 	}
-	q.buf = append(q.buf, v)
+	q.buf[q.head+q.n] = v
+	q.n++
 }
 
 func (q *fifo[T]) pop() {
-	var zero T
-	q.buf[q.head] = zero
 	q.head++
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
+	q.n--
+	if q.n == 0 {
+		q.head = 0
 	}
 }
 
 // truncate keeps the oldest n entries.
 func (q *fifo[T]) truncate(n int) {
-	clear(q.buf[q.head+n:])
-	q.buf = q.buf[:q.head+n]
+	q.n = n
 	if n == 0 {
-		q.buf, q.head = q.buf[:0], 0
+		q.head = 0
 	}
 }
+
+// list is a list over a backing array that only grows: the entries are
+// buf[:n]. Pushing, truncating and filtering in place write n, never the
+// slice, so that none of them takes a GC write barrier while the collector
+// is marking; only growing the array does.
+type list[T any] struct {
+	buf []T
+	n   int
+}
+
+func (l *list[T]) len() int   { return l.n }
+func (l *list[T]) items() []T { return l.buf[:l.n] }
+
+func (l *list[T]) push(v T) {
+	if l.n == len(l.buf) {
+		l.buf = append(l.buf, v)
+		l.buf = l.buf[:cap(l.buf)]
+	} else {
+		l.buf[l.n] = v
+	}
+	l.n++
+}
+
+// truncate keeps the first n entries.
+func (l *list[T]) truncate(n int) { l.n = n }
 
 // Stats aggregates a run's counters.
 type Stats struct {
