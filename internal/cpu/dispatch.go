@@ -208,9 +208,6 @@ func (m *Machine) addWaiter(p *dynInst, w instRef) {
 		m.waitFree = m.waitNodes[n].next
 		m.waitNodes[n] = waitNode{w: w}
 	} else {
-		if len(m.waitNodes) == 0 {
-			m.waitNodes = append(m.waitNodes, waitNode{}) // index 0 is the null link
-		}
 		n = uint32(len(m.waitNodes))
 		m.waitNodes = append(m.waitNodes, waitNode{w: w})
 	}

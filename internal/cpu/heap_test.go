@@ -161,7 +161,7 @@ func checkInstOwners(t *testing.T, m *Machine, when string) {
 			nodes++
 		}
 	}
-	if len(m.waitNodes) > 0 && nodes != len(m.waitNodes)-1 {
+	if nodes != len(m.waitNodes)-1 {
 		t.Fatalf("%s: %d waiter nodes made, %d on lists", when, len(m.waitNodes)-1, nodes)
 	}
 	for _, cw := range m.ckptWaits.items() {
@@ -303,7 +303,7 @@ func TestInstRecycleAccounting(t *testing.T) {
 			checkInstOwners(t, m, "end of run")
 			st := m.stats
 			t.Logf("%d cycles, %d committed, %d insts allocated, %d waiter nodes; squashes %v",
-				st.Cycles, st.CommitSlotsUsed, m.insts.n, max(len(m.waitNodes)-1, 0), st.Squashes)
+				st.Cycles, st.CommitSlotsUsed, m.insts.n, len(m.waitNodes)-1, st.Squashes)
 			switch {
 			case tc.inject:
 				if st.Squashes[core.SquashOverflow] == 0 || st.Squashes[core.SquashConflict] == 0 {

@@ -185,6 +185,7 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 		commitSnap:    make([]int, cfg.Threadlets),
 		drainSnap:     make([]int, cfg.Threadlets),
 		dispatchSnap:  make([]int, cfg.Threadlets),
+		waitNodes:     make([]waitNode, 1), // index 0 is the null link
 		iLineShift:    uint(bits.Len(uint(cfg.Hier.L1I.LineBytes)) - 1),
 	}
 	for k := 1; k < len(m.shares); k++ {

@@ -196,21 +196,15 @@ type ckptWait struct {
 // (spectre.go); pending entries carry taint on the producer instead.
 //
 // gen is the producer's gen when the entry was made. A producer whose gen
-// has moved on was recycled (Machine.recycled); it had committed into the
-// threadlet holding the entry, or filled the threadlet's checkpoint slot, so
-// the register then reads as that threadlet's committedRegs value, with
-// committedTaint as its taint.
+// has moved on was recycled: its slot was freed and reused. It had
+// committed into the threadlet holding the entry, or filled the
+// threadlet's checkpoint slot, so the register then reads as that
+// threadlet's committedRegs value, with committedTaint as its taint.
 type mapEntry struct {
 	val   uint64
 	prod  instRef
 	gen   uint32
 	taint bool
-}
-
-// recycled reports whether me names a producer whose slot has since been
-// freed and reused.
-func (m *Machine) recycled(me mapEntry) bool {
-	return me.prod != 0 && m.at(me.prod).gen != me.gen
 }
 
 // memRec is one load or store in a threadlet's ROB, as its memory index
