@@ -8,7 +8,11 @@
 // threadlets neither see nor pollute each other's in-flight history.
 package bpred
 
-import "loopfrog/internal/isa"
+import (
+	"sync"
+
+	"loopfrog/internal/isa"
+)
 
 // Config sizes the predictor.
 type Config struct {
@@ -113,23 +117,68 @@ type btbEntry struct {
 
 // New returns a predictor for numThreadlets contexts.
 func New(cfg Config, numThreadlets int) *Predictor {
-	p := &Predictor{
-		cfg:     cfg,
-		bimodal: make([]int8, 1<<cfg.BimodalBits),
-		loop:    make([]loopEntry, cfg.LoopEntries),
-		hist:    make([]uint64, numThreadlets),
-		btb:     make([]btbEntry, cfg.BTBEntries),
-		ras:     make([][]int, numThreadlets),
-		rasTop:  make([]int, numThreadlets),
+	p, reused := alloc(cfg, numThreadlets)
+	if reused {
+		clear(p.bimodal)
+		for _, t := range p.tables {
+			clear(t)
+		}
+		clear(p.loop)
+		clear(p.btb)
 	}
-	p.tables = make([][]tagEntry, len(cfg.Histories))
-	for i := range p.tables {
-		p.tables[i] = make([]tagEntry, 1<<cfg.TableBits)
+	return p
+}
+
+// spare holds predictors whose machines are done with them (Recycle). New
+// and CloneFor reuse the shared tables of one whose geometry they need
+// instead of allocating the tables afresh.
+var spare sync.Pool
+
+// Recycle hands p's tables to a later New or CloneFor. p must not be used
+// afterwards.
+func (p *Predictor) Recycle() { spare.Put(p) }
+
+// alloc returns a predictor with cfg's geometry for numThreadlets contexts,
+// zero statistics and cold per-context state (history and return stacks).
+// Its shared tables are zero when newly made, and stale when reused from
+// spare (reused), so the caller fills or clears them.
+func alloc(cfg Config, numThreadlets int) (p *Predictor, reused bool) {
+	p, _ = spare.Get().(*Predictor)
+	if reused = p != nil && p.fits(cfg); reused {
+		*p = Predictor{bimodal: p.bimodal, tables: p.tables, loop: p.loop, btb: p.btb}
+	} else {
+		p = &Predictor{
+			bimodal: make([]int8, 1<<cfg.BimodalBits),
+			loop:    make([]loopEntry, cfg.LoopEntries),
+			btb:     make([]btbEntry, cfg.BTBEntries),
+			tables:  make([][]tagEntry, len(cfg.Histories)),
+		}
+		for i := range p.tables {
+			p.tables[i] = make([]tagEntry, 1<<cfg.TableBits)
+		}
 	}
+	p.cfg = cfg
+	p.hist = make([]uint64, numThreadlets)
+	p.ras = make([][]int, numThreadlets)
+	p.rasTop = make([]int, numThreadlets)
 	for i := range p.ras {
 		p.ras[i] = make([]int, cfg.RASEntries)
 	}
-	return p
+	return p, reused
+}
+
+// fits reports whether p's shared tables have the sizes cfg asks for.
+func (p *Predictor) fits(cfg Config) bool {
+	if len(p.bimodal) != 1<<cfg.BimodalBits || len(p.loop) != cfg.LoopEntries ||
+		len(p.btb) != cfg.BTBEntries || len(p.tables) != len(cfg.Histories) {
+		return false
+	}
+	for _, t := range p.tables {
+		if len(t) != 1<<cfg.TableBits {
+			return false
+		}
+	}
+	return true
 }
 
 // CloneFor returns a deep copy of the predictor's learned state sized for
@@ -142,7 +191,7 @@ func New(cfg Config, numThreadlets int) *Predictor {
 // in New, which matches the machine's semantics (a spawned threadlet inherits
 // its parent's history at spawn).
 func (p *Predictor) CloneFor(numThreadlets int) *Predictor {
-	c := New(p.cfg, numThreadlets)
+	c, _ := alloc(p.cfg, numThreadlets)
 	copy(c.bimodal, p.bimodal)
 	for i := range p.tables {
 		copy(c.tables[i], p.tables[i])

@@ -321,3 +321,50 @@ func TestInstRecycleAccounting(t *testing.T) {
 		})
 	}
 }
+
+// TestRecycleKeepsResultsExact runs programs on fresh machines, then twice
+// more machine after machine, each recycled (Recycle) before the next is
+// built, so that later machines fill their arenas, predictor tables and
+// cache set tables from the pools the earlier ones left. Every run must
+// match the fresh machine's, field for field, and a recycled machine must
+// refuse to run again.
+func TestRecycleKeepsResultsExact(t *testing.T) {
+	cpu2017 := workloads.CPU2017()
+	progs := []*asm.Program{
+		workloads.ByName(cpu2017, "mcf").MustProgram(),
+		workloads.ByName(cpu2017, "leela").MustProgram(),
+		securityProg(t, "boundsbypass"),
+	}
+	detect := DefaultConfig()
+	detect.SpectreAnalysis = true
+	cfgs := []Config{DefaultConfig(), BaselineConfig(), detect}
+	want := map[[2]int]Stats{}
+	for round := 0; round < 3; round++ {
+		for pi, prog := range progs {
+			for ci, cfg := range cfgs {
+				m, err := NewMachine(cfg, prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st, err := m.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := *st
+				got.Regions = nil
+				if round == 0 {
+					want[[2]int{pi, ci}] = got
+				} else if w := want[[2]int{pi, ci}]; !reflect.DeepEqual(got, w) {
+					t.Errorf("%s, config %d: stats after recycling differ:\n got %+v\nwant %+v", prog.Name, ci, got, w)
+				}
+				if round == 0 {
+					continue // nothing reaches the pools before round 1
+				}
+				m.Recycle()
+				if _, err := m.Run(); err == nil {
+					t.Fatalf("%s: a recycled machine ran again", prog.Name)
+				}
+			}
+		}
+	}
+}

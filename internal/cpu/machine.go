@@ -136,6 +136,7 @@ type Machine struct {
 	// their inline ones, with waitFree the head of its free list; ckptWaits
 	// holds the checkpoint slots in-flight producers fill.
 	insts     instArena
+	recycled  bool // Recycle gave the arena away
 	instFree  list[instRef]
 	waitNodes []waitNode
 	waitFree  uint32
@@ -271,6 +272,22 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 	return m, nil
 }
 
+// Recycle hands the machine's largest buffers to later machines once its
+// run is over and only its results are wanted: the instruction arena, the
+// branch predictor's tables and the cache set tables. Its statistics (Stats,
+// SnapshotStats, LeakReport), final registers and memory stay readable; the
+// machine must not run again, and its predictor and hierarchy must not be
+// used. A harness that runs machine after machine calls it, so that the
+// machines do not each allocate these afresh: with small program images
+// the live heap is small, and every megabyte a window allocates brings the
+// next collection closer.
+func (m *Machine) Recycle() {
+	m.insts.recycle()
+	m.bp.Recycle()
+	m.hier.Recycle()
+	m.recycled = true
+}
+
 // Run simulates to completion and returns the statistics.
 func (m *Machine) Run() (*Stats, error) {
 	return m.RunContext(context.Background())
@@ -300,6 +317,9 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 	maxCycles := m.cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = 200_000_000
+	}
+	if m.recycled {
+		return &m.stats, errors.New("cpu: run of a recycled machine")
 	}
 	// However the run ends, leave the published snapshot exact.
 	defer m.publishStats()

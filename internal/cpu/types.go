@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"sync"
+
 	"loopfrog/internal/bpred"
 	"loopfrog/internal/isa"
 )
@@ -149,7 +151,7 @@ const arenaChunkBits = 6
 // write barrier when they are written. Only the chunk table is a pointer
 // slice, written once per chunk.
 type instArena struct {
-	chunks []*[1 << arenaChunkBits]dynInst
+	chunks []*arenaChunk
 	n      int // slots handed out so far
 }
 
@@ -159,11 +161,23 @@ func (a *instArena) at(h instRef) *dynInst {
 	return &a.chunks[i>>arenaChunkBits][i&(1<<arenaChunkBits-1)]
 }
 
+// arenaChunk is one chunk of an instruction arena.
+type arenaChunk = [1 << arenaChunkBits]dynInst
+
+// chunkPool holds the chunks of machines whose runs are over (Recycle), for
+// later machines to fill their arenas from instead of allocating.
+var chunkPool sync.Pool
+
 // fresh returns a slot never handed out before, adding a chunk when the
 // last one is full. The slot is zero apart from its handle.
 func (a *instArena) fresh() *dynInst {
 	if a.n == len(a.chunks)<<arenaChunkBits {
-		c := new([1 << arenaChunkBits]dynInst)
+		c, _ := chunkPool.Get().(*arenaChunk)
+		if c != nil {
+			*c = arenaChunk{}
+		} else {
+			c = new(arenaChunk)
+		}
 		for i := range c {
 			c[i].self = instRef(a.n + i + 1)
 		}
@@ -171,6 +185,14 @@ func (a *instArena) fresh() *dynInst {
 	}
 	a.n++
 	return a.at(instRef(a.n))
+}
+
+// recycle hands the arena's chunks to chunkPool and empties the arena.
+func (a *instArena) recycle() {
+	for _, c := range a.chunks {
+		chunkPool.Put(c)
+	}
+	*a = instArena{}
 }
 
 // waitNode is one waiter past a producer's inline ones, on a singly linked

@@ -7,6 +7,8 @@ package mem
 // answers "when would this access complete?", which is the contract the
 // out-of-order core needs.
 
+import "sync"
+
 // CacheConfig sizes one cache level.
 type CacheConfig struct {
 	Name         string
@@ -326,9 +328,9 @@ func (h *Hierarchy) CloneAt(now int64) *Hierarchy {
 	at := now + h.off
 	c := &Hierarchy{
 		cfg:      h.cfg,
-		l1i:      h.l1i.cloneAt(at),
-		l1d:      h.l1d.cloneAt(at),
-		l2:       h.l2.cloneAt(at),
+		l1i:      h.l1i.cloneAt(at, &spareSets[0]),
+		l1d:      h.l1d.cloneAt(at, &spareSets[1]),
+		l2:       h.l2.cloneAt(at, &spareSets[2]),
 		off:      at,
 		dramFree: h.dramFree,
 	}
@@ -337,17 +339,42 @@ func (h *Hierarchy) CloneAt(now int64) *Hierarchy {
 	return c
 }
 
+// spareSets holds the set tables of hierarchies whose machines are done with
+// them (Recycle), one pool per level (l1i, l1d, l2), for later clones whose
+// tables have the same size.
+var spareSets [3]sync.Pool
+
+// Recycle hands the set tables of h, a clone, to later clones. h must not
+// be used afterwards, apart from reading its statistics.
+func (h *Hierarchy) Recycle() {
+	for i, l := range []*level{h.l1i, h.l1d, h.l2} {
+		spareSets[i].Put(&setTable{l.sets})
+		l.sets = nil
+	}
+}
+
+// setTable boxes a set table for spareSets.
+type setTable struct{ sets []uint32 }
+
 // cloneAt returns a copy of the level sharing its sets, with stats reset and
-// the MSHRs and write buffers that are still busy at clock time at.
-func (l *level) cloneAt(at int64) *level {
+// the MSHRs and write buffers that are still busy at clock time at. Its set
+// table comes from spare when one there has the right size.
+func (l *level) cloneAt(at int64, spare *sync.Pool) *level {
 	if l.own < len(l.slabs) {
 		l.own = len(l.slabs)
 		l.ownBase = uint32(l.own << slabShift)
 	}
+	var sets []uint32
+	if t, _ := spare.Get().(*setTable); t != nil && len(t.sets) == len(l.sets) {
+		sets = t.sets
+	} else {
+		sets = make([]uint32, len(l.sets))
+	}
+	copy(sets, l.sets)
 	n := len(l.slabs)
 	c := &level{
 		cfg:      l.cfg,
-		sets:     append([]uint32(nil), l.sets...),
+		sets:     sets,
 		slabs:    l.slabs[:n:n],
 		own:      n,
 		ownBase:  uint32(n << slabShift),

@@ -98,6 +98,9 @@ func (h *Harness) attempt(ctx context.Context, j Job) (st *cpu.Stats, err error)
 		defer cancel()
 	}
 	st, err = m.RunContext(runCtx)
+	// Only the statistics are wanted now: the next machine reuses this
+	// one's window, predictor tables and cache set tables.
+	m.Recycle()
 	// A deadline expiry is the job's own timeout only when the caller's
 	// context is still live — a cancelled or expired caller context is a
 	// cancellation, reported as such.
