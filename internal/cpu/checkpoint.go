@@ -68,6 +68,18 @@ type Checkpoint struct {
 	Pack *core.PackPredictor
 }
 
+// Recycle hands the checkpoint's predictor tables and cache set tables to
+// the machines built after it (Machine.Recycle), once every machine to be
+// seeded from it has been built. The checkpoint must not be used afterwards.
+func (ck *Checkpoint) Recycle() {
+	if ck.BP != nil {
+		ck.BP.Recycle()
+	}
+	if ck.Hier != nil {
+		ck.Hier.Recycle()
+	}
+}
+
 // NewMachineFromCheckpoint builds a machine whose architectural state (PC,
 // registers, memory) and warm microarchitectural state (predictor tables,
 // cache tags) come from a tier-1 checkpoint. Combine with

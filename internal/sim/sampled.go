@@ -21,6 +21,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"loopfrog/internal/asm"
@@ -240,12 +241,21 @@ func (h *Harness) sampled(ctx context.Context, warm cpu.Config, sides []cpu.Conf
 			i := len(wins)
 			w := &window{at: ck.Insts, stats: make([]*cpu.Stats, len(sides)), errs: make([]error, len(sides))}
 			wins = append(wins, w)
+			// Once every side's window is done with the checkpoint, its
+			// tables go to the windows that come after.
+			left := new(atomic.Int32)
+			left.Store(int32(len(sides)))
+			release := func() {
+				if left.Add(-1) == 0 {
+					ck.Recycle()
+				}
+			}
 			for s, cfg := range sides {
 				j := windowJob(cfg, prog, ck, sc)
 				if observe != nil {
 					j.Observe = func(m *cpu.Machine) { observe(i, m) }
 				}
-				send(task{job: j, st: &w.stats[s], err: &w.errs[s]})
+				send(task{job: j, st: &w.stats[s], err: &w.errs[s], done: release})
 			}
 			return wctx.Err()
 		})

@@ -228,11 +228,13 @@ func (h *Harness) RunJobsCtx(ctx context.Context, jobs []Job) ([]*cpu.Stats, []e
 	return out, errs
 }
 
-// task is one job of a batch and the slots its outcome goes to.
+// task is one job of a batch and the slots its outcome goes to. done, when
+// non-nil, runs once the outcome is stored, whether the job ran or not.
 type task struct {
-	job Job
-	st  **cpu.Stats
-	err *error
+	job  Job
+	st   **cpu.Stats
+	err  *error
+	done func()
 }
 
 // batch is the harness's one worker loop. feed sends the batch's jobs
@@ -259,9 +261,12 @@ func (h *Harness) batch(ctx context.Context, n int, feed func(send func(task))) 
 				}
 				if err := ctx.Err(); err != nil {
 					*t.err = fmt.Errorf("sim: job not started: %w", err)
-					continue
+				} else {
+					*t.st, *t.err = h.runOne(ctx, t.job)
 				}
-				*t.st, *t.err = h.runOne(ctx, t.job)
+				if t.done != nil {
+					t.done()
+				}
 			}
 		}()
 	}
