@@ -63,11 +63,10 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 		} else {
 			m.intRegsUsed--
 		}
-		if arch && e.taint {
+		if arch {
 			// Architectural commit closes every transient window the value
 			// could have been sourced in: the taint dies here.
 			e.taint = false
-			m.untaintCkptFills(e)
 		}
 		t.committedRegs[e.destReg] = e.result
 		t.committedTaint[e.destReg] = e.taint

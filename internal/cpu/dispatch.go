@@ -515,31 +515,17 @@ func (m *Machine) regSnapshot(t *threadlet) (vals [isa.NumRegs]uint64, resolved 
 func (m *Machine) spawnInto(parent, nt *threadlet, contPC int, factor int, predicted *[isa.NumRegs]uint64) {
 	m.gens[nt.id]++
 	m.epochs++
-	// The context's queues are empty (it retired or was purged); keep their
-	// backing arrays so a spawn does not regrow them.
-	rob, stIdx, ldIdx, drain, fq := nt.rob, nt.stIdx, nt.ldIdx, nt.drain, nt.fq
-	rob.truncate(0)
-	stIdx.truncate(0)
-	ldIdx.truncate(0)
-	drain.truncate(0)
-	fq.reset()
-	*nt = threadlet{
-		id:           nt.id,
-		live:         true,
-		epoch:        m.epochs,
-		fetchPC:      contPC,
-		fetchReadyAt: m.now + m.cfg.SpawnLatency,
-		fq:           fq,
-		rob:          rob,
-		stIdx:        stIdx,
-		ldIdx:        ldIdx,
-		drain:        drain,
-		activeRegion: int64(contPC),
-		homeRegion:   int64(contPC),
-		epochStartPC: contPC,
-		spawnedAt:    m.now,
-		ckptGHR:      m.bp.History(parent.id),
-	}
+	// The context's queues are empty (it retired or was purged).
+	nt.reset(nt.id)
+	nt.live = true
+	nt.epoch = m.epochs
+	nt.fetchPC = contPC
+	nt.fetchReadyAt = m.now + m.cfg.SpawnLatency
+	nt.activeRegion = int64(contPC)
+	nt.homeRegion = int64(contPC)
+	nt.epochStartPC = contPC
+	nt.spawnedAt = m.now
+	nt.ckptGHR = m.bp.History(parent.id)
 	// IV overrides for packed spawns.
 	overridden := [isa.NumRegs]bool{}
 	if factor > 1 {

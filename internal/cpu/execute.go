@@ -449,7 +449,6 @@ func (m *Machine) fillCkpt(e *dynInst, cw ckptWait) {
 	if !ct.writtenMask[cw.reg] {
 		ct.committedRegs[cw.reg] = e.result
 		ct.committedTaint[cw.reg] = e.taint
-		ct.ckptFrom[cw.reg] = instID{e.self, e.gen}
 	}
 }
 

@@ -199,7 +199,7 @@ func pointerPath(t reflect.Type) string {
 func TestHotTypesHoldNoPointers(t *testing.T) {
 	for _, v := range []any{
 		dynInst{}, [1 << arenaChunkBits]dynInst{}, mapEntry{}, memRec{}, fetchEntry{},
-		instRef(0), waitNode{}, ckptWait{}, instID{},
+		instRef(0), waitNode{}, ckptWait{},
 	} {
 		if p := pointerPath(reflect.TypeOf(v)); p != "" {
 			t.Errorf("%T holds a pointer: %s", v, p)

@@ -62,7 +62,7 @@ type Machine struct {
 
 	// The scheduler lists, of handles into the instruction arena. Each is
 	// filtered in place every cycle, and the slots past its length are left
-	// as they are: an append overwrites them before anything reads them.
+	// as they are: a push overwrites them before anything reads them.
 	readyQ    [isa.NumClasses]list[instRef]
 	executing list[instRef]
 	replayQ   list[instRef]
@@ -242,8 +242,7 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 
 	m.threads = make([]*threadlet, cfg.Threadlets)
 	for i := range m.threads {
-		m.threads[i] = &threadlet{id: i, activeRegion: -1, homeRegion: -1,
-			fq: newFetchQueue(cfg.FetchQueue + cfg.FrontendDepth*cfg.Width)}
+		m.threads[i] = newThreadlet(i, cfg.FetchQueue+cfg.FrontendDepth*cfg.Width)
 	}
 	t0 := m.threads[0]
 	t0.live = true
@@ -274,15 +273,18 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 
 // Recycle hands the machine's largest buffers to later machines once its
 // run is over and only its results are wanted: the instruction arena, the
-// branch predictor's tables and the cache set tables. Its statistics (Stats,
-// SnapshotStats, LeakReport), final registers and memory stay readable; the
-// machine must not run again, and its predictor and hierarchy must not be
-// used. A harness that runs machine after machine calls it, so that the
+// threadlet contexts with their queues, the branch predictor's tables and
+// the cache hierarchy. Its statistics (Stats, SnapshotStats, LeakReport) and
+// memory stay readable; the machine must not run again, and its final
+// registers, predictor and hierarchy must not be used. A harness that runs machine after machine calls it, so that the
 // machines do not each allocate these afresh: with small program images
 // the live heap is small, and every megabyte a window allocates brings the
 // next collection closer.
 func (m *Machine) Recycle() {
 	m.insts.recycle()
+	for _, t := range m.threads {
+		spareThreads.Put(t)
+	}
 	m.bp.Recycle()
 	m.hier.Recycle()
 	m.recycled = true

@@ -225,17 +225,3 @@ func (m *Machine) LeakReport() LeakReport {
 	sort.Slice(rep.Sites, func(i, j int) bool { return rep.Sites[i].PC < rep.Sites[j].PC })
 	return rep
 }
-
-// untaintCkptFills runs when e's taint dies at its architectural commit. A
-// younger threadlet whose checkpoint fill took e's result reads the register
-// through e while e's slot is not reused, and sees e's taint as it stands;
-// once the slot is reused it reads committedTaint, which must therefore
-// follow e's taint to false.
-func (m *Machine) untaintCkptFills(e *dynInst) {
-	id, r := instID{e.self, e.gen}, e.destReg
-	for _, tid := range m.order[1:] {
-		if ct := m.threads[tid]; ct.ckptFrom[r] == id && !ct.writtenMask[r] {
-			ct.committedTaint[r] = false
-		}
-	}
-}

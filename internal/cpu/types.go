@@ -135,13 +135,6 @@ const waitBufLen = 4
 // index plus one, so that the zero instRef names no instruction.
 type instRef uint32
 
-// instID names one occupancy of an arena slot: the handle and the slot's
-// generation at the time. It stays inert once the slot is reused.
-type instID struct {
-	ref instRef
-	gen uint32
-}
-
 // arenaChunkBits sets the arena's chunk size, 1<<arenaChunkBits slots.
 const arenaChunkBits = 6
 
@@ -421,11 +414,9 @@ type threadlet struct {
 
 	// Checkpoint: the register starting state of the epoch (§4, "checkpoint
 	// store"). ckptPending[r] != 0 while the value is an unresolved future
-	// inherited from the parent at spawn. ckptFrom[r] is the producer whose
-	// completion last filled committedRegs[r] from the checkpoint (wake).
+	// inherited from the parent at spawn.
 	ckptRegs    [isa.NumRegs]uint64
 	ckptPending [isa.NumRegs]instRef
-	ckptFrom    [isa.NumRegs]instID
 	ckptGHR     uint64
 
 	// Statistics for this epoch.
@@ -447,6 +438,36 @@ type threadlet struct {
 }
 
 func (t *threadlet) robCount() int { return t.rob.len() }
+
+// reset makes t the empty, idle context id, with no epoch and no region,
+// but keeps the backing arrays of its queues, so that a spawn or a new
+// machine does not regrow them.
+func (t *threadlet) reset(id int) {
+	rob, stIdx, ldIdx, drain, fq := t.rob, t.stIdx, t.ldIdx, t.drain, t.fq
+	rob.truncate(0)
+	stIdx.truncate(0)
+	ldIdx.truncate(0)
+	drain.truncate(0)
+	fq.reset()
+	ctl, leaks := t.ctlInFlight[:0], t.pendingLeaks[:0]
+	*t = threadlet{id: id, fq: fq, rob: rob, stIdx: stIdx, ldIdx: ldIdx, drain: drain,
+		activeRegion: -1, homeRegion: -1, ctlInFlight: ctl, pendingLeaks: leaks}
+}
+
+// spareThreads holds the threadlet contexts of recycled machines
+// (Machine.Recycle), whose queue arrays newThreadlet reuses.
+var spareThreads sync.Pool
+
+// newThreadlet returns the idle context id with a fetch queue of fqCap
+// entries: a recycled one when one fits, else a new one.
+func newThreadlet(id, fqCap int) *threadlet {
+	t, _ := spareThreads.Get().(*threadlet)
+	if t == nil || len(t.fq.buf) != fqCap {
+		t = &threadlet{fq: newFetchQueue(fqCap)}
+	}
+	t.reset(id)
+	return t
+}
 
 // fifo is a first-in first-out queue over one reused backing array: the
 // live entries are buf[head:head+n]. A push that finds the array's end

@@ -136,6 +136,9 @@ type level struct {
 	ownBase uint32
 	// used counts the sets carved from the last slab.
 	used int
+	// spares are empty slabs of the level's size for newSlab to hand out:
+	// those a recycled hierarchy owned (cloneInto).
+	spares [][]line
 	// live counts the non-empty sets. A set never becomes empty again.
 	live     int
 	assoc    int
@@ -206,7 +209,7 @@ func (l *level) set(si int) []line {
 			}
 		}
 		if l.own == len(l.slabs) || l.used == 1<<slabShift {
-			l.slabs = append(l.slabs, make([]line, l.assoc<<slabShift))
+			l.slabs = append(l.slabs, l.newSlab())
 			l.used = 0
 		}
 	}
@@ -220,6 +223,17 @@ func (l *level) set(si int) []line {
 	}
 	l.sets[si] = nr
 	return set
+}
+
+// newSlab returns an empty slab: a spare one cleared, or a new one.
+func (l *level) newSlab() []line {
+	if n := len(l.spares); n > 0 {
+		sl := l.spares[n-1]
+		l.spares = l.spares[:n-1]
+		clear(sl)
+		return sl
+	}
+	return make([]line, l.assoc<<slabShift)
 }
 
 // compactSlack is the garbage, in sets, a level may hold beyond the size of
@@ -326,62 +340,64 @@ func (h *Hierarchy) Stats() (l1i, l1d, l2 CacheStats) {
 // checkpoint's hierarchy at once.
 func (h *Hierarchy) CloneAt(now int64) *Hierarchy {
 	at := now + h.off
-	c := &Hierarchy{
+	c, _ := spare.Get().(*Hierarchy)
+	if c == nil {
+		c = &Hierarchy{l1i: new(level), l1d: new(level), l2: new(level)}
+	}
+	*c = Hierarchy{
 		cfg:      h.cfg,
-		l1i:      h.l1i.cloneAt(at, &spareSets[0]),
-		l1d:      h.l1d.cloneAt(at, &spareSets[1]),
-		l2:       h.l2.cloneAt(at, &spareSets[2]),
+		l1i:      h.l1i.cloneInto(c.l1i, at),
+		l1d:      h.l1d.cloneInto(c.l1d, at),
+		l2:       h.l2.cloneInto(c.l2, at),
 		off:      at,
 		dramFree: h.dramFree,
+		l1dPref:  strideTable{entries: append(c.l1dPref.entries[:0], h.l1dPref.entries...)},
+		l2Pref:   strideTable{entries: append(c.l2Pref.entries[:0], h.l2Pref.entries...)},
 	}
-	c.l1dPref.entries = append([]strideEntry(nil), h.l1dPref.entries...)
-	c.l2Pref.entries = append([]strideEntry(nil), h.l2Pref.entries...)
 	return c
 }
 
-// spareSets holds the set tables of hierarchies whose machines are done with
-// them (Recycle), one pool per level (l1i, l1d, l2), for later clones whose
-// tables have the same size.
-var spareSets [3]sync.Pool
+// spare holds hierarchies whose machines are done with them (Recycle).
+// CloneAt builds its clone in one, reusing its set tables, stride tables
+// and the slabs it owned instead of allocating them.
+var spare sync.Pool
 
-// Recycle hands the set tables of h, a clone, to later clones. h must not
-// be used afterwards, apart from reading its statistics.
-func (h *Hierarchy) Recycle() {
-	for i, l := range []*level{h.l1i, h.l1d, h.l2} {
-		spareSets[i].Put(&setTable{l.sets})
-		l.sets = nil
-	}
-}
+// Recycle hands h to a later CloneAt. h must not be used afterwards.
+func (h *Hierarchy) Recycle() { spare.Put(h) }
 
-// setTable boxes a set table for spareSets.
-type setTable struct{ sets []uint32 }
-
-// cloneAt returns a copy of the level sharing its sets, with stats reset and
-// the MSHRs and write buffers that are still busy at clock time at. Its set
-// table comes from spare when one there has the right size.
-func (l *level) cloneAt(at int64, spare *sync.Pool) *level {
+// cloneInto makes c a copy of the level sharing its sets, with stats reset
+// and the MSHRs and write buffers that are still busy at clock time at, and
+// returns it. c is a level of a recycled hierarchy, or a zero one: its set
+// table and its own arrays are reused when their sizes fit, and the slabs
+// it owned become its spares (set).
+func (l *level) cloneInto(c *level, at int64) *level {
 	if l.own < len(l.slabs) {
 		l.own = len(l.slabs)
 		l.ownBase = uint32(l.own << slabShift)
 	}
-	var sets []uint32
-	if t, _ := spare.Get().(*setTable); t != nil && len(t.sets) == len(l.sets) {
-		sets = t.sets
-	} else {
+	sets := c.sets
+	if len(sets) != len(l.sets) {
 		sets = make([]uint32, len(l.sets))
 	}
 	copy(sets, l.sets)
+	var spares [][]line
+	if c.assoc == l.assoc {
+		spares = append(c.spares, c.slabs[c.own:]...)
+	}
 	n := len(l.slabs)
-	c := &level{
-		cfg:      l.cfg,
-		sets:     sets,
-		slabs:    l.slabs[:n:n],
-		own:      n,
-		ownBase:  uint32(n << slabShift),
-		live:     l.live,
-		assoc:    l.assoc,
-		setMask:  l.setMask,
-		lineBits: l.lineBits,
+	*c = level{
+		cfg:       l.cfg,
+		sets:      sets,
+		slabs:     l.slabs[:n:n],
+		own:       n,
+		ownBase:   uint32(n << slabShift),
+		spares:    spares,
+		live:      l.live,
+		assoc:     l.assoc,
+		setMask:   l.setMask,
+		lineBits:  l.lineBits,
+		mshrs:     c.mshrs[:0],
+		storeBusy: c.storeBusy[:0],
 	}
 	for _, e := range l.mshrs {
 		if e.fillAt > at { // expired entries would be pruned anyway

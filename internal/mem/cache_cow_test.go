@@ -152,7 +152,8 @@ func sameRun(t *testing.T, what string, a, b *Hierarchy, ops []hierOp, start int
 // seeded random Load/Store/Fetch/Snoop streams: a clone of a warm source
 // the source goes on writing, a clone of that clone at a nonzero cycle
 // while its parent goes on writing, and clones of a hierarchy that owns no
-// sets, which must leave it unchanged byte for byte.
+// sets, which must leave it unchanged byte for byte; and a clone built in
+// a recycled one (Recycle), which must behave like a fresh clone.
 func TestHierarchyCOWMatchesDeepCopy(t *testing.T) {
 	const n = 30_000
 	for seed := int64(1); seed <= 4; seed++ {
@@ -182,6 +183,22 @@ func TestHierarchyCOWMatchesDeepCopy(t *testing.T) {
 			if !reflect.DeepEqual(idle, before) {
 				t.Fatal("writes to clones reached a hierarchy that owns no sets")
 			}
+
+			// A recycled clone, written and owning slabs, is rebuilt by the
+			// next CloneAt; the new clone must behave like a fresh one, and
+			// the source must not change. The source is a cold hierarchy,
+			// whose empty sets take their ways from the recycled slabs.
+			base := NewHierarchy(DefaultHierConfig())
+			c1.Recycle()
+			before = snapshot(base)
+			c3, r3 := base.CloneAt(0), deepCloneAt(base, 0)
+			if !reflect.DeepEqual(base, before) {
+				t.Fatal("cloning into a recycled hierarchy modified the source")
+			}
+			if c3 != c1 {
+				t.Log("the clone was not built in the recycled hierarchy")
+			}
+			sameRun(t, "clone built in a recycled one", c3, r3, randomOps(rng, n), 0)
 		})
 	}
 }
