@@ -31,7 +31,8 @@ import (
 // them, but they own none of them, so no write ever reaches them and
 // cloning them mutates nothing (see mem.Memory and mem.Hierarchy.CloneAt).
 // Any number of machines may therefore start from the same checkpoint
-// concurrently, while tier 1 goes on running.
+// concurrently, while tier 1 goes on running. Once the last of them is
+// built, its owner may hand the predictor and hierarchy on (Recycle).
 type Checkpoint struct {
 	// PC is the instruction index execution resumes at.
 	PC int

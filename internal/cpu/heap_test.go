@@ -326,8 +326,8 @@ func TestInstRecycleAccounting(t *testing.T) {
 // more machine after machine, each recycled (Recycle) before the next is
 // built, so that later machines fill their arenas, predictor tables and
 // cache set tables from the pools the earlier ones left. Every run must
-// match the fresh machine's, field for field, and a recycled machine must
-// refuse to run again.
+// match the fresh machine's, field for field; a recycled machine must keep
+// its final registers and refuse to run again.
 func TestRecycleKeepsResultsExact(t *testing.T) {
 	cpu2017 := workloads.CPU2017()
 	progs := []*asm.Program{
@@ -352,6 +352,7 @@ func TestRecycleKeepsResultsExact(t *testing.T) {
 				}
 				got := *st
 				got.Regions = nil
+				regs := m.FinalRegs()
 				if round == 0 {
 					want[[2]int{pi, ci}] = got
 				} else if w := want[[2]int{pi, ci}]; !reflect.DeepEqual(got, w) {
@@ -361,6 +362,16 @@ func TestRecycleKeepsResultsExact(t *testing.T) {
 					continue // nothing reaches the pools before round 1
 				}
 				m.Recycle()
+				// Build the next machine first, so that it takes this one's
+				// threadlets before FinalRegs is read again.
+				next, err := NewMachine(cfg, prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m.FinalRegs() != regs {
+					t.Errorf("%s: final registers changed by Recycle", prog.Name)
+				}
+				next.Recycle()
 				if _, err := m.Run(); err == nil {
 					t.Fatalf("%s: a recycled machine ran again", prog.Name)
 				}

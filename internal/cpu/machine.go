@@ -135,8 +135,10 @@ type Machine struct {
 	// reused last-in first-out. waitNodes holds producers' waiters past
 	// their inline ones, with waitFree the head of its free list; ckptWaits
 	// holds the checkpoint slots in-flight producers fill.
-	insts     instArena
-	recycled  bool // Recycle gave the arena away
+	insts    instArena
+	recycled bool // Recycle gave the window away
+	// finalRegs is FinalRegs once the threadlets are recycled.
+	finalRegs [isa.NumRegs]uint64
 	instFree  list[instRef]
 	waitNodes []waitNode
 	waitFree  uint32
@@ -274,13 +276,14 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 // Recycle hands the machine's largest buffers to later machines once its
 // run is over and only its results are wanted: the instruction arena, the
 // threadlet contexts with their queues, the branch predictor's tables and
-// the cache hierarchy. Its statistics (Stats, SnapshotStats, LeakReport) and
-// memory stay readable; the machine must not run again, and its final
-// registers, predictor and hierarchy must not be used. A harness that runs machine after machine calls it, so that the
+// the cache hierarchy. Its statistics (Stats, SnapshotStats, LeakReport),
+// final registers (FinalRegs) and memory stay readable; the machine must not
+// run again, and its predictor and hierarchy must not be used. A harness that runs machine after machine calls it, so that the
 // machines do not each allocate these afresh: with small program images
 // the live heap is small, and every megabyte a window allocates brings the
 // next collection closer.
 func (m *Machine) Recycle() {
+	m.finalRegs = m.FinalRegs()
 	m.insts.recycle()
 	for _, t := range m.threads {
 		spareThreads.Put(t)
@@ -462,6 +465,9 @@ func (m *Machine) youngerThan(tid int) []int {
 // FinalRegs returns the architectural register file after Run; valid only
 // once the machine has halted.
 func (m *Machine) FinalRegs() [isa.NumRegs]uint64 {
+	if m.recycled {
+		return m.finalRegs
+	}
 	return m.threads[m.archTid()].committedRegs
 }
 

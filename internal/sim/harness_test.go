@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"loopfrog/internal/cpu"
+	"loopfrog/internal/fault"
 	"loopfrog/internal/workloads"
 )
 
@@ -203,5 +204,31 @@ func TestDefaultHarnessCacheDedup(t *testing.T) {
 	}
 	if c.Hits()+c.FlightJoins() != 1 {
 		t.Errorf("baseline not deduplicated: hits=%d flight-joins=%d", c.Hits(), c.FlightJoins())
+	}
+}
+
+// TestObservedMachineReadableAfterRun checks what a caller that keeps the
+// machine from Job.Observe may still read once the harness has run and
+// recycled it, after further machines have reused its buffers: its final
+// registers and memory must match the sequential reference.
+func TestObservedMachineReadableAfterRun(t *testing.T) {
+	h := &Harness{Workers: 2}
+	var jobs []Job
+	var machines []*cpu.Machine
+	for _, b := range fastSuite(t) {
+		for _, cfg := range []cpu.Config{cpu.DefaultConfig(), BaselineOf(cpu.DefaultConfig())} {
+			i := len(jobs)
+			machines = append(machines, nil)
+			jobs = append(jobs, Job{Cfg: cfg, Prog: b.MustProgram(), Observe: func(m *cpu.Machine) { machines[i] = m }})
+		}
+	}
+	if _, err := h.RunJobs(jobs); err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range machines {
+		diff, err := fault.Check(m, jobs[i].Prog, fault.CheckOpts{Regs: fault.ResultRegs()})
+		if err != nil || diff != "" {
+			t.Errorf("%s job %d: after the run: %v %s", jobs[i].Prog.Name, i, err, diff)
+		}
 	}
 }
