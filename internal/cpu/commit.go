@@ -85,8 +85,8 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 			// The bad-address load is on the committed path. Architectural:
 			// the program faults now. Speculative: defer — a later squash
 			// discards it, promotion surfaces it (tryRetire).
-			mf := &MemFault{PC: e.pc, Addr: e.addr, Size: e.memSize, Cycle: m.now,
-				Err: mem.ValidateAccess(e.addr, e.memSize)}
+			mf := &MemFault{PC: e.pc, Addr: e.addr, Size: int(e.memSize), Cycle: m.now,
+				Err: mem.ValidateAccess(e.addr, int(e.memSize))}
 			if arch {
 				m.memFault = mf
 			} else if t.memFault == nil {
@@ -109,7 +109,7 @@ func (m *Machine) commitOne(t *threadlet, e *dynInst) {
 		m.bp.UpdateBranch(t.id, e.pc, taken, e.pred)
 	}
 	if e.inst.Op == isa.JALR {
-		m.bp.UpdateIndirect(e.pc, e.actualTarget)
+		m.bp.UpdateIndirect(e.pc, int(e.actualTarget))
 	}
 
 	// Iteration-packing bookkeeping (§4.3): live-in detection over the
@@ -225,20 +225,20 @@ func (m *Machine) drainStores() {
 		for budget > 0 && t.drain.len() > 0 {
 			s := m.at(t.drain.front())
 			if !m.isSpec(tid) {
-				if err := mem.ValidateAccess(s.addr, s.memSize); err != nil {
+				if err := mem.ValidateAccess(s.addr, int(s.memSize)); err != nil {
 					// The bad store became architectural, so sequential
 					// execution faults identically: a program error, not a
 					// model bug. Latch it for Run and stop the machine's
 					// drains (nothing younger may perform either).
-					m.memFault = &MemFault{PC: s.pc, Addr: s.addr, Size: s.memSize, Cycle: m.now, Err: err}
+					m.memFault = &MemFault{PC: s.pc, Addr: s.addr, Size: int(s.memSize), Cycle: m.now, Err: err}
 					return
 				}
 				if _, ok := m.hier.Store(s.addr, m.now); !ok {
 					m.stats.StoreDrainStalls++
 					break
 				}
-				m.mem.Write(s.addr, s.memSize, s.srcVal[1])
-				victim, squash := m.cd.OnWrite(tid, m.granules(s.addr, s.memSize), m.youngerThan(tid))
+				m.mem.Write(s.addr, int(s.memSize), s.srcVal[1])
+				victim, squash := m.cd.OnWrite(tid, m.granules(s.addr, int(s.memSize)), m.youngerThan(tid))
 				if m.inj != nil {
 					victim, squash = m.injectConflict(tid, victim, squash)
 				}
@@ -253,7 +253,7 @@ func (m *Machine) drainStores() {
 					m.squashFrom(tid, core.SquashOverflow, true)
 					break
 				}
-				if mem.ValidateAccess(s.addr, s.memSize) != nil {
+				if mem.ValidateAccess(s.addr, int(s.memSize)) != nil {
 					// Speculative bad address: defer. The SSB cannot hold the
 					// write (it would corrupt granule masks), so the drain
 					// stalls here; a squash discards the fault, promotion to
@@ -262,7 +262,7 @@ func (m *Machine) drainStores() {
 					break
 				}
 				chain := m.chainUpTo(tid)
-				res := m.ssb.Write(tid, s.addr, s.memSize, s.srcVal[1], chain, m.now)
+				res := m.ssb.Write(tid, s.addr, int(s.memSize), s.srcVal[1], chain, m.now)
 				if res.Overflow {
 					// §4.1.2: the slice cannot take the write; stall the
 					// drain until the threadlet becomes architectural, and

@@ -92,7 +92,7 @@ func (m *Machine) dispatchOne(t *threadlet, fe *fetchEntry) (ok, shared bool) {
 	e.inst = *inst
 	e.pred = fe.pred
 	e.predTarget = fe.predTgt
-	e.memSize = meta.MemBytes
+	e.memSize = int32(meta.MemBytes)
 	e.spawnedTid = -1
 	e.srcReady[0], e.srcReady[1] = true, true
 	e.hasDest = hasDest
@@ -310,7 +310,7 @@ func (m *Machine) handleHint(t *threadlet, e *dynInst) {
 	region := e.inst.Imm
 	e.prevRegion = t.activeRegion
 	e.prevDetached = t.detached
-	e.prevSkip = t.skipReattach
+	e.prevSkip = int32(t.skipReattach)
 	e.prevVerify = t.pendingVerify
 	switch e.inst.Op {
 	case isa.DETACH:

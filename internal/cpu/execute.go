@@ -147,16 +147,16 @@ func (m *Machine) execOne(e *dynInst) {
 	case meta.IsBranch:
 		e.result = 0
 		e.readyAt = m.now + 1
-		m.executing.push(e.self)
+		m.executing.push(execRef{e.self, e.readyAt})
 	case e.inst.Op == isa.JAL || e.inst.Op == isa.JALR:
 		e.result = uint64(e.pc + 1)
 		e.readyAt = m.now + 1
-		m.executing.push(e.self)
+		m.executing.push(execRef{e.self, e.readyAt})
 	default:
 		e.result = isa.EvalALU(e.inst, e.srcVal[0], e.srcVal[1])
 		e.taint = e.srcTaint[0] || e.srcTaint[1]
 		e.readyAt = m.now + int64(meta.Latency)
-		m.executing.push(e.self)
+		m.executing.push(execRef{e.self, e.readyAt})
 	}
 }
 
@@ -197,7 +197,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 			rec.fwdSeq = st.seq
 		}
 		e.readyAt = m.now + 1
-		m.executing.push(e.self)
+		m.executing.push(execRef{e.self, e.readyAt})
 		return true
 	}
 
@@ -205,11 +205,11 @@ func (m *Machine) execLoad(e *dynInst) bool {
 	// the load completes with a zero result and raises a MemFault at commit
 	// if it turns out to be on the committed path (commit.go). Wrong-path
 	// loads routinely compute garbage addresses; they must not crash the run.
-	if mem.ValidateAccess(e.addr, e.memSize) != nil {
+	if mem.ValidateAccess(e.addr, int(e.memSize)) != nil {
 		e.memFaulted = true
 		e.result = 0
 		e.readyAt = m.now + 1
-		m.executing.push(e.self)
+		m.executing.push(execRef{e.self, e.readyAt})
 		return true
 	}
 
@@ -229,13 +229,13 @@ func (m *Machine) execLoad(e *dynInst) bool {
 		return false
 	}
 	chain := m.chainUpTo(e.tid)
-	raw, _ := m.ssb.Read(chain, e.addr, e.memSize)
+	raw, _ := m.ssb.Read(chain, e.addr, int(e.memSize))
 	e.result = isa.ExtendLoad(e.inst.Op, raw)
 	e.taint = e.transient
 	if m.isSpec(e.tid) {
 		// The read is serviced now: record it (Algorithm 1) and charge the
 		// SSB read latency (3 cycles including the L1D probe).
-		gs := m.granules(e.addr, e.memSize)
+		gs := m.granules(e.addr, int(e.memSize))
 		m.cd.OnRead(e.tid, gs)
 		if m.spectreLive && !e.taint && m.granulesTainted(chain, gs) {
 			e.taint = true // tainted store data observed through the SSB
@@ -245,7 +245,7 @@ func (m *Machine) execLoad(e *dynInst) bool {
 		}
 	}
 	e.readyAt = done
-	m.executing.push(e.self)
+	m.executing.push(execRef{e.self, e.readyAt})
 	return true
 }
 
@@ -264,7 +264,7 @@ func (m *Machine) granules(addr uint64, size int) []uint64 {
 // threadlet whose (resolved) address overlaps it. partial reports that the
 // store does not fully cover the load.
 func (m *Machine) findOlderStore(t *threadlet, load *dynInst) (st *dynInst, partial bool) {
-	size := int32(load.memSize)
+	size := load.memSize
 	covers := func(addr uint64, sz int32) bool {
 		return addr <= load.addr && addr+uint64(sz) >= load.addr+uint64(size)
 	}
@@ -278,7 +278,7 @@ func (m *Machine) findOlderStore(t *threadlet, load *dynInst) (st *dynInst, part
 	drain := t.drain.items()
 	for i := len(drain) - 1; i >= 0; i-- {
 		s := m.at(drain[i])
-		if sz := int32(s.memSize); overlaps(s.addr, sz, load.addr, size) {
+		if sz := s.memSize; overlaps(s.addr, sz, load.addr, size) {
 			return s, !covers(s.addr, sz)
 		}
 	}
@@ -293,7 +293,7 @@ func (m *Machine) execStore(e *dynInst) {
 	e.addr = e.srcVal[0] + uint64(e.inst.Imm)
 	e.addrValid = true
 	e.readyAt = m.now + 1
-	m.executing.push(e.self)
+	m.executing.push(execRef{e.self, e.readyAt})
 	m.stats.Stores++
 
 	if r := recOf(&t.stIdx, e); r != nil {
@@ -302,7 +302,7 @@ func (m *Machine) execStore(e *dynInst) {
 
 	// The oldest younger load that already executed with an overlapping
 	// address violated program order.
-	size := int32(e.memSize)
+	size := e.memSize
 	loads := t.ldIdx.items()
 	for i := recIndex(loads, e.seq+1); i < len(loads); i++ {
 		l := &loads[i]
@@ -341,15 +341,15 @@ func (m *Machine) writeback() {
 	}
 	remaining := 0
 	m.finished.truncate(0)
-	for _, h := range m.executing.items() {
-		switch e := m.at(h); {
-		case e.squashed:
-			m.freeInst(e)
-		case e.readyAt <= m.now:
-			m.finished.push(h)
-		default:
-			m.executing.buf[remaining] = h
+	for _, x := range m.executing.items() {
+		if x.readyAt > m.now {
+			// Not done yet, squashed or not: it is looked at when it is.
+			m.executing.buf[remaining] = x
 			remaining++
+		} else if e := m.at(x.h); e.squashed {
+			m.freeInst(e)
+		} else {
+			m.finished.push(x.h)
 		}
 	}
 	m.executing.truncate(remaining)
@@ -476,7 +476,7 @@ func (m *Machine) resolveBranch(t *threadlet, e *dynInst) {
 // assumption.
 func (m *Machine) resolveIndirect(t *threadlet, e *dynInst) {
 	target := int(e.srcVal[0] + uint64(e.inst.Imm))
-	e.actualTarget = target
+	e.actualTarget = int32(target)
 	if e.predTarget == -1 {
 		// The front end stalled on this jump: release it.
 		if t.fq.len() == 0 && t.fetchPC == -1 {

@@ -139,7 +139,11 @@ func checkInstOwners(t *testing.T, m *Machine, when string) {
 	for c := range m.readyQ {
 		scan(m.readyQ[c].items(), fmt.Sprintf("ready queue %d", c))
 	}
-	scan(m.executing.items(), "executing list")
+	var executing []instRef
+	for _, x := range m.executing.items() {
+		executing = append(executing, x.h)
+	}
+	scan(executing, "executing list")
 	scan(m.replayQ.items(), "replay queue")
 	scan(m.delayedWake.items(), "delayed-wake list")
 	for _, h := range m.instFree.items() {
@@ -199,7 +203,7 @@ func pointerPath(t reflect.Type) string {
 func TestHotTypesHoldNoPointers(t *testing.T) {
 	for _, v := range []any{
 		dynInst{}, [1 << arenaChunkBits]dynInst{}, mapEntry{}, memRec{}, fetchEntry{},
-		instRef(0), waitNode{}, ckptWait{},
+		instRef(0), execRef{}, waitNode{}, ckptWait{},
 	} {
 		if p := pointerPath(reflect.TypeOf(v)); p != "" {
 			t.Errorf("%T holds a pointer: %s", v, p)

@@ -64,7 +64,7 @@ type Machine struct {
 	// filtered in place every cycle, and the slots past its length are left
 	// as they are: a push overwrites them before anything reads them.
 	readyQ    [isa.NumClasses]list[instRef]
-	executing list[instRef]
+	executing list[execRef]
 	replayQ   list[instRef]
 
 	stats          Stats

@@ -65,7 +65,7 @@ func checkMemIndex(t *testing.T, m *Machine, th *threadlet) {
 		}
 		r := (*recs)[0]
 		*recs = (*recs)[1:]
-		if r.e != h || r.seq != e.seq || int(r.size) != e.memSize || r.valid != e.addrValid ||
+		if r.e != h || r.seq != e.seq || r.size != e.memSize || r.valid != e.addrValid ||
 			r.valid && r.addr != e.addr || r.fwdSeq != 0 && !e.loadFwdSQ {
 			t.Fatalf("cycle %d, threadlet %d: record {seq %d addr %#x size %d valid %v fwd %d} for seq %d (pc %d, addr %#x, valid %v, forwarded %v)",
 				m.now, th.id, r.seq, r.addr, r.size, r.valid, r.fwdSeq, e.seq, e.pc, e.addr, e.addrValid, e.loadFwdSQ)

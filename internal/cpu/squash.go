@@ -52,7 +52,7 @@ func (m *Machine) rollbackTo(t *threadlet, fromSeq uint64, target int, resolvedB
 			// Restore the epoch state the hint mutated at dispatch.
 			t.activeRegion = e.prevRegion
 			t.detached = e.prevDetached
-			t.skipReattach = e.prevSkip
+			t.skipReattach = int(e.prevSkip)
 			t.pendingVerify = e.prevVerify
 		}
 		if e.endsEpoch {

@@ -38,7 +38,7 @@ type dynInst struct {
 	pred  bpred.BranchState
 	// predTarget is the front end's next-fetch assumption (fetchEntry).
 	predTarget int
-	memSize    int
+	memSize    int32
 	spawnedTid int32 // threadlet spawned by this detach, -1 otherwise
 	// gen counts the reuses of this slot (newInst). A rename-map entry
 	// records it, so an entry whose producer was since recycled is told
@@ -58,12 +58,12 @@ type dynInst struct {
 	// fresh chunk starts zero. oldMap's value part is stale on reuse; it is
 	// read only when hasDest, and dispatch writes it then.
 	srcProd [2]instRef
-	oldMap  mapEntry // previous rename-map entry, for rollback
 	// waiters are instructions whose operands this result feeds: the first
 	// waitBufLen inline in waitBuf[:nWait], the rest on a list of the
 	// machine's waitNodes from waitHead to waitTail (0 when none).
 	waitBuf            [waitBufLen]instRef
 	waitHead, waitTail uint32
+	oldMap             mapEntry // previous rename-map entry, for rollback
 	nWait              uint8
 
 	instTail
@@ -78,8 +78,7 @@ type instTail struct {
 	result  uint64
 	readyAt int64 // writeback cycle once executing
 
-	addr         uint64
-	actualTarget int
+	addr uint64
 
 	// dispRegion is the threadlet's active region when this instruction
 	// dispatched (after hint effects), -1 when none. Commit-side pack
@@ -91,8 +90,9 @@ type instTail struct {
 
 	// Hint bookkeeping. The prev* fields snapshot threadlet epoch state a
 	// hint mutated at dispatch, so wrong-path rollback can restore it.
-	prevRegion int64
-	prevSkip   int
+	prevRegion   int64
+	prevSkip     int32
+	actualTarget int32
 
 	state instState
 
@@ -186,6 +186,13 @@ func (a *instArena) recycle() {
 		chunkPool.Put(c)
 	}
 	*a = instArena{}
+}
+
+// execRef is an executing instruction with the cycle its result is ready,
+// so that writeback passes over one still in flight without looking it up.
+type execRef struct {
+	h       instRef
+	readyAt int64
 }
 
 // waitNode is one waiter past a producer's inline ones, on a singly linked
