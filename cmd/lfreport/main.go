@@ -1,6 +1,7 @@
 // Command lfreport explains, loop by loop, why a program does (or does not)
 // speed up under LoopFrog: it runs the baseline/LoopFrog pair in the detailed
-// model with per-region speculation ledgers enabled, lints the program for
+// model with per-region speculation ledgers enabled — the A/B job spec
+// lfservd runs, through the same executor — lints the program for
 // the static region table and profitability notes, joins the two by region ID
 // (the continuation address), and prints a ranked per-loop report with a
 // keep/retune/drop verdict for every hint.
@@ -22,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -31,6 +33,7 @@ import (
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/lint"
 	"loopfrog/internal/report"
+	"loopfrog/internal/serve"
 	"loopfrog/internal/sim"
 	"loopfrog/internal/workloads"
 )
@@ -71,25 +74,25 @@ func main() {
 	}
 
 	sim.SetParallelism(*parallel)
-	cfg := cpu.DefaultConfig()
-	cfg.Threadlets = *threadlets
-	if *nopack {
-		cfg.Pack.Enabled = false
+	spec := serve.JobSpec{Threadlets: *threadlets, NoPack: *nopack, AB: true, Sampled: *sampled}
+	cfg, err := spec.MachineConfig()
+	if err == nil {
+		err = spec.ValidateSim()
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lfreport:", err)
+		os.Exit(2)
 	}
 
-	progs, err := loadPrograms(*bench, *suite, flag.Args())
+	progs, err := loadPrograms(*bench, *suite, flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lfreport:", err)
 		os.Exit(1)
 	}
 
-	build := buildProfile
-	if *sampled {
-		build = buildSampledProfile
-	}
 	profiles := make([]*report.Profile, 0, len(progs))
 	for _, prog := range progs {
-		p, err := build(cfg, prog)
+		p, err := profile(&spec, cfg, prog)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "lfreport: %s: %v\n", prog.Name, err)
 			os.Exit(1)
@@ -113,48 +116,24 @@ func main() {
 	}
 }
 
-// buildProfile runs the A/B pair for one program, verifies the ledger totals
-// reconcile, and joins the dynamic profile with the lint report.
-func buildProfile(cfg cpu.Config, prog *asm.Program) (*report.Profile, error) {
-	lrep := lint.Run(prog, lint.Options{})
-	stats, err := sim.RunJobs([]sim.Job{
-		{Cfg: sim.BaselineOf(cfg), Prog: prog},
-		{Cfg: cfg, Prog: prog},
+// profile runs the A/B job spec for one program exactly as lfservd runs it,
+// with the lint report joined into its region rows. A full detailed run's
+// ledger totals must reconcile with its global counters; a sampled run's
+// ledgers are interval-weighted estimates, to which exact reconciliation
+// does not apply.
+func profile(spec *serve.JobSpec, cfg cpu.Config, prog *asm.Program) (*report.Profile, error) {
+	out, err := serve.Execute(context.Background(), sim.DefaultHarness(), spec, serve.Exec{
+		Prog: prog, Cfg: cfg, Lint: lint.Run(prog, lint.Options{}),
 	})
 	if err != nil {
 		return nil, err
 	}
-	base, lf := stats[0], stats[1]
-	if err := lf.ReconcileRegions(); err != nil {
-		return nil, fmt.Errorf("region ledgers do not reconcile with the global counters (simulator bug): %w", err)
+	if !spec.Sampled {
+		if err := out.Stats[1].ReconcileRegions(); err != nil {
+			return nil, fmt.Errorf("region ledgers do not reconcile with the global counters (simulator bug): %w", err)
+		}
 	}
-	return report.Build(report.Input{
-		Program:        prog.Name,
-		Regions:        lf.Regions,
-		Cycles:         lf.Cycles,
-		BaselineCycles: base.Cycles,
-		Lint:           lrep,
-	}), nil
-}
-
-// buildSampledProfile is buildProfile on the two-tier sampled estimator: the
-// A/B pair runs as one sampled batch and the per-region ledgers are the
-// interval-weighted window aggregates, so the profile is marked as an
-// estimate and exact reconciliation does not apply.
-func buildSampledProfile(cfg cpu.Config, prog *asm.Program) (*report.Profile, error) {
-	lrep := lint.Run(prog, lint.Options{})
-	res, err := sim.RunSampledAB(cfg, prog, sim.SampleConfig{})
-	if err != nil {
-		return nil, err
-	}
-	return report.Build(report.Input{
-		Program:        prog.Name,
-		Regions:        res.LF.Regions,
-		Cycles:         int64(res.LF.EstCycles + 0.5),
-		BaselineCycles: int64(res.Base.EstCycles + 0.5),
-		Estimated:      true,
-		Lint:           lrep,
-	}), nil
+	return out.Result.Profile(), nil
 }
 
 // write renders the profiles in the requested format: text concatenates
@@ -185,7 +164,7 @@ func write(w io.Writer, format string, profiles []*report.Profile) error {
 }
 
 // loadPrograms resolves the input selection into assembled images.
-func loadPrograms(bench string, suite bool, args []string) ([]*asm.Program, error) {
+func loadPrograms(bench string, suite bool, path string) ([]*asm.Program, error) {
 	if suite {
 		var progs []*asm.Program
 		for _, b := range workloads.CPU2017() {
@@ -197,18 +176,7 @@ func loadPrograms(bench string, suite bool, args []string) ([]*asm.Program, erro
 		}
 		return progs, nil
 	}
-	if bench != "" {
-		b := workloads.Find(bench)
-		if b == nil {
-			return nil, fmt.Errorf("unknown benchmark %q", bench)
-		}
-		prog, err := b.Program()
-		if err != nil {
-			return nil, err
-		}
-		return []*asm.Program{prog}, nil
-	}
-	prog, diags, err := workloads.LoadFile(args[0])
+	prog, diags, err := workloads.Load(bench, path)
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, "lfreport: note:", d)
 	}

@@ -20,12 +20,19 @@
 // worker pool, and the per-interval weighting combines the window IPCs into
 // the whole-run estimate. Zero values take the tuned defaults
 // (sim.DefaultSampleConfig). Combine with -ab for a sampled baseline/LoopFrog
-// speedup estimate off a single tier-1 pass. Sampled runs are estimates over
-// measured windows, so -faults and -check (whole-run machinery) refuse to
-// combine with it. -trace works with a sampled run: every detailed window
-// streams into one trace file, window i on trace pid i+1, so the windows
-// render as separate process lanes in the trace viewer (-ab -trace still
-// refuses: two configurations would interleave in one file).
+// speedup estimate off a single tier-1 pass: the ratio of the two sides'
+// estimated cycles. Sampled runs are estimates over measured windows, so
+// -faults and -check (whole-run machinery) refuse to combine with it. -trace
+// works with a sampled run: every detailed window streams into one trace
+// file, window i on trace pid i+1, so the windows render as separate process
+// lanes in the trace viewer.
+//
+// Flag combinations follow lfservd's job-spec rules (internal/serve): the
+// -ab, -sampled and -sampled -ab runs execute exactly as a job with the same
+// spec does, and print the numbers its result carries. -baseline -ab is a
+// usage error. -ab and -sampled -ab refuse -check and -trace: an A/B pair has
+// no single machine to check, and two configurations would interleave in
+// one trace.
 //
 // -spectre tracks taint through transient execution (wrong-path and
 // pre-promotion speculative loads) and reports every confirmed speculative
@@ -38,8 +45,10 @@
 // stall until the load is promoted, which eliminates taint-derived addresses
 // by construction at a timing cost; combine with -spectre to verify the leak
 // report comes back clean. Both refuse to combine with -sampled — taint
-// state cannot survive checkpoint seeding — and -spectre refuses -ab (the
-// A/B mitigation-cost study lives in lfbench -spectre).
+// state cannot survive checkpoint seeding. -spectre -ab prints the LoopFrog
+// side's candidate and confirmed leak counts after the speedup and exits 1
+// on confirmed leaks (the A/B mitigation-cost study lives in lfbench
+// -spectre).
 //
 // -lint runs the hint-legality linter (see cmd/lflint) as a preflight and
 // refuses to simulate a program with legality errors. Invalid flag values
@@ -76,70 +85,86 @@ import (
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/fault"
 	"loopfrog/internal/lint"
+	"loopfrog/internal/serve"
 	"loopfrog/internal/sim"
 	"loopfrog/internal/telemetry"
 	"loopfrog/internal/workloads"
 )
 
-func main() {
-	baseline := flag.Bool("baseline", false, "treat hints as NOPs (sequential baseline)")
-	threadlets := flag.Int("threadlets", 4, "threadlet contexts")
-	nopack := flag.Bool("nopack", false, "disable iteration packing")
-	ab := flag.Bool("ab", false, "run baseline and LoopFrog, print the speedup")
-	bench := flag.String("bench", "", "run a named built-in benchmark instead of a file")
-	parallel := flag.Int("parallel", 0, "simulation worker count (0 = all cores)")
-	tracePath := flag.String("trace", "", "write a Perfetto/Chrome trace-event JSON file")
-	metricsPath := flag.String("metrics", "", "write a telemetry metrics JSON file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	preflight := flag.Bool("lint", false, "lint the program before simulating; refuse to run on errors")
-	faults := flag.String("faults", "", "fault-injection spec (e.g. \"all\" or \"conflict=0.05,kill\")")
-	seed := flag.Int64("seed", 1, "fault-injection seed")
-	check := flag.Bool("check", false, "verify the final state against the sequential reference")
-	sampled := flag.Bool("sampled", false, "two-tier sampled estimate instead of a full detailed run")
-	spectre := flag.Bool("spectre", false, "track speculative taint, print a JSON leak report, exit 1 on confirmed leaks")
-	mitigate := flag.Bool("mitigate", false, "delay dependents of speculative loads until promotion (ShadowBinding-style)")
-	interval := flag.Uint64("interval", 0, "sampled checkpoint interval in instructions (0 = default)")
-	window := flag.Uint64("window", 0, "sampled measured window in instructions (0 = default)")
-	warmup := flag.Uint64("warmup", 0, "sampled detailed warmup per window in instructions (0 = default)")
-	flag.Parse()
+// options are lfsim's parsed flags. The simulation flags fill spec, the
+// lfservd job spec lfsim runs.
+type options struct {
+	spec                                           serve.JobSpec
+	bench                                          string
+	parallel                                       int
+	tracePath, metricsPath, cpuprofile, memprofile string
+	preflight, check                               bool
+}
 
+// parseArgs parses lfsim's command line into fs and checks it. A returned
+// error is a usage error: the flag combination breaks lfservd's job-spec
+// rules or one of lfsim's own (-check needs one detailed machine, -trace one
+// configuration). It also returns the spec's machine configuration.
+func parseArgs(fs *flag.FlagSet, args []string) (*options, cpu.Config, error) {
+	o := &options{}
+	fs.BoolVar(&o.spec.Baseline, "baseline", false, "treat hints as NOPs (sequential baseline)")
+	fs.IntVar(&o.spec.Threadlets, "threadlets", 4, "threadlet contexts")
+	fs.BoolVar(&o.spec.NoPack, "nopack", false, "disable iteration packing")
+	fs.BoolVar(&o.spec.AB, "ab", false, "run baseline and LoopFrog, print the speedup")
+	fs.StringVar(&o.bench, "bench", "", "run a named built-in benchmark instead of a file")
+	fs.IntVar(&o.parallel, "parallel", 0, "simulation worker count (0 = all cores)")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Perfetto/Chrome trace-event JSON file")
+	fs.StringVar(&o.metricsPath, "metrics", "", "write a telemetry metrics JSON file")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.BoolVar(&o.preflight, "lint", false, "lint the program before simulating; refuse to run on errors")
+	fs.StringVar(&o.spec.Faults, "faults", "", "fault-injection spec (e.g. \"all\" or \"conflict=0.05,kill\")")
+	fs.Int64Var(&o.spec.Seed, "seed", 1, "fault-injection seed")
+	fs.BoolVar(&o.check, "check", false, "verify the final state against the sequential reference")
+	fs.BoolVar(&o.spec.Sampled, "sampled", false, "two-tier sampled estimate instead of a full detailed run")
+	fs.BoolVar(&o.spec.Spectre, "spectre", false, "track speculative taint, print a JSON leak report, exit 1 on confirmed leaks")
+	fs.BoolVar(&o.spec.Mitigate, "mitigate", false, "delay dependents of speculative loads until promotion (ShadowBinding-style)")
+	fs.Uint64Var(&o.spec.SampleInterval, "interval", 0, "sampled checkpoint interval in instructions (0 = default)")
+	fs.Uint64Var(&o.spec.SampleWindow, "window", 0, "sampled measured window in instructions (0 = default)")
+	fs.Uint64Var(&o.spec.SampleWarmup, "warmup", 0, "sampled detailed warmup per window in instructions (0 = default)")
+	if err := fs.Parse(args); err != nil {
+		return nil, cpu.Config{}, err
+	}
+	if o.spec.Threadlets < 1 {
+		return nil, cpu.Config{}, fmt.Errorf("-threadlets must be at least 1 (got %d)", o.spec.Threadlets)
+	}
+	if o.parallel < 0 {
+		return nil, cpu.Config{}, fmt.Errorf("-parallel must be non-negative (got %d)", o.parallel)
+	}
+	if err := o.spec.ValidateSim(); err != nil {
+		return nil, cpu.Config{}, err
+	}
+	if o.spec.AB && (o.check || o.tracePath != "") {
+		return nil, cpu.Config{}, errors.New("-ab is incompatible with -check and -trace (no single machine to check, and two configurations would share one trace)")
+	}
+	if o.spec.Sampled && o.check {
+		return nil, cpu.Config{}, errors.New("-sampled is incompatible with -check")
+	}
+	if o.bench == "" && fs.NArg() != 1 {
+		return nil, cpu.Config{}, errors.New("need exactly one input (-bench name | file.ll | file.s)")
+	}
+	cfg, err := o.spec.MachineConfig()
+	return o, cfg, err
+}
+
+func main() {
 	// Usage errors exit 2, before any work happens.
-	if *threadlets < 1 {
-		fmt.Fprintf(os.Stderr, "lfsim: -threadlets must be at least 1 (got %d)\n", *threadlets)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *parallel < 0 {
-		fmt.Fprintf(os.Stderr, "lfsim: -parallel must be non-negative (got %d)\n", *parallel)
-		flag.Usage()
-		os.Exit(2)
-	}
-	plan, err := fault.Parse(*faults, *seed)
+	o, cfg, err := parseArgs(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lfsim:", err)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if (*spectre || *mitigate) && *sampled {
-		fmt.Fprintln(os.Stderr, "lfsim: -spectre/-mitigate are incompatible with -sampled: taint state cannot survive checkpoint seeding")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *spectre && *ab {
-		fmt.Fprintln(os.Stderr, "lfsim: -spectre is incompatible with -ab; use lfbench -spectre for the A/B mitigation-cost study")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *bench == "" && len(flag.Args()) != 1 {
-		fmt.Fprintln(os.Stderr, "lfsim: need exactly one input (-bench name | file.ll | file.s)")
-		flag.Usage()
-		os.Exit(2)
-	}
+	spec := &o.spec
 
-	sim.SetParallelism(*parallel)
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+	sim.SetParallelism(o.parallel)
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lfsim:", err)
 			os.Exit(1)
@@ -151,9 +176,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
+	if o.memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
+			f, err := os.Create(o.memprofile)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "lfsim:", err)
 				return
@@ -166,13 +191,16 @@ func main() {
 		}()
 	}
 
-	prog, err := loadProgram(*bench, flag.Args())
+	prog, diags, err := workloads.Load(o.bench, flag.Arg(0))
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, "lfsim: note:", d)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lfsim:", err)
 		os.Exit(1)
 	}
 
-	if *preflight {
+	if o.preflight {
 		rep, perr := lint.Preflight(prog)
 		for _, d := range rep.Diags {
 			if d.Severity != lint.SevInfo {
@@ -186,65 +214,10 @@ func main() {
 		}
 	}
 
-	cfg := cpu.DefaultConfig()
-	cfg.Threadlets = *threadlets
-	if *nopack {
-		cfg.Pack.Enabled = false
-	}
-	if *baseline {
-		cfg = sim.BaselineOf(cfg)
-	}
-	cfg.SpectreAnalysis = *spectre
-	cfg.DelaySpeculativeLoadDeps = *mitigate
-
-	if *sampled {
-		// Sampled runs estimate timing from windows; fault injection and
-		// state checks need the full detailed machine. Tracing works per
-		// window (each window lands on its own trace pid), but an AB pair
-		// would interleave two configurations in one file, so -ab -trace
-		// still refuses.
-		if *faults != "" || *check {
-			fmt.Fprintln(os.Stderr, "lfsim: -sampled is incompatible with -faults and -check")
-			flag.Usage()
-			os.Exit(2)
-		}
-		if *tracePath != "" && *ab {
-			fmt.Fprintln(os.Stderr, "lfsim: -sampled -ab is incompatible with -trace (two configurations would share one trace)")
-			flag.Usage()
-			os.Exit(2)
-		}
-		sc := sim.SampleConfig{Interval: *interval, Window: *window, Warmup: *warmup}
-		if err := runSampled(cfg, prog, sc, *ab, *tracePath); err != nil {
+	if spec.AB || spec.Sampled {
+		if err := runJob(spec, cfg, prog, o.tracePath, o.metricsPath); err != nil {
 			printRunError(err)
 			os.Exit(1)
-		}
-		return
-	}
-
-	if *ab {
-		// Injection applies to the LoopFrog run only: the baseline stays the
-		// clean reference timing.
-		stats, err := sim.RunJobs([]sim.Job{
-			{Cfg: sim.BaselineOf(cfg), Prog: prog},
-			{Cfg: cfg, Prog: prog, Faults: *faults, Seed: *seed},
-		})
-		if err != nil {
-			printRunError(err)
-			os.Exit(1)
-		}
-		base, lf := stats[0], stats[1]
-		fmt.Printf("baseline: %8d cycles  IPC %.2f\n", base.Cycles, base.IPC())
-		fmt.Printf("loopfrog: %8d cycles  IPC %.2f\n", lf.Cycles, lf.IPC())
-		fmt.Printf("speedup:  %.3fx\n", float64(base.Cycles)/float64(lf.Cycles))
-		if *metricsPath != "" {
-			reg := telemetry.NewRegistry()
-			if err := telemetry.CollectHarness(reg, sim.DefaultHarness()); err == nil {
-				err = writeRegistry(reg, *metricsPath)
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "lfsim:", err)
-				os.Exit(1)
-			}
 		}
 		return
 	}
@@ -257,13 +230,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lfsim:", err)
 		os.Exit(1)
 	}
+	plan, _ := fault.Parse(spec.Faults, spec.Seed) // parseArgs parsed it already
 	if plan != nil {
 		m.SetFaultInjector(plan)
 	}
 	var tr *telemetry.Trace
 	var mt *telemetry.MachineTracer
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+	if o.tracePath != "" {
+		f, err := os.Create(o.tracePath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lfsim:", err)
 			os.Exit(1)
@@ -279,10 +253,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *metricsPath != "" {
+	if o.metricsPath != "" {
 		reg := telemetry.NewRegistry()
 		if err := telemetry.CollectMachine(reg, m); err == nil {
-			err = writeRegistry(reg, *metricsPath)
+			err = writeRegistry(reg, o.metricsPath)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lfsim:", err)
@@ -297,7 +271,7 @@ func main() {
 	if plan != nil {
 		printInjected(plan)
 	}
-	if *check {
+	if o.check {
 		// Compare the ABI result register and all of memory: the hint
 		// contract does not preserve dead body temporaries, so the full
 		// register file is only comparable for normalising programs.
@@ -312,13 +286,13 @@ func main() {
 		}
 		fmt.Println("check: final state matches the sequential reference (x10 + memory)")
 	}
-	if *spectre {
+	if spec.Spectre {
 		rep := m.LeakReport()
 		out := struct {
 			Program   string `json:"program"`
 			Mitigated bool   `json:"mitigated"`
 			cpu.LeakReport
-		}{Program: prog.Name, Mitigated: *mitigate, LeakReport: rep}
+		}{Program: prog.Name, Mitigated: spec.Mitigate, LeakReport: rep}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
@@ -332,24 +306,13 @@ func main() {
 	}
 }
 
-// runSampled runs the two-tier sampled pipeline and prints its estimate. With
-// ab it runs the baseline/LoopFrog pair off one tier-1 pass and prints the
-// phase-weighted speedup; otherwise it estimates the single configured run.
-// A non-empty tracePath streams every detailed window into one trace file,
-// window i on trace pid i+1 (cache-satisfied windows leave no spans).
-func runSampled(cfg cpu.Config, prog *asm.Program, sc sim.SampleConfig, ab bool, tracePath string) error {
-	if ab {
-		res, err := sim.RunSampledAB(cfg, prog, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("baseline: %8.0f cycles (est)  IPC %.2f\n", res.Base.EstCycles, res.Base.IPC())
-		fmt.Printf("loopfrog: %8.0f cycles (est)  IPC %.2f\n", res.LF.EstCycles, res.LF.IPC())
-		fmt.Printf("speedup:  %.3fx (phase-weighted estimate)\n", res.EstSpeedup)
-		printSampledCost(res.LF)
-		return nil
-	}
-	var observe func(win int, m *cpu.Machine)
+// runJob executes an A/B or sampled spec exactly as lfservd executes the
+// same job, and prints its result; -metrics gets the harness's registry. A
+// non-empty tracePath streams every detailed window of a sampled run into
+// one trace file, window i on trace pid i+1 (cache-satisfied windows leave
+// no spans).
+func runJob(spec *serve.JobSpec, cfg cpu.Config, prog *asm.Program, tracePath, metricsPath string) error {
+	x := serve.Exec{Prog: prog, Cfg: cfg}
 	var finishTrace func()
 	var tr *telemetry.Trace
 	if tracePath != "" {
@@ -359,9 +322,9 @@ func runSampled(cfg cpu.Config, prog *asm.Program, sc sim.SampleConfig, ab bool,
 		}
 		defer f.Close()
 		tr = telemetry.NewTrace(f)
-		observe, finishTrace = telemetry.TraceSampledWindows(tr, 0)
+		x.ObserveWindow, finishTrace = telemetry.TraceSampledWindows(tr, 0)
 	}
-	st, err := sim.DefaultHarness().RunSampledObservedCtx(context.Background(), cfg, prog, sc, observe)
+	out, err := serve.Execute(context.Background(), sim.DefaultHarness(), spec, x)
 	if finishTrace != nil {
 		finishTrace()
 		if cerr := tr.Close(); cerr != nil && err == nil {
@@ -371,18 +334,45 @@ func runSampled(cfg cpu.Config, prog *asm.Program, sc sim.SampleConfig, ab bool,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("cycles            %.0f (sampled estimate)\n", st.EstCycles)
-	fmt.Printf("instructions      %d (IPC %.2f)\n", st.TotalInsts, st.IPC())
-	printSampledCost(st)
+	r := out.Result
+	if spec.AB {
+		est, note := "", ""
+		var baseIPC float64
+		if spec.Sampled {
+			est, note, baseIPC = " (est)", " (phase-weighted estimate)", out.Sampled[0].IPC()
+		} else {
+			baseIPC = out.Stats[0].IPC()
+		}
+		fmt.Printf("baseline: %8d cycles%s  IPC %.2f\n", r.BaselineCycles, est, baseIPC)
+		fmt.Printf("loopfrog: %8d cycles%s  IPC %.2f\n", r.LoopFrogCycles, est, r.IPC)
+		fmt.Printf("speedup:  %.3fx%s\n", r.Speedup, note)
+	} else {
+		fmt.Printf("cycles            %d (sampled estimate)\n", r.Cycles)
+		fmt.Printf("instructions      %d (IPC %.2f)\n", r.ArchInsts, r.IPC)
+	}
+	if spec.Sampled {
+		st := out.Sampled[len(out.Sampled)-1]
+		fmt.Printf("sampled           %d windows (interval %d, window %d, warmup %d), detailed share %.0f%%\n",
+			len(st.Windows), st.Sample.Interval, st.Sample.Window, st.Sample.Warmup, 100*st.DetailedShare)
+		fmt.Printf("throughput        tier-1 %.1fM insts/s, effective %.1fM insts/s\n",
+			st.Tier1IPS/1e6, st.EffectiveIPS/1e6)
+	}
+	if metricsPath != "" {
+		reg := telemetry.NewRegistry()
+		if err := telemetry.CollectHarness(reg, sim.DefaultHarness()); err != nil {
+			return err
+		}
+		if err := writeRegistry(reg, metricsPath); err != nil {
+			return err
+		}
+	}
+	if spec.Spectre {
+		fmt.Printf("leaks:    %d candidates, %d confirmed (loopfrog)\n", r.LeakCandidates, r.Leaks)
+		if r.Leaks > 0 {
+			return fmt.Errorf("%d speculative leak(s) confirmed", r.Leaks)
+		}
+	}
 	return nil
-}
-
-// printSampledCost prints the sampled pipeline's cost/shape line.
-func printSampledCost(st *sim.SampledStats) {
-	fmt.Printf("sampled           %d windows (interval %d, window %d, warmup %d), detailed share %.0f%%\n",
-		len(st.Windows), st.Sample.Interval, st.Sample.Window, st.Sample.Warmup, 100*st.DetailedShare)
-	fmt.Printf("throughput        tier-1 %.1fM insts/s, effective %.1fM insts/s\n",
-		st.Tier1IPS/1e6, st.EffectiveIPS/1e6)
 }
 
 // printRunError reports a failed run; a watchdog ProgressError additionally
@@ -421,23 +411,6 @@ func writeRegistry(reg *telemetry.Registry, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-func loadProgram(bench string, args []string) (*asm.Program, error) {
-	if bench != "" {
-		if b := workloads.Find(bench); b != nil {
-			return b.Program()
-		}
-		return nil, fmt.Errorf("unknown benchmark %q", bench)
-	}
-	if len(args) != 1 {
-		return nil, fmt.Errorf("usage: lfsim [flags] (-bench name | file.ll | file.s)")
-	}
-	prog, diags, err := workloads.LoadFile(args[0])
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, "lfsim: note:", d)
-	}
-	return prog, err
 }
 
 func printStats(st *cpu.Stats) {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 
-	"loopfrog/internal/asm"
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/workloads"
 )
@@ -27,7 +26,11 @@ func main() {
 	bench := flag.String("bench", "", "run a named built-in benchmark")
 	flag.Parse()
 
-	prog, err := load(*bench, flag.Args())
+	if *bench == "" && flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "lftrace: usage: lftrace [-max N] (-bench name | file)")
+		os.Exit(1)
+	}
+	prog, _, err := workloads.Load(*bench, flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lftrace:", err)
 		os.Exit(1)
@@ -57,18 +60,4 @@ func main() {
 	}
 	fmt.Printf("\n%d cycles, %d instructions, %d spawns, %d retires\n",
 		st.Cycles, st.ArchInsts, st.Spawns, st.Retires)
-}
-
-func load(bench string, args []string) (*asm.Program, error) {
-	if bench != "" {
-		if b := workloads.Find(bench); b != nil {
-			return b.Program()
-		}
-		return nil, fmt.Errorf("unknown benchmark %q", bench)
-	}
-	if len(args) != 1 {
-		return nil, fmt.Errorf("usage: lftrace [-max N] (-bench name | file)")
-	}
-	prog, _, err := workloads.LoadFile(args[0])
-	return prog, err
 }

@@ -55,9 +55,6 @@ func SSBAccessEnergyNJ(cfg core.SSBConfig) float64 {
 	return njPerAccess8KiB * sqrt(base)
 }
 
-// BloomArea returns the conflict-detector Bloom-filter area in mm² at 7 nm.
-func BloomArea() float64 { return bloomMM2 }
-
 // Overheads summarises §6.8.
 type Overheads struct {
 	SSBMM2        float64

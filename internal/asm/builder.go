@@ -3,7 +3,6 @@ package asm
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"loopfrog/internal/isa"
 )
@@ -129,9 +128,6 @@ func (b *Builder) Hint(op isa.Opcode, label string) *Builder {
 // Halt emits a halt.
 func (b *Builder) Halt() *Builder { return b.I(isa.Inst{Op: isa.HALT}) }
 
-// Nop emits a nop.
-func (b *Builder) Nop() *Builder { return b.I(isa.Inst{Op: isa.NOP}) }
-
 // Align pads the data segment to a multiple of n bytes.
 func (b *Builder) Align(n int) *Builder {
 	b.data.Align(n)
@@ -156,14 +152,6 @@ func (b *Builder) Quad(vs ...uint64) *Builder {
 	for _, v := range vs {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		b.data.Append(buf[:])
-	}
-	return b
-}
-
-// Double appends float64 values to the data segment.
-func (b *Builder) Double(vs ...float64) *Builder {
-	for _, v := range vs {
-		b.Quad(math.Float64bits(v))
 	}
 	return b
 }

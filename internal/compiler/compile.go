@@ -142,16 +142,6 @@ func compile(name, src string, opts Options) (*asm.Program, Diagnostics, []LoopS
 	return prog, diags, ctx.sites, nil
 }
 
-// MustCompile is Compile that panics on error; for tests and statically
-// known-good workload sources.
-func MustCompile(name, src string) *asm.Program {
-	p, _, err := Compile(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // DumpIR returns the IR of every function, for debugging and tests.
 func DumpIR(src string) (string, error) {
 	file, err := Parse(src)

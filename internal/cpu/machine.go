@@ -478,14 +478,8 @@ func (m *Machine) Memory() *mem.Memory { return m.mem }
 // Hierarchy exposes the timing memory system (cache stats).
 func (m *Machine) Hierarchy() *mem.Hierarchy { return m.hier }
 
-// Predictor exposes the branch predictor (stats).
-func (m *Machine) Predictor() *bpred.Predictor { return m.bp }
-
 // SSB exposes the speculative state buffer (stats).
 func (m *Machine) SSB() *core.SSB { return m.ssb }
-
-// Detector exposes the conflict detector (stats).
-func (m *Machine) Detector() *core.ConflictDetector { return m.cd }
 
 // Packer exposes the iteration-packing predictor (stats).
 func (m *Machine) Packer() *core.PackPredictor { return m.pack }
@@ -496,9 +490,6 @@ func (m *Machine) Stats() *Stats { return &m.stats }
 // Config returns the machine's configuration (after NewMachine's
 // normalisations).
 func (m *Machine) Config() Config { return m.cfg }
-
-// Monitor exposes the region profitability monitor (stats).
-func (m *Machine) Monitor() *core.RegionMonitor { return m.mon }
 
 // Now returns the current cycle.
 func (m *Machine) Now() int64 { return m.now }

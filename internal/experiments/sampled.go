@@ -153,7 +153,7 @@ func Sampled(suite []*workloads.Benchmark, configs []sim.SampleConfig) ([]Sample
 				BaseErrPct:       100 * (res.Base.EstCycles/float64(tr.baseCycles) - 1),
 				LFErrPct:         100 * (res.LF.EstCycles/float64(tr.lfCycles) - 1),
 				TrueSpeedup:      float64(tr.baseCycles) / float64(tr.lfCycles),
-				EstSpeedup:       res.Base.EstCycles / res.LF.EstCycles,
+				EstSpeedup:       res.EstSpeedup,
 				Tier1MIPS:        res.Base.Tier1IPS / 1e6,
 				EffectiveMIPS:    res.Base.EffectiveIPS / 1e6,
 				DetailedShare:    (res.Base.DetailedShare + res.LF.DetailedShare) / 2,

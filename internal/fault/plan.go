@@ -13,13 +13,7 @@
 // divergence, never as a silent pass.
 package fault
 
-import (
-	"fmt"
-	"math/rand"
-	"sort"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Kind enumerates the injectable fault kinds.
 type Kind int
@@ -38,115 +32,61 @@ const (
 	numKinds
 )
 
-// kindInfo maps kinds to their spec names and default per-consultation
-// probabilities. Defaults are tuned so a default-window watchdog never trips
-// on the chaos suite: faults arrive often enough to exercise every recovery
-// path, rarely enough that the machine keeps making architectural progress.
-var kindInfo = [numKinds]struct {
-	name string
-	def  float64
-}{
-	Conflict:     {"conflict", 0.02},
-	ConflictMiss: {"conflict-miss", 1.0},
-	Overflow:     {"overflow", 0.01},
-	Kill:         {"kill", 0.0005},
-	Poison:       {"poison", 0.25},
-	Mispredict:   {"mispredict", 0.02},
-	PanicKind:    {"panic", 0.00002},
-}
+// grammar is the machine's fault-spec grammar. Default probabilities are
+// tuned so a default-window watchdog never trips on the chaos suite: faults
+// arrive often enough to exercise every recovery path, rarely enough that
+// the machine keeps making architectural progress. "all" enables every kind
+// whose injection the machine must absorb without architectural effect: not
+// the unsafe ConflictMiss, nor the harness-only PanicKind.
+var grammar = Grammar{Pkg: "fault", Kinds: []KindDef{
+	Conflict:     {"conflict", 0.02, true},
+	ConflictMiss: {"conflict-miss", 1.0, false},
+	Overflow:     {"overflow", 0.01, true},
+	Kill:         {"kill", 0.0005, true},
+	Poison:       {"poison", 0.25, true},
+	Mispredict:   {"mispredict", 0.02, true},
+	PanicKind:    {"panic", 0.00002, false},
+}}
 
 func (k Kind) String() string {
 	if k < 0 || k >= numKinds {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
-	return kindInfo[k].name
+	return grammar.Kinds[k].Name
 }
 
-// SafeKinds returns the kinds the "all" spec expands to: every kind whose
-// injection the machine must absorb without architectural effect. The unsafe
-// ConflictMiss and the harness-only PanicKind are excluded.
+// SafeKinds returns the kinds the "all" spec expands to.
 func SafeKinds() []Kind {
-	return []Kind{Conflict, Overflow, Kill, Poison, Mispredict}
-}
-
-// KindByName resolves a spec name.
-func KindByName(name string) (Kind, bool) {
-	for k := Kind(0); k < numKinds; k++ {
-		if kindInfo[k].name == name {
-			return k, true
+	var out []Kind
+	for k, def := range grammar.Kinds {
+		if def.InAll {
+			out = append(out, Kind(k))
 		}
 	}
-	return 0, false
+	return out
 }
 
 // Plan is a deterministic fault-injection plan: per-kind probabilities with
 // per-kind seeded random streams, implementing cpu.FaultInjector
 // structurally. A Plan is single-run state — its streams advance with the
-// machine and are never rewound — and is not safe for concurrent use. Use
-// Fresh to derive an identical unconsumed plan for a rerun.
+// machine and are never rewound — and is not safe for concurrent use. Parse
+// the spec again for a rerun.
 type Plan struct {
-	spec   string
-	seed   int64
-	prob   [numKinds]float64
-	rng    [numKinds]*rand.Rand
-	counts [numKinds]uint64
+	*Streams
 }
 
-// Parse builds a plan from a fault spec. The grammar is
-//
-//	spec  := "" | "none" | entry ("," entry)*
-//	entry := name [ "=" probability ]     probability in (0, 1]
-//	name  := "all" | "conflict" | "conflict-miss" | "overflow" | "kill"
-//	       | "poison" | "mispredict" | "panic"
-//
-// "all" enables every safe kind at its default probability; explicit entries
-// may then override individual kinds ("all,kill=0.01"). An empty or "none"
-// spec returns a nil plan — no injection, and cpu.Machine pays nothing.
+// Parse builds a plan from a fault spec in the Grammar syntax, over the
+// kinds "conflict", "conflict-miss", "overflow", "kill", "poison",
+// "mispredict" and "panic". "all" enables every safe kind at its default
+// probability; explicit entries may then override individual kinds
+// ("all,kill=0.01"). An empty or "none" spec returns a nil plan — no
+// injection, and cpu.Machine pays nothing.
 func Parse(spec string, seed int64) (*Plan, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || spec == "none" {
-		return nil, nil
+	s, err := grammar.Parse(spec, seed)
+	if s == nil || err != nil {
+		return nil, err
 	}
-	p := &Plan{spec: spec, seed: seed}
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			return nil, fmt.Errorf("fault: empty entry in spec %q", spec)
-		}
-		name, probStr, hasProb := strings.Cut(entry, "=")
-		name = strings.TrimSpace(name)
-		if name == "all" {
-			if hasProb {
-				return nil, fmt.Errorf("fault: %q takes no probability (override kinds individually)", entry)
-			}
-			for _, k := range SafeKinds() {
-				p.prob[k] = kindInfo[k].def
-			}
-			continue
-		}
-		k, ok := KindByName(name)
-		if !ok {
-			return nil, fmt.Errorf("fault: unknown kind %q (want %s)", name, strings.Join(KindNames(), ", "))
-		}
-		prob := kindInfo[k].def
-		if hasProb {
-			v, err := strconv.ParseFloat(strings.TrimSpace(probStr), 64)
-			if err != nil {
-				return nil, fmt.Errorf("fault: bad probability in %q: %v", entry, err)
-			}
-			if v <= 0 || v > 1 {
-				return nil, fmt.Errorf("fault: probability in %q outside (0,1]", entry)
-			}
-			prob = v
-		}
-		p.prob[k] = prob
-	}
-	for k := Kind(0); k < numKinds; k++ {
-		if p.prob[k] > 0 {
-			p.rng[k] = rand.New(rand.NewSource(mixSeed(seed, k)))
-		}
-	}
-	return p, nil
+	return &Plan{s}, nil
 }
 
 // MustParse is Parse that panics on error, for tests.
@@ -159,41 +99,7 @@ func MustParse(spec string, seed int64) *Plan {
 }
 
 // KindNames lists every kind's spec name plus "all".
-func KindNames() []string {
-	names := make([]string, 0, numKinds+1)
-	names = append(names, "all")
-	for k := Kind(0); k < numKinds; k++ {
-		names = append(names, kindInfo[k].name)
-	}
-	return names
-}
-
-// StreamSeed derives an independent stream seed from a base seed and a lane
-// index, using the same splitmix64 mixing as the plan's per-kind streams.
-// Other chaos layers (the fabric's worker kill/partition/delay injection)
-// reuse it so every injected subsystem draws from provably independent
-// deterministic streams of one base seed.
-func StreamSeed(seed int64, lane int) int64 {
-	return mixSeed(seed, Kind(lane))
-}
-
-// mixSeed derives independent per-kind stream seeds (splitmix64 finalizer).
-func mixSeed(seed int64, k Kind) int64 {
-	z := uint64(seed) + (uint64(k)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
-// Spec returns the spec string the plan was parsed from.
-func (p *Plan) Spec() string { return p.spec }
-
-// Seed returns the plan's base seed.
-func (p *Plan) Seed() int64 { return p.seed }
-
-// Fresh returns an identical plan with unconsumed random streams, for
-// deterministic reruns (a plan's streams advance during a run).
-func (p *Plan) Fresh() *Plan { return MustParse(p.spec, p.seed) }
+func KindNames() []string { return grammar.Names() }
 
 // Active reports whether a kind can fire under this plan.
 func (p *Plan) Active(k Kind) bool { return p != nil && p.prob[k] > 0 }
@@ -201,54 +107,16 @@ func (p *Plan) Active(k Kind) bool { return p != nil && p.prob[k] > 0 }
 // Count returns how many times kind k has fired so far.
 func (p *Plan) Count(k Kind) uint64 { return p.counts[k] }
 
-// Total returns the total number of injected faults so far.
-func (p *Plan) Total() uint64 {
-	var t uint64
-	for _, c := range p.counts {
-		t += c
-	}
-	return t
-}
-
-// Counts returns the per-kind injection counters, keyed by spec name, for
-// kinds that fired at least once.
-func (p *Plan) Counts() map[string]uint64 {
-	out := make(map[string]uint64)
-	for k := Kind(0); k < numKinds; k++ {
-		if p.counts[k] > 0 {
-			out[kindInfo[k].name] = p.counts[k]
-		}
-	}
-	return out
-}
-
 // String summarises the plan and its injection counters.
 func (p *Plan) String() string {
 	if p == nil {
 		return "fault: none"
 	}
-	var parts []string
-	for name, c := range p.Counts() {
-		parts = append(parts, fmt.Sprintf("%s:%d", name, c))
-	}
-	sort.Strings(parts)
-	if len(parts) == 0 {
-		return fmt.Sprintf("fault[%s seed=%d]: none fired", p.spec, p.seed)
-	}
-	return fmt.Sprintf("fault[%s seed=%d]: %s", p.spec, p.seed, strings.Join(parts, " "))
+	return p.Summary("fault")
 }
 
 // roll draws one decision for kind k, counting fires.
-func (p *Plan) roll(k Kind) bool {
-	if p.prob[k] <= 0 {
-		return false
-	}
-	if p.prob[k] < 1 && p.rng[k].Float64() >= p.prob[k] {
-		return false
-	}
-	p.counts[k]++
-	return true
-}
+func (p *Plan) roll(k Kind) bool { return p.Roll(int(k)) }
 
 // The methods below implement cpu.FaultInjector. The interface is satisfied
 // structurally — cpu declares it over primitive types precisely so injector

@@ -313,12 +313,6 @@ func MetaOf(op Opcode) *Meta {
 // String returns the mnemonic of the opcode.
 func (op Opcode) String() string { return OpMeta(op).Name }
 
-// IsControlFlow reports whether the instruction can redirect the PC.
-func (i Inst) IsControlFlow() bool {
-	m := OpMeta(i.Op)
-	return m.IsBranch || m.IsJump
-}
-
 // String disassembles the instruction.
 func (i Inst) String() string {
 	m := OpMeta(i.Op)

@@ -13,7 +13,6 @@ import (
 	"loopfrog/internal/asm"
 	"loopfrog/internal/compiler"
 	"loopfrog/internal/cpu"
-	"loopfrog/internal/fault"
 	"loopfrog/internal/lint"
 	"loopfrog/internal/report"
 	"loopfrog/internal/sim"
@@ -131,8 +130,9 @@ type JobResult struct {
 	IPC       float64 `json:"ipc"`
 	Spawns    uint64  `json:"spawns,omitempty"`
 	Squashes  uint64  `json:"squashes,omitempty"`
-	// AB mode only: both sides and the region speedup, computed exactly the
-	// way lfsim -ab prints it (baseline cycles / loopfrog cycles).
+	// AB mode only: both sides and the region speedup, baseline cycles /
+	// loopfrog cycles (a sampled pair's estimated cycles, unrounded), as
+	// lfsim -ab and lfreport print it.
 	BaselineCycles int64   `json:"baseline_cycles,omitempty"`
 	LoopFrogCycles int64   `json:"loopfrog_cycles,omitempty"`
 	Speedup        float64 `json:"speedup,omitempty"`
@@ -366,38 +366,6 @@ func (spec *JobSpec) hasVariant() bool {
 		spec.GranuleBytes != 0 || spec.PackTarget != 0
 }
 
-// buildConfig derives the machine configuration from the spec.
-func buildConfig(spec *JobSpec) (cpu.Config, error) {
-	threadlets := spec.Threadlets
-	if threadlets == 0 {
-		threadlets = 4
-	}
-	if threadlets < 1 {
-		return cpu.Config{}, fmt.Errorf("threadlets must be at least 1 (got %d)", threadlets)
-	}
-	cfg := cpu.DefaultConfig()
-	cfg.Threadlets = threadlets
-	if spec.hasVariant() {
-		// Derive the engine knobs exactly the way the tuner's in-process
-		// evaluator does, so a fanned-out rung evaluation fingerprints (and
-		// run-caches) identically on the worker.
-		v := spec.variant()
-		cfg = v.Config(cfg)
-	}
-	if spec.NoPack {
-		cfg.Pack.Enabled = false
-	}
-	if spec.MaxCycles > 0 {
-		cfg.MaxCycles = spec.MaxCycles
-	}
-	if spec.Baseline {
-		cfg = sim.BaselineOf(cfg)
-	}
-	cfg.SpectreAnalysis = spec.Spectre
-	cfg.DelaySpeculativeLoadDeps = spec.Mitigate
-	return cfg, nil
-}
-
 // validateSpec normalises and checks the submission-shaping fields.
 func (s *Server) validateSpec(spec *JobSpec) error {
 	switch spec.Kind {
@@ -448,29 +416,7 @@ func (s *Server) validateSpec(spec *JobSpec) error {
 	if spec.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be non-negative (got %d)", spec.TimeoutMS)
 	}
-	if spec.Baseline && spec.AB {
-		return fmt.Errorf("baseline and ab are mutually exclusive")
-	}
-	if spec.Faults != "" {
-		if _, err := fault.Parse(spec.Faults, spec.Seed); err != nil {
-			return err
-		}
-	}
-	if spec.Sampled {
-		if spec.Faults != "" {
-			return fmt.Errorf("sampled and faults are mutually exclusive: fault injection needs the detailed machine over the whole run")
-		}
-		if spec.Spectre || spec.Mitigate {
-			return fmt.Errorf("sampled and spectre/mitigate are mutually exclusive: taint state cannot survive checkpoint seeding")
-		}
-		sc := sim.SampleConfig{Interval: spec.SampleInterval, Window: spec.SampleWindow, Warmup: spec.SampleWarmup}
-		if err := sc.Validate(); err != nil {
-			return err
-		}
-	} else if spec.SampleInterval != 0 || spec.SampleWindow != 0 || spec.SampleWarmup != 0 {
-		return fmt.Errorf("sample_interval/sample_window/sample_warmup require sampled: true")
-	}
-	return nil
+	return spec.ValidateSim()
 }
 
 // normalizeTuneSpec checks the tune-specific surface and resolves a bench
@@ -529,10 +475,9 @@ func (s *Server) timeoutFor(spec *JobSpec) time.Duration {
 	return d
 }
 
-// run executes one admitted job on the harness and records its terminal
-// state. AB jobs schedule the baseline and LoopFrog runs as two harness jobs
-// (concurrently when workers allow, deduplicated by the run-cache); plain
-// jobs schedule one.
+// run executes one admitted job — on the fabric when one is configured,
+// otherwise (or when it has no live worker) on the local harness through
+// Execute — and records its terminal state.
 func (s *Server) run(j *job) {
 	if err := j.ctx.Err(); err != nil {
 		j.finish(StatusCancelled, statusClientClosed, nil, "cancelled before start: "+err.Error())
@@ -563,118 +508,15 @@ func (s *Server) run(j *job) {
 		}
 		s.m.degraded.Add(1)
 	}
-	if j.Spec.Sampled {
-		s.runSampled(j, timeout)
-		return
-	}
-	var jobs []sim.Job
-	if j.Spec.AB {
-		jobs = []sim.Job{
-			{Cfg: sim.BaselineOf(j.cfg), Prog: j.prog, Timeout: timeout},
-			{Cfg: j.cfg, Prog: j.prog, Faults: j.Spec.Faults, Seed: j.Spec.Seed, Timeout: timeout, Observe: j.observe},
-		}
-	} else {
-		jobs = []sim.Job{
-			{Cfg: j.cfg, Prog: j.prog, Faults: j.Spec.Faults, Seed: j.Spec.Seed, Timeout: timeout, Observe: j.observe},
-		}
-	}
-	stats, errs := s.harness.RunJobsCtx(j.ctx, jobs)
-	for _, err := range errs {
-		if err != nil {
-			status, httpStatus, text := classifyError(err)
-			j.finish(status, httpStatus, nil, text)
-			return
-		}
-	}
-	res := &JobResult{Program: j.prog.Name}
-	st := stats[len(stats)-1]
-	res.Cycles = st.Cycles
-	res.ArchInsts = st.ArchInsts
-	res.IPC = st.IPC()
-	res.Spawns = st.Spawns
-	for _, n := range st.Squashes {
-		res.Squashes += n
-	}
-	if j.Spec.AB {
-		base, lf := stats[0], stats[1]
-		res.BaselineCycles = base.Cycles
-		res.LoopFrogCycles = lf.Cycles
-		if lf.Cycles > 0 {
-			res.Speedup = float64(base.Cycles) / float64(lf.Cycles)
-		}
-	}
-	if j.Spec.Spectre || j.Spec.Mitigate {
-		res.LeakCandidates = st.LeakCandidates
-		res.Leaks = st.Leaks
-		res.DelayedWakes = st.DelayedWakes
-	}
-	attachRegions(res, st.Regions, j.lintRep, false)
-	j.finish(StatusDone, http.StatusOK, res, "")
-}
-
-// attachRegions joins a run's per-region speculation ledgers with the
-// admission preflight's static region table into the ranked per-loop rows
-// lfreport renders, carried inline in the job result. Runs without ledgers
-// (region tracking disabled, no regions executed) attach nothing.
-func attachRegions(res *JobResult, regions []cpu.RegionLedger, lrep *lint.Report, estimated bool) {
-	if len(regions) == 0 {
-		return
-	}
-	prof := report.Build(report.Input{
-		Program:        res.Program,
-		Regions:        regions,
-		Cycles:         res.Cycles,
-		BaselineCycles: res.BaselineCycles,
-		Estimated:      estimated,
-		Lint:           lrep,
+	out, err := Execute(j.ctx, s.harness, &j.Spec, Exec{
+		Prog: j.prog, Cfg: j.cfg, Lint: j.lintRep, Timeout: timeout, Observe: j.observe,
 	})
-	res.Regions = prof.Rows
-	res.OutsideSlots = prof.OutsideSlots
-}
-
-// runSampled executes a sampled job: the tier-1 pass plus every detailed
-// window run inside the job's deadline, windows fanned over the harness pool
-// like any other jobs. Progress streaming has no single live machine to
-// sample, so SSE clients see status only.
-func (s *Server) runSampled(j *job, timeout time.Duration) {
-	ctx, cancel := context.WithTimeout(j.ctx, timeout)
-	defer cancel()
-	sc := sim.SampleConfig{
-		Interval: j.Spec.SampleInterval,
-		Window:   j.Spec.SampleWindow,
-		Warmup:   j.Spec.SampleWarmup,
+	if err != nil {
+		status, httpStatus, text := classifyError(err)
+		j.finish(status, httpStatus, nil, text)
+		return
 	}
-	res := &JobResult{Program: j.prog.Name, Sampled: true}
-	var st *sim.SampledStats
-	if j.Spec.AB {
-		ab, err := s.harness.RunSampledABCtx(ctx, j.cfg, j.prog, sc)
-		if err != nil {
-			status, httpStatus, text := classifyError(err)
-			j.finish(status, httpStatus, nil, text)
-			return
-		}
-		st = ab.LF
-		res.BaselineCycles = int64(ab.Base.EstCycles + 0.5)
-		res.LoopFrogCycles = int64(ab.LF.EstCycles + 0.5)
-		res.Speedup = ab.EstSpeedup
-	} else {
-		var err error
-		st, err = s.harness.RunSampledCtx(ctx, j.cfg, j.prog, sc)
-		if err != nil {
-			status, httpStatus, text := classifyError(err)
-			j.finish(status, httpStatus, nil, text)
-			return
-		}
-	}
-	res.Cycles = int64(st.EstCycles + 0.5)
-	res.ArchInsts = st.TotalInsts
-	res.IPC = st.IPC()
-	res.Windows = len(st.Windows)
-	res.DetailedShare = st.DetailedShare
-	res.Tier1IPS = st.Tier1IPS
-	res.EffectiveIPS = st.EffectiveIPS
-	attachRegions(res, st.Regions, j.lintRep, true)
-	j.finish(StatusDone, http.StatusOK, res, "")
+	j.finish(StatusDone, http.StatusOK, out.Result, "")
 }
 
 // statusClientClosed mirrors nginx's 499: the client abandoned the request.

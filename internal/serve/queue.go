@@ -61,7 +61,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, spec JobSpec) {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return
 	}
-	cfg, err := buildConfig(&spec)
+	cfg, err := spec.MachineConfig()
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
 		return

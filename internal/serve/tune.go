@@ -102,27 +102,10 @@ type fabricEvaluator struct {
 }
 
 func (f *fabricEvaluator) Evaluate(ctx context.Context, reqs []tune.EvalRequest) ([]*tune.EvalResult, []error) {
-	results := make([]*tune.EvalResult, len(reqs))
-	errs := make([]error, len(reqs))
-	sem := make(chan struct{}, maxRemoteEvals)
-	done := make(chan int, len(reqs))
-	for i := range reqs {
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem; done <- i }()
-			results[i], errs[i] = f.evalOne(ctx, &reqs[i])
-		}(i)
-	}
-	for range reqs {
-		<-done
-	}
-	return results, errs
+	// The fabric's per-worker slots provide the real backpressure; this
+	// bound only caps coordinator memory.
+	return tune.FanOut(reqs, 32, func(req *tune.EvalRequest) (*tune.EvalResult, error) { return f.evalOne(ctx, req) })
 }
-
-// maxRemoteEvals bounds concurrent remote dispatches per rung; the fabric's
-// per-worker slots provide the real backpressure, this only caps coordinator
-// memory.
-const maxRemoteEvals = 32
 
 func (f *fabricEvaluator) evalOne(ctx context.Context, req *tune.EvalRequest) (*tune.EvalResult, error) {
 	fp, err := req.Fingerprint()

@@ -10,8 +10,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"loopfrog/internal/serve"
+	"loopfrog/internal/sim"
+	"loopfrog/internal/tune"
+	"loopfrog/internal/workloads"
 )
 
 func TestUnknownKindRejected(t *testing.T) {
@@ -186,6 +190,34 @@ func TestTuneFabricFanOut(t *testing.T) {
 	for fp := range exec.keys {
 		if len(fp) != 16 {
 			t.Errorf("dispatch routed on malformed fingerprint %q", fp)
+		}
+	}
+}
+
+// TestTuneEvaluatorsAgree: the tuner scores a rung evaluation the same
+// whether it runs on the local harness or as a sim job on a worker. One
+// request per tier, for a variant and for the shared baseline.
+func TestTuneEvaluatorsAgree(t *testing.T) {
+	_, worker := newTestServer(t, serve.Config{})
+	s, _ := newTestServer(t, serve.Config{Remote: &loopbackExec{url: worker.URL}})
+	src := workloads.Find("leela").Source()
+	var reqs []tune.EvalRequest
+	for tier := range tune.Tiers() {
+		reqs = append(reqs,
+			tune.EvalRequest{Program: "leela", Source: src, Tier: tier, Variant: tune.Variant{PackFactor: 4, GranuleBytes: 8}},
+			tune.EvalRequest{Program: "leela", Source: src, Tier: tier, Baseline: true})
+	}
+	ctx := context.Background()
+	local, lerrs := tune.Local{H: &sim.Harness{}}.Evaluate(ctx, reqs)
+	remote, rerrs := serve.FabricEvaluator(s, time.Minute).Evaluate(ctx, reqs)
+	for i, req := range reqs {
+		if lerrs[i] != nil || rerrs[i] != nil {
+			t.Fatalf("tier %d baseline=%v: local err %v, fabric err %v", req.Tier, req.Baseline, lerrs[i], rerrs[i])
+		}
+		l, r := local[i], remote[i]
+		if l.Cycles != r.Cycles || l.Insts != r.Insts || l.Fingerprint != r.Fingerprint {
+			t.Errorf("%s tier, baseline=%v: local %v cycles, %d insts, %s; fabric %v cycles, %d insts, %s",
+				tune.Tiers()[req.Tier].Name, req.Baseline, l.Cycles, l.Insts, l.Fingerprint, r.Cycles, r.Insts, r.Fingerprint)
 		}
 	}
 }

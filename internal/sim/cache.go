@@ -120,15 +120,6 @@ func NewRunCache() *RunCache { return &RunCache{capacity: DefaultCacheCapacity} 
 // completed entries; capacity <= 0 means unbounded.
 func NewBoundedRunCache(capacity int) *RunCache { return &RunCache{capacity: capacity} }
 
-// SetCapacity changes the LRU bound (<= 0 means unbounded) and immediately
-// evicts down to it.
-func (c *RunCache) SetCapacity(capacity int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	c.evictOverLocked()
-}
-
 // Capacity returns the LRU bound (0 = unbounded).
 func (c *RunCache) Capacity() int {
 	c.mu.Lock()
@@ -149,11 +140,6 @@ func (c *RunCache) evictOverLocked() {
 		delete(c.entries, e.key)
 		c.evictions.Add(1)
 	}
-}
-
-// Run returns the memoised result for (cfg, prog), simulating on first use.
-func (c *RunCache) Run(cfg cpu.Config, prog *asm.Program) (*cpu.Stats, error) {
-	return c.Do(CacheKey(cfg, prog), func() (*cpu.Stats, error) { return Run(cfg, prog) })
 }
 
 // Do returns the memoised result for key, invoking run on first use.

@@ -60,30 +60,6 @@ func TestCacheLRUBound(t *testing.T) {
 	}
 }
 
-// TestCacheSetCapacity: shrinking the bound evicts down immediately; a
-// non-positive capacity means unbounded.
-func TestCacheSetCapacity(t *testing.T) {
-	c := NewBoundedRunCache(0)
-	for i := 0; i < 8; i++ {
-		if _, err := c.Do(fmt.Sprintf("k%d", i), stub(int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := c.Len(); n != 8 {
-		t.Fatalf("unbounded cache evicted: len=%d, want 8", n)
-	}
-	c.SetCapacity(3)
-	if n := c.Len(); n != 3 {
-		t.Errorf("after SetCapacity(3): len=%d, want 3", n)
-	}
-	if ev := c.Evictions(); ev != 5 {
-		t.Errorf("evictions = %d, want 5", ev)
-	}
-	if got := c.Capacity(); got != 3 {
-		t.Errorf("capacity = %d, want 3", got)
-	}
-}
-
 // TestDefaultCacheIsBounded: NewRunCache (the harness default) carries the
 // default capacity, so a long-lived process cannot grow the cache without
 // limit.

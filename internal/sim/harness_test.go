@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"loopfrog/internal/asm"
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/fault"
 	"loopfrog/internal/workloads"
@@ -102,12 +103,15 @@ func TestRunCacheDedup(t *testing.T) {
 	prog := workloads.ByName(workloads.CPU2017(), "deepsjeng").MustProgram()
 	cfg := cpu.DefaultConfig()
 	c := NewRunCache()
+	run := func(cfg cpu.Config, prog *asm.Program) (*cpu.Stats, error) {
+		return c.Do(CacheKey(cfg, prog), func() (*cpu.Stats, error) { return Run(cfg, prog) })
+	}
 
-	st1, err := c.Run(cfg, prog)
+	st1, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := c.Run(cfg, prog)
+	st2, err := run(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +126,7 @@ func TestRunCacheDedup(t *testing.T) {
 	}
 	saved := st2.Cycles
 	st1.Cycles = 0 // corrupting one copy must not leak into the cache
-	st3, _ := c.Run(cfg, prog)
+	st3, _ := run(cfg, prog)
 	if st3.Cycles != saved {
 		t.Error("mutating a returned Stats corrupted the cache")
 	}
@@ -137,7 +141,7 @@ func TestRunCacheDedup(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func() {
 			defer wg.Done()
-			if _, err := c.Run(granule, prog); err != nil {
+			if _, err := run(granule, prog); err != nil {
 				t.Error(err)
 			}
 		}()

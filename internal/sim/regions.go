@@ -4,8 +4,8 @@ package sim
 // carries exact ledgers in its Stats; a sampled run yields one ledger set per
 // detailed window, each standing for its whole interval. The accumulator
 // merges either kind: verbatim (Add) for exact runs, interval-weighted
-// (AddScaled) for sampled windows — the same weighting EstimateSpeedup
-// applies to window IPCs. Scaled merges are estimates by construction
+// (AddScaled) for sampled windows — the same weighting EstCycles gives the
+// window IPCs. Scaled merges are estimates by construction
 // (counters are extrapolated from the measured slice and rounded), so
 // cpu.Stats.ReconcileRegions applies to single exact runs only, never to a
 // scaled aggregate.

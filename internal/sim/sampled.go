@@ -8,9 +8,10 @@ package sim
 // checkpoint and simulates only a short window — Warmup instructions of
 // detailed warmup (letting pipeline/queue state settle; measurement starts
 // after) followed by Window measured instructions. Each window's IPC stands
-// for its whole interval, and the per-interval instruction counts weight the
-// window IPCs into a whole-run cycle estimate, exactly the phase-weighted
-// estimation weights.go implements.
+// for its whole interval: measureWindow gives every window the instruction
+// count it represents, and EstCycles sums those counts over the window IPCs
+// into the whole-run estimate, the paper's SimPoint run-time estimate. An
+// A/B pair's speedup is the ratio of its two sides' estimates.
 //
 // Checkpoints are independent, so the windows of one long program fan out
 // across the harness worker pool like unrelated jobs — parallel-in-time
@@ -132,6 +133,10 @@ type SampledStats struct {
 	EffectiveIPS float64
 }
 
+// Cycles is the estimate rounded to a whole cycle, as job results, reports
+// and the tuner carry it.
+func (s *SampledStats) Cycles() int64 { return int64(s.EstCycles + 0.5) }
+
 // IPC returns the estimated whole-run IPC.
 func (s *SampledStats) IPC() float64 {
 	if s.EstCycles == 0 {
@@ -142,20 +147,15 @@ func (s *SampledStats) IPC() float64 {
 
 // RunSampledCtx runs a sampled estimate of prog on cfg over the harness pool
 // under a context: cancellation stops tier-1, every in-flight window, and
-// returns with no goroutines left behind.
-func (h *Harness) RunSampledCtx(ctx context.Context, cfg cpu.Config, prog *asm.Program, sc SampleConfig) (*SampledStats, error) {
-	return h.RunSampledObservedCtx(ctx, cfg, prog, sc, nil)
-}
-
-// RunSampledObservedCtx is RunSampledCtx with a per-window observer: when
-// observe is non-nil it is invoked with the window index (program order) and
-// the window's machine just before that window's detailed simulation starts,
-// so callers can attach telemetry — tracing each parallel-in-time window onto
-// its own trace process, say. Observers run on worker goroutines and must be
-// safe for concurrent use. Like Job.Observe (which carries it), the hook
-// fires only for windows that actually execute a machine: a window served
-// from the harness run-cache is never observed.
-func (h *Harness) RunSampledObservedCtx(ctx context.Context, cfg cpu.Config, prog *asm.Program, sc SampleConfig, observe func(win int, m *cpu.Machine)) (*SampledStats, error) {
+// returns with no goroutines left behind. When observe is non-nil it is
+// invoked with the window index (program order) and the window's machine
+// just before that window's detailed simulation starts, so callers can
+// attach telemetry — tracing each parallel-in-time window onto its own trace
+// process, say. Observers run on worker goroutines and must be safe for
+// concurrent use. Like Job.Observe (which carries it), the hook fires only
+// for windows that actually execute a machine: a window served from the
+// harness run-cache is never observed.
+func (h *Harness) RunSampledCtx(ctx context.Context, cfg cpu.Config, prog *asm.Program, sc SampleConfig, observe func(win int, m *cpu.Machine)) (*SampledStats, error) {
 	sides, err := h.sampled(ctx, cfg, []cpu.Config{cfg}, prog, sc, observe)
 	if err != nil {
 		return nil, err
@@ -164,11 +164,12 @@ func (h *Harness) RunSampledObservedCtx(ctx context.Context, cfg cpu.Config, pro
 }
 
 // SampledResult is a benchmark's sampled A/B outcome: the baseline and
-// LoopFrog sampled estimates plus the phase-weighted speedup.
+// LoopFrog sampled estimates plus the estimated speedup.
 type SampledResult struct {
 	Base, LF *SampledStats
-	// EstSpeedup is the region speedup from the weighted window IPCs
-	// (EstimateSpeedup over per-interval phases).
+	// EstSpeedup is Base.EstCycles / LF.EstCycles: the ratio of the two
+	// SimPoint run-time estimates, each window already weighted by the
+	// interval it stands for.
 	EstSpeedup float64
 }
 
@@ -187,20 +188,8 @@ func (h *Harness) RunSampledABCtx(ctx context.Context, cfg cpu.Config, prog *asm
 		return nil, err
 	}
 	res := &SampledResult{Base: sides[0], LF: sides[1]}
-	phases := make([]Phase, 0, len(res.Base.Windows))
-	for i, bw := range res.Base.Windows {
-		if bw.Insts == 0 {
-			continue // terminal fragment shorter than the warmup: weightless
-		}
-		phases = append(phases, Phase{
-			Weight:  float64(bw.Insts) / float64(res.Base.TotalInsts),
-			Insts:   bw.Insts,
-			BaseIPC: bw.IPC,
-			LFIPC:   res.LF.Windows[i].IPC,
-		})
-	}
-	if res.EstSpeedup, err = EstimateSpeedup(phases); err != nil {
-		return nil, err
+	if res.LF.EstCycles > 0 {
+		res.EstSpeedup = res.Base.EstCycles / res.LF.EstCycles
 	}
 	return res, nil
 }
@@ -413,10 +402,4 @@ func measureWindow(at, total uint64, sc SampleConfig, st *cpu.Stats) (WindowStat
 	}
 	w.IPC = float64(w.MeasInsts) / float64(w.MeasCycles)
 	return w, nil
-}
-
-// RunSampledAB runs a sampled baseline/LoopFrog comparison on the default
-// harness.
-func RunSampledAB(cfg cpu.Config, prog *asm.Program, sc SampleConfig) (*SampledResult, error) {
-	return DefaultHarness().RunSampledAB(cfg, prog, sc)
 }

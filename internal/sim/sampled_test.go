@@ -219,7 +219,7 @@ func TestSampledSingleMatchesAB(t *testing.T) {
 				// agree exactly as well.
 				{"baseline", BaselineOf(cfg), ab.Base},
 			} {
-				single, err := fresh().RunSampledCtx(context.Background(), side.cfg, prog, SampleConfig{})
+				single, err := fresh().RunSampledCtx(context.Background(), side.cfg, prog, SampleConfig{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -342,7 +342,7 @@ func TestSampledCancelNoLeak(t *testing.T) {
 	h := &Harness{Workers: 4, Cache: NewRunCache()}
 	go func() {
 		defer close(done)
-		_, err := h.RunSampledCtx(ctx, cfg, prog, SampleConfig{})
+		_, err := h.RunSampledCtx(ctx, cfg, prog, SampleConfig{}, nil)
 		if err == nil {
 			t.Error("cancelled sampled run returned no error")
 		}
@@ -432,7 +432,7 @@ loop:   addi t0, t0, 1
 	before := runtime.NumGoroutine()
 	h := &Harness{Workers: 2}
 	var started atomic.Int64
-	_, err := h.RunSampledObservedCtx(context.Background(), cfg, bad, SampleConfig{},
+	_, err := h.RunSampledCtx(context.Background(), cfg, bad, SampleConfig{},
 		func(int, *cpu.Machine) { started.Add(1) })
 	if err == nil || !strings.Contains(err.Error(), "tier-1 functional pass") || !strings.Contains(err.Error(), "out of range") {
 		t.Fatalf("err = %v, want tier 1's pc-out-of-range error", err)

@@ -100,13 +100,3 @@ func Geomean(xs []float64) float64 {
 	}
 	return math.Exp(sum / float64(len(xs)))
 }
-
-// GeomeanSpeedup aggregates suite results the way the paper reports
-// whole-suite numbers.
-func GeomeanSpeedup(results []*Result) float64 {
-	xs := make([]float64, 0, len(results))
-	for _, r := range results {
-		xs = append(xs, r.Speedup())
-	}
-	return Geomean(xs)
-}

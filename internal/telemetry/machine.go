@@ -261,7 +261,7 @@ type slotArgKey struct {
 
 // TraceSampledWindows builds the observer pair for tracing a sampled run's
 // parallel-in-time detailed windows into one Trace. The observe function
-// plugs into sim's RunSampledObservedCtx: window i lands on trace pid i+1
+// plugs into sim's RunSampledCtx: window i lands on trace pid i+1
 // (pid 0 stays reserved for a whole-run machine) named "loopfrog window
 // i+1", so Perfetto renders each window as its own process group and
 // interleaved windows never read as one ambiguous timeline. Call finish

@@ -157,23 +157,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteTable writes the snapshot as an aligned human-readable table.
-func (r *Registry) WriteTable(w io.Writer) error {
-	snap := r.Snapshot()
-	width := 0
-	for _, m := range snap {
-		if len(m.Name) > width {
-			width = len(m.Name)
-		}
-	}
-	for _, m := range snap {
-		if _, err := fmt.Fprintf(w, "%-*s  %s\n", width, m.Name, formatValue(m.Value)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WritePrometheus writes the snapshot in the Prometheus text exposition
 // format (version 0.0.4): one gauge per metric, names sanitised to the
 // Prometheus charset (every character outside [a-zA-Z0-9_:] becomes '_', a

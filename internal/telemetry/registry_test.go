@@ -156,17 +156,3 @@ func TestRegistryWritePrometheus(t *testing.T) {
 		}
 	}
 }
-
-func TestRegistryWriteTable(t *testing.T) {
-	r := NewRegistry()
-	if err := r.RegisterStruct("c", &sampleStats{Hits: 3}); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := r.WriteTable(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "c.Hits") || !strings.Contains(buf.String(), "3") {
-		t.Errorf("table missing entries:\n%s", buf.String())
-	}
-}

@@ -3,6 +3,7 @@ package tune
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"loopfrog/internal/asm"
 	"loopfrog/internal/compiler"
@@ -110,27 +111,31 @@ func (l Local) Evaluate(ctx context.Context, reqs []EvalRequest) ([]*EvalResult,
 	if h == nil {
 		h = sim.DefaultHarness()
 	}
-	results := make([]*EvalResult, len(reqs))
-	errs := make([]error, len(reqs))
-	sem := make(chan struct{}, maxConcurrentEvals)
-	done := make(chan int, len(reqs))
-	for i := range reqs {
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem; done <- i }()
-			results[i], errs[i] = evalOne(ctx, h, &reqs[i])
-		}(i)
-	}
-	for range reqs {
-		<-done
-	}
-	return results, errs
+	// Each sampled evaluation already fans out one job per window, so a
+	// small multiplier keeps the pool saturated without stacking up
+	// checkpoint memory.
+	return FanOut(reqs, 4, func(req *EvalRequest) (*EvalResult, error) { return evalOne(ctx, h, req) })
 }
 
-// maxConcurrentEvals bounds in-flight evaluations; each sampled evaluation
-// already fans out one job per window, so a small multiplier keeps the pool
-// saturated without stacking up checkpoint memory.
-const maxConcurrentEvals = 4
+// FanOut runs eval over every request concurrently, at most limit at a time,
+// for the evaluators; results[i] and errs[i] pair with reqs[i].
+func FanOut(reqs []EvalRequest, limit int, eval func(*EvalRequest) (*EvalResult, error)) ([]*EvalResult, []error) {
+	results := make([]*EvalResult, len(reqs))
+	errs := make([]error, len(reqs))
+	sem := make(chan struct{}, limit)
+	var wg sync.WaitGroup
+	wg.Add(len(reqs))
+	for i := range reqs {
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			results[i], errs[i] = eval(&reqs[i])
+		}(i)
+	}
+	wg.Wait()
+	return results, errs
+}
 
 func evalOne(ctx context.Context, h *sim.Harness, req *EvalRequest) (*EvalResult, error) {
 	cfg, prog, err := req.Build()
@@ -147,11 +152,13 @@ func evalOne(ctx context.Context, h *sim.Harness, req *EvalRequest) (*EvalResult
 		CostUnits:   t.Cost,
 	}
 	if t.Sample != nil {
-		st, err := h.RunSampledCtx(ctx, cfg, prog, *t.Sample)
+		st, err := h.RunSampledCtx(ctx, cfg, prog, *t.Sample, nil)
 		if err != nil {
 			return nil, err
 		}
-		res.Cycles = st.EstCycles
+		// Whole cycles, as a sampled job result carries them, so the
+		// fabric evaluator scores the same numbers.
+		res.Cycles = float64(st.Cycles())
 		res.Insts = st.TotalInsts
 		return res, nil
 	}

@@ -203,6 +203,19 @@ var named = sync.OnceValue(func() map[string]*Benchmark {
 	return idx
 })
 
+// Load resolves a tool's program input: the named built-in benchmark when
+// bench is set (Find), otherwise the file at path (LoadFile).
+func Load(bench, path string) (*asm.Program, compiler.Diagnostics, error) {
+	if bench == "" {
+		return LoadFile(path)
+	}
+	if b := Find(bench); b != nil {
+		prog, err := b.Program()
+		return prog, nil, err
+	}
+	return nil, nil, fmt.Errorf("unknown benchmark %q", bench)
+}
+
 // LoadFile reads a program from disk: a .s file is assembled, anything else
 // is compiled as LoopLang. The image is named after the path so diagnostics
 // point at it. The compiler's notes (de-selected loops) are returned for the
