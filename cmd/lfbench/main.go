@@ -73,7 +73,7 @@ func main() {
 	fabricFlag := flag.Bool("fabric", false, "run the distributed-sweep throughput study (3 in-process nodes vs 1) and exit")
 	fabricJSON := flag.String("fabricjson", "BENCH_fabric.json", "with the fabric study, write the comparison here")
 	tuneFlag := flag.Bool("tune", false, "run the autotuned-vs-static hint-selection study and exit")
-	tuneJSON := flag.String("tunejson", "BENCH_tune.json", "with the tune study, write the table and search-cost curve here")
+	tuneJSON := flag.String("tunejson", "BENCH_tune.json", "with the tune study, write the table here")
 	parallel := flag.Int("parallel", 0, "simulation worker count (0 = all cores)")
 	metricsPath := flag.String("metrics", "", "write harness telemetry JSON to this file on exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -297,33 +297,28 @@ func runSampled(suite []*workloads.Benchmark, jsonPath string) bool {
 	return len(fails) == 0
 }
 
-// runTuneStudy runs the autotuned-vs-static study: the budgeted hint
-// autotuner over the study suite at each budget of the search-cost curve,
-// every winner gated against the static selection. Returns false on any
-// gate breach.
+// runTuneStudy runs the autotuned-vs-static study: the hint autotuner over
+// the study suite, every winner gated against the static selection. Returns
+// false on any gate breach.
 func runTuneStudy(jsonPath string, quick bool) bool {
 	suite := experiments.TuneSuite()
-	budgets := experiments.DefaultTuneBudgets()
-	if quick {
-		if len(suite) > 3 {
-			suite = suite[:3]
-		}
-		budgets = budgets[:1]
+	if quick && len(suite) > 3 {
+		suite = suite[:3]
 	}
-	pts, err := experiments.TuneStudy(suite, budgets)
+	rows, err := experiments.TuneStudy(suite)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lfbench:", err)
 		return false
 	}
-	fmt.Print(experiments.FormatTune(pts))
+	fmt.Print(experiments.FormatTune(rows))
 	if jsonPath != "" {
-		if err := writeTuneJSON(jsonPath, budgets, pts); err != nil {
+		if err := writeTuneJSON(jsonPath, rows); err != nil {
 			fmt.Fprintln(os.Stderr, "lfbench:", err)
 			return false
 		}
 		fmt.Printf("wrote %s\n", jsonPath)
 	}
-	fails := experiments.TuneFailures(pts)
+	fails := experiments.TuneFailures(rows)
 	for _, f := range fails {
 		fmt.Fprintln(os.Stderr, "lfbench: FAIL:", f)
 	}
@@ -335,20 +330,18 @@ func runTuneStudy(jsonPath string, quick bool) bool {
 
 // tuneReport is the BENCH_tune.json schema.
 type tuneReport struct {
-	Description string                  `json:"description"`
-	Meta        experiments.Meta        `json:"meta"`
-	Budgets     []int                   `json:"budgets"`
-	BeatsStatic int                     `json:"beats_static"`
-	Curve       []experiments.TunePoint `json:"curve"`
+	Description string                `json:"description"`
+	Meta        experiments.Meta      `json:"meta"`
+	BeatsStatic int                   `json:"beats_static"`
+	Workloads   []experiments.TuneRow `json:"workloads"`
 }
 
-func writeTuneJSON(path string, budgets []int, pts []experiments.TunePoint) error {
+func writeTuneJSON(path string, rows []experiments.TuneRow) error {
 	rep := tuneReport{
-		Description: "Budgeted hint autotuning: per workload and per evaluation budget, the successive-halving search's winning variant against the compiler's static hint selection. Scores are speedups over the shared hints-as-NOPs baseline at the deepest tier each side reached; spent is the search cost actually consumed in rung-0-equivalent units; beats_static counts workloads whose largest-budget winner strictly improves on the static selection.",
+		Description: "Hint autotuning: per workload, the search's winning variant against the compiler's static hint selection. Every variant that survives pruning and dedup is measured once with a full detailed run; scores are speedups over the shared hints-as-NOPs baseline; evaluations counts those detailed runs, baseline included; beats_static counts workloads whose winner strictly improves on the static selection.",
 		Meta:        experiments.NewMeta("lfbench -tune -tunejson BENCH_tune.json"),
-		Budgets:     budgets,
-		BeatsStatic: experiments.TuneBeats(pts),
-		Curve:       pts,
+		BeatsStatic: experiments.TuneBeats(rows),
+		Workloads:   rows,
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -379,7 +372,7 @@ func writeSampledJSON(path string, suite []*workloads.Benchmark, points []experi
 		names = append(names, b.Name)
 	}
 	var outliers []string
-	for name := range experiments.SampledOutliers {
+	for name := range sim.SampledOutliers {
 		outliers = append(outliers, name)
 	}
 	sort.Strings(outliers)
@@ -387,7 +380,7 @@ func writeSampledJSON(path string, suite []*workloads.Benchmark, points []experi
 		Description: "Two-tier sampled simulation: accuracy-vs-speedup curve. Each point estimates every workload's baseline and LoopFrog cycle count from fast-functional tier-1 warming plus detailed windows, compared against full detailed runs. sim_speedup is full-pair wall time over sampled-pair wall time on this host; windows fan out over the worker pool, so multi-core hosts scale it by the core count.",
 		Meta:        experiments.NewMeta("lfbench -sampled -sampledjson BENCH_sampled.json"),
 		Workloads:   names,
-		Budgets:     map[string]float64{"default": 100 * experiments.SampledErrBudget, "outlier": 100 * experiments.SampledOutlierBudget},
+		Budgets:     map[string]float64{"default": 100 * sim.SampledErrBudget, "outlier": 100 * sim.SampledOutlierBudget},
 		Outliers:    outliers,
 		Curve:       points,
 	}

@@ -1,11 +1,10 @@
-// Command lftune is the budgeted hint autotuner driver: it closes the
+// Command lftune is the hint autotuner driver: it closes the
 // compile→simulate→recompile loop for one program. Per @loopfrog loop it
 // enumerates hint-selection and engine-knob variants, prunes the space with
-// the linter's LF2xx profitability notes, and spends a fixed evaluation
-// budget by successive halving — wide-and-cheap sampled rungs, survivors
-// promoted to full detailed runs. The static default selection is anchored
-// through every rung, so the reported winner is never worse than what the
-// compiler would pick on its own.
+// the linter's LF2xx profitability notes, and measures every surviving
+// variant with one full detailed run against a shared baseline. The static
+// default selection is always measured, so the reported winner is never
+// worse than what the compiler would pick on its own.
 //
 // Usage:
 //
@@ -14,9 +13,6 @@
 //
 // Flags:
 //
-//	-budget N    evaluation budget in rung-0-equivalent units (default 128)
-//	-eta N       successive-halving fraction (default 3)
-//	-seed N      recorded in the report (the search is deterministic)
 //	-workers N   harness worker pool size (default GOMAXPROCS)
 //	-json        emit the full search report as JSON
 //	-o file      write the winning variant's recompiled image (disassembly)
@@ -44,9 +40,6 @@ func main() {
 
 func run() int {
 	bench := flag.String("bench", "", "tune a suite workload by name instead of a file")
-	budget := flag.Int("budget", tune.DefaultBudget, "evaluation budget in rung-0-equivalent units")
-	eta := flag.Int("eta", tune.DefaultEta, "successive-halving fraction")
-	seed := flag.Int64("seed", 0, "seed recorded in the report")
 	workers := flag.Int("workers", 0, "harness worker pool size (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit the full search report as JSON")
 	outFile := flag.String("o", "", "write the winning variant's recompiled image to this file")
@@ -79,8 +72,7 @@ func run() int {
 	}
 
 	h := &sim.Harness{Workers: *workers, Cache: sim.NewRunCache()}
-	spec := tune.Spec{Program: name, Source: src, Budget: *budget, Eta: *eta, Seed: *seed}
-	rep, err := tune.Tune(context.Background(), spec, tune.Local{H: h})
+	rep, err := tune.Tune(context.Background(), tune.Spec{Program: name, Source: src}, tune.Local{H: h})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lftune:", err)
 		return 1
@@ -128,9 +120,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "lftune: gate: winning image fails the linter")
 			return 1
 		}
-		// Scores at different tiers are not comparable: a budget-starved
-		// search can promote the winner past the anchor's deepest rung.
-		if rep.Winner.Tier == rep.Static.Tier && rep.Winner.Score < rep.Static.Score {
+		if rep.Winner.Score < rep.Static.Score {
 			fmt.Fprintf(os.Stderr, "lftune: gate: winner score %.4f below static %.4f\n",
 				rep.Winner.Score, rep.Static.Score)
 			return 1
@@ -140,8 +130,8 @@ func run() int {
 }
 
 func writeText(rep *tune.Report, h *sim.Harness) {
-	fmt.Printf("%s: %d loop site(s), %d variant(s) enumerated, %d pruned, budget %d (spent %d)\n",
-		rep.Program, len(rep.Loops), rep.SpaceSize, len(rep.Pruned), rep.Budget, rep.Spent)
+	fmt.Printf("%s: %d loop site(s), %d variant(s) enumerated, %d pruned, baseline %d cycles\n",
+		rep.Program, len(rep.Loops), rep.SpaceSize, len(rep.Pruned), rep.BaseCycles)
 	for _, l := range rep.Loops {
 		state := "selected"
 		if !l.Selected {
@@ -152,35 +142,25 @@ func writeText(rep *tune.Report, h *sim.Harness) {
 	for _, p := range rep.Pruned {
 		fmt.Printf("  pruned #%d (%s): %s\n", p.Variant.ID, p.Variant.Desc(), p.Rule)
 	}
-	for _, r := range rep.Rungs {
-		fmt.Printf("rung %d (%s): %d evaluated, baseline %.0f cycles, %d unit(s)\n",
-			r.Tier, r.TierName, len(r.Evaluated), r.BaseCycles, r.CostUnits)
-		for _, s := range r.Evaluated {
-			mark := " "
-			if contains(r.Promoted, s.Variant.ID) {
-				mark = "+"
-			}
-			if s.Err != "" {
-				fmt.Printf("  %s #%-3d %-28s FAILED: %s\n", mark, s.Variant.ID, s.Variant.Desc(), s.Err)
-				continue
-			}
-			fmt.Printf("  %s #%-3d %-28s score %.4f (%.0f cycles)\n",
-				mark, s.Variant.ID, s.Variant.Desc(), s.Score, s.Cycles)
+	fmt.Printf("  %-4s %-28s %10s %8s\n", "#", "variant", "cycles", "score")
+	for _, s := range rep.Ranking {
+		if s.Err != "" {
+			fmt.Printf("  %-4d %-28s FAILED: %s\n", s.Variant.ID, s.Variant.Desc(), s.Err)
+			continue
 		}
+		fmt.Printf("  %-4d %-28s %10d %8.4f\n", s.Variant.ID, s.Variant.Desc(), s.Cycles, s.Score)
 	}
-	fmt.Printf("winner: #%d (%s) score %.4f at %s\n",
-		rep.Winner.Variant.ID, rep.Winner.Variant.Desc(), rep.Winner.Score, tierName(rep.Winner.Tier))
+	fmt.Printf("winner: #%d (%s) score %.4f (%d cycles)\n",
+		rep.Winner.Variant.ID, rep.Winner.Variant.Desc(), rep.Winner.Score, rep.Winner.Cycles)
 	fmt.Printf("static: #%d score %.4f — winner %s static\n",
 		rep.Static.Variant.ID, rep.Static.Score, vs(rep))
 	st := h.Stats()
-	fmt.Printf("search cost: %d unit(s); cache hits %d, joins %d, misses %d\n",
-		rep.Spent, st.CacheHits, st.CacheFlightJoins, st.CacheMisses)
+	fmt.Printf("harness cache: hits %d, joins %d, misses %d\n",
+		st.CacheHits, st.CacheFlightJoins, st.CacheMisses)
 }
 
 func vs(rep *tune.Report) string {
 	switch {
-	case rep.Winner.Tier != rep.Static.Tier:
-		return "measured at a deeper tier than"
 	case rep.WinnerBeatsStatic():
 		return "beats"
 	case rep.Winner.Score == rep.Static.Score:
@@ -188,21 +168,4 @@ func vs(rep *tune.Report) string {
 	default:
 		return "trails"
 	}
-}
-
-func tierName(i int) string {
-	tiers := tune.Tiers()
-	if i >= 0 && i < len(tiers) {
-		return tiers[i].Name
-	}
-	return fmt.Sprint(i)
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

@@ -278,10 +278,10 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 // threadlet contexts with their queues, the branch predictor's tables and
 // the cache hierarchy. Its statistics (Stats, SnapshotStats, LeakReport),
 // final registers (FinalRegs) and memory stay readable; the machine must not
-// run again, and its predictor and hierarchy must not be used. A harness that runs machine after machine calls it, so that the
-// machines do not each allocate these afresh: with small program images
-// the live heap is small, and every megabyte a window allocates brings the
-// next collection closer.
+// run again, and its predictor and hierarchy must not be used. A harness
+// that runs machine after machine calls it, so that the machines do not each
+// allocate these afresh: with small program images the live heap is small,
+// and every megabyte a window allocates brings the next collection closer.
 func (m *Machine) Recycle() {
 	m.finalRegs = m.FinalRegs()
 	m.insts.recycle()

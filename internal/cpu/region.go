@@ -1,12 +1,13 @@
 package cpu
 
-// Per-region speculation attribution. The machine charges every hint-flow event (detach, spawn, squash, restart,
-// retire, promote, pack verification) and every commit-bandwidth slot to the
-// ledger of the epoch region it belongs to, alongside the existing global
-// counters. The ledger totals reconcile *exactly* with the global counters —
-// the same invariant the commit-slot stall attributor enforces — so a
-// per-loop profitability report is a direct output of the run rather than a
-// quantity estimated after the fact (ReconcileRegions is the checked form).
+// Per-region speculation attribution. The machine charges every hint-flow
+// event (detach, spawn, squash, restart, retire, promote, pack verification)
+// and every commit-bandwidth slot to the ledger of the epoch region it
+// belongs to, alongside the existing global counters. The ledger totals
+// reconcile *exactly* with the global counters — the same invariant the
+// commit-slot stall attributor enforces — so a per-loop profitability report
+// is a direct output of the run rather than a quantity estimated after the
+// fact (ReconcileRegions is the checked form).
 //
 // Attribution rules:
 //

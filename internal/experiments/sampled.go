@@ -11,25 +11,6 @@ import (
 	"loopfrog/internal/workloads"
 )
 
-// Error budgets for the sampled-accuracy gate, as fractions of the full
-// detailed run's cycle count.
-const (
-	// SampledErrBudget is the headline acceptance bound: sampled estimates at
-	// the full-tiling default must be within 2% of the full detailed run.
-	SampledErrBudget = 0.02
-	// SampledOutlierBudget is the looser bound for SampledOutliers.
-	SampledOutlierBudget = 0.05
-)
-
-// SampledOutliers are the workloads whose LoopFrog-side estimate is allowed
-// SampledOutlierBudget instead of SampledErrBudget. A detailed window seeded
-// mid-region restarts the spawn chain from scratch; on workloads whose chain
-// dynamics are sensitive to that restart the window settles into a measurably
-// different spawn/squash equilibrium than the uninterrupted run, and no
-// affordable detailed warmup converges the two (see EXPERIMENTS.md). The
-// baseline side always gets the tight budget.
-var SampledOutliers = map[string]bool{"povray": true, "perlbench": true}
-
 // SampledCell is one workload's accuracy and cost measurement at one sample
 // configuration.
 type SampledCell struct {
@@ -60,7 +41,7 @@ type SampledCell struct {
 	// DetailedShare is the fraction of the program's instructions simulated in
 	// detail (warmup included), averaged over the two sides.
 	DetailedShare float64 `json:"detailed_share"`
-	// Outlier marks the workload as one of SampledOutliers.
+	// Outlier marks the workload as one of sim.SampledOutliers.
 	Outlier bool `json:"outlier,omitempty"`
 }
 
@@ -157,7 +138,7 @@ func Sampled(suite []*workloads.Benchmark, configs []sim.SampleConfig) ([]Sample
 				Tier1MIPS:        res.Base.Tier1IPS / 1e6,
 				EffectiveMIPS:    res.Base.EffectiveIPS / 1e6,
 				DetailedShare:    (res.Base.DetailedShare + res.LF.DetailedShare) / 2,
-				Outlier:          SampledOutliers[b.Name],
+				Outlier:          sim.SampledOutliers[b.Name],
 			}
 			if c.SampledWallNanos > 0 {
 				c.SimSpeedup = float64(c.FullWallNanos) / float64(c.SampledWallNanos)
@@ -187,8 +168,8 @@ func Sampled(suite []*workloads.Benchmark, configs []sim.SampleConfig) ([]Sample
 }
 
 // SampledFailures returns one message per cell of the full-tiling points that
-// breaches its error budget (SampledErrBudget, or SampledOutlierBudget for
-// the documented LF-side outliers). Sub-interval points are never gated.
+// breaches its error budget (sim.SampledErrBudget, or sim.SampledOutlierBudget
+// for the documented LF-side outliers). Sub-interval points are never gated.
 func SampledFailures(points []SampledPoint) []string {
 	var fails []string
 	for _, p := range points {
@@ -196,13 +177,13 @@ func SampledFailures(points []SampledPoint) []string {
 			continue
 		}
 		for _, c := range p.Cells {
-			lfBudget := 100 * SampledErrBudget
+			lfBudget := 100 * sim.SampledErrBudget
 			if c.Outlier {
-				lfBudget = 100 * SampledOutlierBudget
+				lfBudget = 100 * sim.SampledOutlierBudget
 			}
-			if math.Abs(c.BaseErrPct) > 100*SampledErrBudget {
+			if math.Abs(c.BaseErrPct) > 100*sim.SampledErrBudget {
 				fails = append(fails, fmt.Sprintf("%s baseline cycle error %+.2f%% exceeds %.1f%% at {%d,%d,%d}",
-					c.Workload, c.BaseErrPct, 100*SampledErrBudget, p.Interval, p.Window, p.Warmup))
+					c.Workload, c.BaseErrPct, 100*sim.SampledErrBudget, p.Interval, p.Window, p.Warmup))
 			}
 			if math.Abs(c.LFErrPct) > lfBudget {
 				fails = append(fails, fmt.Sprintf("%s loopfrog cycle error %+.2f%% exceeds %.1f%% at {%d,%d,%d}",

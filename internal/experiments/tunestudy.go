@@ -11,37 +11,27 @@ import (
 	"loopfrog/internal/workloads"
 )
 
-// TunePoint is one (workload, budget) cell of the autotuning study: the
-// search's outcome and its cost at that budget. Scores are speedups over the
-// shared hints-as-NOPs baseline, so winner_score / static_score > 1 means
-// the tuned hint selection beats the compiler's static one.
-type TunePoint struct {
+// TuneRow is one workload of the autotuning study: the search's outcome and
+// its cost. Scores are speedups over the shared hints-as-NOPs baseline from
+// full detailed runs, so winner_score / static_score > 1 means the tuned hint
+// selection beats the compiler's static one.
+type TuneRow struct {
 	Workload  string `json:"workload"`
-	Budget    int    `json:"budget"`
-	Spent     int    `json:"spent"`
 	SpaceSize int    `json:"space_size"`
 	Pruned    int    `json:"pruned"`
-	Rungs     int    `json:"rungs"`
-	// Winner describes the winning variant (tune.Variant.Desc), WinnerScore
-	// its speedup at the deepest tier it reached; StaticScore is the anchor's
-	// speedup at its deepest tier — the control arm. The tier indices record
-	// each side's fidelity: the two scores are only comparable when they
-	// match (a budget-starved search can promote the winner past the anchor).
+	// Evaluations counts the detailed runs the search requested: every
+	// ranked variant plus the shared baseline.
+	Evaluations int `json:"evaluations"`
+	// Winner describes the winning variant (tune.Variant.Desc); StaticScore
+	// is the anchor's speedup — the control arm.
 	Winner      string  `json:"winner"`
-	WinnerTier  int     `json:"winner_tier"`
 	WinnerScore float64 `json:"winner_score"`
-	StaticTier  int     `json:"static_tier"`
 	StaticScore float64 `json:"static_score"`
-	// GainPct is the winner's advantage over the static selection in percent
-	// (0 when the anchor wins or the tiers differ).
+	// GainPct is the winner's advantage over the static selection in percent.
 	GainPct float64 `json:"gain_pct"`
 	// Seconds is the search's wall-clock cost on this host.
 	Seconds float64 `json:"seconds"`
 }
-
-// DefaultTuneBudgets is the search-cost curve the study sweeps, in
-// rung-0-equivalent units.
-func DefaultTuneBudgets() []int { return []int{16, 48, 128} }
 
 // TuneSuite selects the workloads the autotuning study retunes: programs
 // whose static hint selection is known-good (the true-parallelism classes,
@@ -60,110 +50,75 @@ func TuneSuite() []*workloads.Benchmark {
 	return out
 }
 
-// TuneStudy runs the budgeted autotuner over each workload at each budget.
-// All searches share one harness, so evaluations that recur across budgets
-// (the deeper rungs' detailed runs) dedupe through the run-cache exactly as
-// re-tuning an unchanged program would.
-func TuneStudy(suite []*workloads.Benchmark, budgets []int) ([]TunePoint, error) {
+// TuneStudy runs the autotuner once over each workload.
+func TuneStudy(suite []*workloads.Benchmark) ([]TuneRow, error) {
 	h := &sim.Harness{Cache: sim.NewRunCache()}
-	var pts []TunePoint
+	var rows []TuneRow
 	for _, b := range suite {
 		if b.Source() == "" {
 			return nil, fmt.Errorf("tune study: %s is a prebuilt asm workload", b.Name)
 		}
-		for _, budget := range budgets {
-			start := time.Now()
-			rep, err := tune.Tune(context.Background(),
-				tune.Spec{Program: b.Name, Source: b.Source(), Budget: budget},
-				tune.Local{H: h})
-			if err != nil {
-				return nil, fmt.Errorf("tune study: %s at budget %d: %w", b.Name, budget, err)
-			}
-			p := TunePoint{
-				Workload:    b.Name,
-				Budget:      budget,
-				Spent:       rep.Spent,
-				SpaceSize:   rep.SpaceSize,
-				Pruned:      len(rep.Pruned),
-				Rungs:       len(rep.Rungs),
-				Winner:      rep.Winner.Variant.Desc(),
-				WinnerTier:  rep.Winner.Tier,
-				WinnerScore: rep.Winner.Score,
-				StaticTier:  rep.Static.Tier,
-				StaticScore: rep.Static.Score,
-				Seconds:     time.Since(start).Seconds(),
-			}
-			if rep.Static.Score > 0 && rep.WinnerBeatsStatic() {
-				p.GainPct = 100 * (rep.Winner.Score/rep.Static.Score - 1)
-			}
-			pts = append(pts, p)
+		start := time.Now()
+		rep, err := tune.Tune(context.Background(),
+			tune.Spec{Program: b.Name, Source: b.Source()}, tune.Local{H: h})
+		if err != nil {
+			return nil, fmt.Errorf("tune study: %s: %w", b.Name, err)
 		}
+		r := TuneRow{
+			Workload:    b.Name,
+			SpaceSize:   rep.SpaceSize,
+			Pruned:      len(rep.Pruned),
+			Evaluations: len(rep.Ranking) + 1,
+			Winner:      rep.Winner.Variant.Desc(),
+			WinnerScore: rep.Winner.Score,
+			StaticScore: rep.Static.Score,
+			Seconds:     time.Since(start).Seconds(),
+		}
+		if rep.Static.Score > 0 {
+			r.GainPct = 100 * (rep.Winner.Score/rep.Static.Score - 1)
+		}
+		rows = append(rows, r)
 	}
-	return pts, nil
+	return rows, nil
 }
 
-// TuneBeats counts the workloads whose largest-budget search found a variant
-// strictly better than the static selection.
-func TuneBeats(pts []TunePoint) int {
-	best := make(map[string]TunePoint)
-	for _, p := range pts {
-		if cur, ok := best[p.Workload]; !ok || p.Budget > cur.Budget {
-			best[p.Workload] = p
-		}
-	}
+// TuneBeats counts the workloads whose winner strictly improves on the
+// static selection.
+func TuneBeats(rows []TuneRow) int {
 	n := 0
-	for _, p := range best {
-		if p.WinnerTier == p.StaticTier && p.WinnerScore > p.StaticScore {
+	for _, r := range rows {
+		if r.WinnerScore > r.StaticScore {
 			n++
 		}
 	}
 	return n
 }
 
-// TuneFailures lists gate breaches: the anchor rides every rung, so a winner
-// scoring below the static selection at the same fidelity means the search
-// machinery itself is broken. Cross-tier pairs (a budget-starved search that
-// promoted the winner past the anchor) are not comparable and never breach.
-func TuneFailures(pts []TunePoint) []string {
+// TuneFailures lists gate breaches: the anchor is always ranked, so a
+// winner scoring below the static selection means the search machinery
+// itself is broken.
+func TuneFailures(rows []TuneRow) []string {
 	var fails []string
-	for _, p := range pts {
-		if p.WinnerTier == p.StaticTier && p.WinnerScore < p.StaticScore {
-			fails = append(fails, fmt.Sprintf("%s at budget %d: winner %.4f below static %.4f",
-				p.Workload, p.Budget, p.WinnerScore, p.StaticScore))
+	for _, r := range rows {
+		if r.WinnerScore < r.StaticScore {
+			fails = append(fails, fmt.Sprintf("%s: winner %.4f below static %.4f",
+				r.Workload, r.WinnerScore, r.StaticScore))
 		}
 	}
 	return fails
 }
 
-// FormatTune renders the study as the autotuned-vs-static table with the
-// search-cost curve.
-func FormatTune(pts []TunePoint) string {
+// FormatTune renders the study as the autotuned-vs-static table.
+func FormatTune(rows []TuneRow) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Autotuned vs static hint selection (successive halving, eta %d)\n", tune.DefaultEta)
-	fmt.Fprintf(&sb, "%-12s %7s %6s %6s %7s  %-26s %8s %8s %7s %7s\n",
-		"workload", "budget", "spent", "space", "pruned", "winner", "tuned", "static", "gain%", "sec")
-	crossTier := false
-	for _, p := range pts {
-		mark := " "
-		if p.WinnerTier != p.StaticTier {
-			mark, crossTier = "*", true
-		}
-		fmt.Fprintf(&sb, "%-12s %7d %6d %6d %7d  %-26s %8.4f %8.4f%s %6.2f %7.1f\n",
-			p.Workload, p.Budget, p.Spent, p.SpaceSize, p.Pruned,
-			p.Winner, p.WinnerScore, p.StaticScore, mark, p.GainPct, p.Seconds)
+	sb.WriteString("Autotuned vs static hint selection (every variant, detailed runs)\n")
+	fmt.Fprintf(&sb, "%-12s %6s %7s %6s  %-26s %8s %8s %7s %7s\n",
+		"workload", "space", "pruned", "evals", "winner", "tuned", "static", "gain%", "sec")
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "%-12s %6d %7d %6d  %-26s %8.4f %8.4f %7.4f %7.2f\n",
+			r.Workload, r.SpaceSize, r.Pruned, r.Evaluations,
+			r.Winner, r.WinnerScore, r.StaticScore, r.GainPct, r.Seconds)
 	}
-	if crossTier {
-		sb.WriteString("* winner and static measured at different tiers; scores not comparable\n")
-	}
-	fmt.Fprintf(&sb, "\n%d/%d workloads improve on the static selection at the largest budget\n",
-		TuneBeats(pts), len(best(pts)))
+	fmt.Fprintf(&sb, "\n%d/%d workloads improve on the static selection\n", TuneBeats(rows), len(rows))
 	return sb.String()
-}
-
-func best(pts []TunePoint) map[string]bool {
-	m := make(map[string]bool)
-	for _, p := range pts {
-		m[p.Workload] = true
-	}
-	return m
 }

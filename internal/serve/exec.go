@@ -65,7 +65,7 @@ func (spec *JobSpec) MachineConfig() (cpu.Config, error) {
 	cfg.Threadlets = threadlets
 	if spec.hasVariant() {
 		// Derive the engine knobs exactly the way the tuner's in-process
-		// evaluator does, so a fanned-out rung evaluation fingerprints (and
+		// evaluator does, so a fanned-out evaluation fingerprints (and
 		// run-caches) identically on the worker.
 		v := spec.variant()
 		cfg = v.Config(cfg)

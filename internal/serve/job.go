@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"loopfrog/internal/asm"
@@ -28,8 +27,8 @@ const (
 )
 
 // Job kinds. A sim job runs one simulation of one image; a tune job runs the
-// budgeted hint autotuner (internal/tune) over the submitted source, fanning
-// its rung evaluations over the fabric when one is configured.
+// hint autotuner (internal/tune) over the submitted source, fanning its
+// evaluations over the fabric when one is configured.
 const (
 	KindSim  = "sim"
 	KindTune = "tune"
@@ -43,7 +42,7 @@ func AllowedKinds() []string { return []string{KindSim, KindTune} }
 // asm, source, or bench — must be set.
 type JobSpec struct {
 	// Kind selects the job's engine: "sim" (default) runs one simulation,
-	// "tune" runs the budgeted hint autotuner over the source. Unknown kinds
+	// "tune" runs the hint autotuner over the source. Unknown kinds
 	// are rejected with 400 listing AllowedKinds.
 	Kind string `json:"kind,omitempty"`
 	// Name labels the job (defaults to the bench name or "submitted").
@@ -90,7 +89,7 @@ type JobSpec struct {
 	SampleWarmup   uint64 `json:"sample_warmup,omitempty"`
 
 	// Variant knobs (source jobs only): the tuner's fabric fan-out ships each
-	// rung evaluation as a plain sim job carrying the variant to rebuild.
+	// evaluation as a plain sim job carrying the variant to rebuild.
 	// Deselect masks @loopfrog loops off by source line; PackFactor caps
 	// epoch packing (1 disables it); GranuleBytes overrides the SSB conflict
 	// granule; PackTarget overrides the packed-epoch target size.
@@ -99,11 +98,8 @@ type JobSpec struct {
 	GranuleBytes int   `json:"granule_bytes,omitempty"`
 	PackTarget   int   `json:"pack_target,omitempty"`
 
-	// Tune jobs only: search-shaping knobs, defaulted by internal/tune.
-	// Budget is the evaluation budget in rung-0-equivalent units, Eta the
-	// successive-halving fraction, MaxVariants the post-pruning space cap.
-	Budget      int `json:"budget,omitempty"`
-	Eta         int `json:"eta,omitempty"`
+	// MaxVariants caps a tune job's space after pruning (tune jobs only;
+	// 0 = tune.DefaultMaxVariants).
 	MaxVariants int `json:"max_variants,omitempty"`
 
 	// TimeoutMS bounds the job's wall-clock time (capped by the server's
@@ -157,9 +153,9 @@ type JobResult struct {
 	// commit-slot attribution of the outside-any-region remainder.
 	Regions      []report.Row      `json:"regions,omitempty"`
 	OutsideSlots map[string]uint64 `json:"outside_slots,omitempty"`
-	// Tune jobs only: the full search report — rungs with their per-rung
-	// promotion/elimination tables, the final ranking, winner and static
-	// control arm. Cycles above echo the winner's deepest measurement.
+	// Tune jobs only: the full search report — the ranking of every
+	// evaluated variant, winner and static control arm. Cycles above echo
+	// the winner's.
 	Tune *tune.Report `json:"tune,omitempty"`
 }
 
@@ -196,9 +192,6 @@ type job struct {
 	// once the job finished (a finished machine holds its whole heap, and the
 	// job outlives it in the registry). Guarded by mu.
 	machine *cpu.Machine
-	// tuneRung holds the tuner's current rung, for SSE progress on tune
-	// jobs; nil otherwise.
-	tuneRung atomic.Pointer[tuneRungProgress]
 
 	mu         sync.Mutex
 	status     string
@@ -383,8 +376,8 @@ func (s *Server) validateSpec(spec *JobSpec) error {
 		if err := normalizeTuneSpec(spec); err != nil {
 			return err
 		}
-	} else if spec.Budget != 0 || spec.Eta != 0 || spec.MaxVariants != 0 {
-		return fmt.Errorf("budget/eta/max_variants require kind %q", KindTune)
+	} else if spec.MaxVariants != 0 {
+		return fmt.Errorf("max_variants requires kind %q", KindTune)
 	}
 	if spec.hasVariant() {
 		if spec.Kind != KindSim {
@@ -446,19 +439,19 @@ func normalizeTuneSpec(spec *JobSpec) error {
 		return fmt.Errorf("tune jobs need source (or a source-backed bench)")
 	}
 	if spec.Baseline || spec.AB {
-		return fmt.Errorf("baseline/ab do not apply to tune jobs: every rung scores variants against a shared hints-as-NOPs baseline")
+		return fmt.Errorf("baseline/ab do not apply to tune jobs: the search scores variants against a shared hints-as-NOPs baseline")
 	}
-	if spec.Faults != "" || spec.Spectre || spec.Mitigate {
-		return fmt.Errorf("faults/spectre/mitigate do not apply to tune jobs")
+	if spec.Faults != "" || spec.Seed != 0 || spec.Spectre || spec.Mitigate {
+		return fmt.Errorf("faults/seed/spectre/mitigate do not apply to tune jobs")
 	}
 	if spec.Sampled || spec.SampleInterval != 0 || spec.SampleWindow != 0 || spec.SampleWarmup != 0 {
-		return fmt.Errorf("sampled knobs do not apply to tune jobs: the rung schedule fixes each tier's sampling shape")
+		return fmt.Errorf("sampled knobs do not apply to tune jobs: the search measures every variant with a detailed run")
 	}
 	if spec.hasVariant() {
 		return fmt.Errorf("variant knobs do not apply to tune jobs: the search enumerates variants itself")
 	}
-	if spec.Budget < 0 || spec.Eta < 0 || spec.MaxVariants < 0 {
-		return fmt.Errorf("budget, eta and max_variants must be non-negative")
+	if spec.MaxVariants < 0 {
+		return fmt.Errorf("max_variants must be non-negative")
 	}
 	return nil
 }
@@ -487,7 +480,7 @@ func (s *Server) run(j *job) {
 	timeout := s.timeoutFor(&j.Spec)
 	if j.Spec.Kind == KindTune {
 		// Tune jobs never forward whole: the coordinator owns the search and
-		// fans individual rung evaluations over the fabric (or the local
+		// fans individual evaluations over the fabric (or the local
 		// harness) instead.
 		s.runTune(j, timeout)
 		return
@@ -546,8 +539,7 @@ func classifyError(err error) (status string, httpStatus int, text string) {
 
 // progress is one SSE progress sample read from the live machine snapshot.
 // Remote jobs have no local machine, so their samples carry status and
-// fingerprint only. Tune jobs carry the search's rung state instead of
-// machine counters.
+// fingerprint only, as do tune jobs.
 type progress struct {
 	Status      string `json:"status"`
 	Fingerprint string `json:"fingerprint,omitempty"`
@@ -556,18 +548,6 @@ type progress struct {
 	Spawns      uint64 `json:"spawns"`
 	Retires     uint64 `json:"retires"`
 	Squashes    uint64 `json:"squashes"`
-	// Tune is the autotuner's current rung (tune jobs only).
-	Tune *tuneRungProgress `json:"tune,omitempty"`
-}
-
-// tuneRungProgress is the SSE-visible state of a running search: which rung
-// the successive halving is on and how many variants it is evaluating.
-type tuneRungProgress struct {
-	Rung     int    `json:"rung"`
-	Tier     string `json:"tier"`
-	Variants int    `json:"variants"`
-	// Spent is the budget consumed before this rung started.
-	Spent int `json:"spent"`
 }
 
 // sampleProgress reads the job's live machine, if any. Status and machine
@@ -578,7 +558,6 @@ func (j *job) sampleProgress() progress {
 	p := progress{Status: j.status, Fingerprint: j.fingerprint}
 	m := j.machine
 	j.mu.Unlock()
-	p.Tune = j.tuneRung.Load()
 	if m != nil {
 		snap := m.SnapshotStats()
 		p.Cycles = snap.CPU.Cycles

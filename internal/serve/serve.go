@@ -10,11 +10,11 @@
 //
 //	POST /v1/jobs        submit a job (sync by default, "async": true for 202+poll);
 //	                     "kind" selects the engine: "sim" (default) or "tune"
-//	                     (the budgeted hint autotuner, always on the sweep lane)
+//	                     (the hint autotuner, always on the sweep lane)
 //	POST /v1/tune        submit an autotuning search (kind "tune" sugar)
 //	GET  /v1/jobs/{id}   job status/result; ?stream=1 or Accept: text/event-stream
 //	                     streams queued→running→progress→done as server-sent events
-//	                     (tune jobs report the live rung instead of machine counters)
+//	                     (tune jobs report status only, no machine counters)
 //	GET  /metrics        telemetry registry snapshot (serve.* + harness.*) as
 //	                     JSON; ?format=prom or Accept: text/plain selects the
 //	                     Prometheus text exposition format

@@ -1,17 +1,18 @@
 package serve
 
-// The tune job kind: the budgeted hint autotuner (internal/tune) running
-// server-side. The daemon owns admission exactly as for sim jobs — validated
-// spec, lint preflight on the static image, sweep-lane queueing — and the
-// search runs inside one runner slot, fanning its rung evaluations onto the
-// local harness or, when a fabric is configured, across the worker fleet as
-// plain sim jobs routed with run-cache affinity.
+// The tune job kind: the hint autotuner (internal/tune) running server-side.
+// The daemon owns admission exactly as for sim jobs — validated spec, lint
+// preflight on the static image, sweep-lane queueing — and the search runs
+// inside one runner slot, fanning its detailed evaluations onto the local
+// harness or, when a fabric is configured, across the worker fleet as plain
+// sim jobs routed with run-cache affinity.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"loopfrog/internal/tune"
@@ -36,61 +37,30 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 
 // runTune executes one admitted tune job: build the search spec, pick the
 // evaluator (fabric fan-out when a remote executor is configured, the local
-// harness otherwise), and run the successive-halving search to completion.
+// harness otherwise), and run the search to completion.
 func (s *Server) runTune(j *job, timeout time.Duration) {
 	ctx, cancel := context.WithTimeout(j.ctx, timeout)
 	defer cancel()
 	spec := tune.Spec{
 		Program:     j.Spec.Name,
 		Source:      j.Spec.Source,
-		Budget:      j.Spec.Budget,
-		Eta:         j.Spec.Eta,
-		Seed:        j.Spec.Seed,
 		MaxVariants: j.Spec.MaxVariants,
 	}
 	var ev tune.Evaluator = tune.Local{H: s.harness}
 	if s.cfg.Remote != nil {
 		ev = &fabricEvaluator{s: s, timeout: timeout}
 	}
-	rep, err := tune.Tune(ctx, spec, &rungObserver{inner: ev, j: j})
+	rep, err := tune.Tune(ctx, spec, ev)
 	if err != nil {
 		status, httpStatus, text := classifyError(err)
 		j.finish(status, httpStatus, nil, text)
 		return
 	}
-	res := &JobResult{
-		Program:   rep.Program,
-		Tune:      rep,
-		Cycles:    int64(rep.Winner.Cycles + 0.5),
-		ArchInsts: 0,
-	}
+	res := &JobResult{Program: rep.Program, Tune: rep, Cycles: rep.Winner.Cycles}
 	j.finish(StatusDone, http.StatusOK, res, "")
 }
 
-// rungObserver wraps an evaluator to surface rung progress over SSE: every
-// Evaluate batch is exactly one rung (the tuner evaluates rungs as single
-// batches), so the batch's tier and size are the search's live state.
-type rungObserver struct {
-	inner tune.Evaluator
-	j     *job
-	spent int
-}
-
-func (o *rungObserver) Evaluate(ctx context.Context, reqs []tune.EvalRequest) ([]*tune.EvalResult, []error) {
-	if len(reqs) > 0 {
-		tiers := tune.Tiers()
-		ti := reqs[0].Tier
-		p := &tuneRungProgress{Rung: ti, Variants: len(reqs) - 1, Spent: o.spent}
-		if ti >= 0 && ti < len(tiers) {
-			p.Tier = tiers[ti].Name
-			o.spent += tiers[ti].Cost * len(reqs)
-		}
-		o.j.tuneRung.Store(p)
-	}
-	return o.inner.Evaluate(ctx, reqs)
-}
-
-// fabricEvaluator fans rung evaluations over the worker fleet. Each request
+// fabricEvaluator fans evaluations over the worker fleet. Each request
 // becomes a plain synchronous sim job carrying the variant knobs; the
 // coordinator routes it by the same run-cache fingerprint the worker's
 // harness will key on, so repeat evaluations of a variant land where their
@@ -104,7 +74,21 @@ type fabricEvaluator struct {
 func (f *fabricEvaluator) Evaluate(ctx context.Context, reqs []tune.EvalRequest) ([]*tune.EvalResult, []error) {
 	// The fabric's per-worker slots provide the real backpressure; this
 	// bound only caps coordinator memory.
-	return tune.FanOut(reqs, 32, func(req *tune.EvalRequest) (*tune.EvalResult, error) { return f.evalOne(ctx, req) })
+	results := make([]*tune.EvalResult, len(reqs))
+	errs := make([]error, len(reqs))
+	sem := make(chan struct{}, 32)
+	var wg sync.WaitGroup
+	wg.Add(len(reqs))
+	for i := range reqs {
+		go func(i int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			results[i], errs[i] = f.evalOne(ctx, &reqs[i])
+		}(i)
+	}
+	wg.Wait()
+	return results, errs
 }
 
 func (f *fabricEvaluator) evalOne(ctx context.Context, req *tune.EvalRequest) (*tune.EvalResult, error) {
@@ -112,11 +96,7 @@ func (f *fabricEvaluator) evalOne(ctx context.Context, req *tune.EvalRequest) (*
 	if err != nil {
 		return nil, err
 	}
-	spec, err := evalJobSpec(req, f.timeout)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := f.s.cfg.Remote.ExecuteRemote(ctx, fp, spec)
+	rr, err := f.s.cfg.Remote.ExecuteRemote(ctx, fp, evalJobSpec(req, f.timeout))
 	if err != nil {
 		if errors.Is(err, ErrRemoteUnavailable) {
 			f.s.m.degraded.Add(1)
@@ -132,22 +112,15 @@ func (f *fabricEvaluator) evalOne(ctx context.Context, req *tune.EvalRequest) (*
 		return nil, fmt.Errorf("tune: worker %s returned no result", rr.Worker)
 	}
 	return &tune.EvalResult{
-		Cycles:      float64(rr.Result.Cycles),
+		Cycles:      rr.Result.Cycles,
 		Insts:       rr.Result.ArchInsts,
 		Fingerprint: fp,
-		CostUnits:   tune.Tiers()[req.Tier].Cost,
 	}, nil
 }
 
-// evalJobSpec renders one rung evaluation as the sim-job spec a stock worker
-// executes: the source plus the variant knobs to rebuild the image, and the
-// tier's sampling shape.
-func evalJobSpec(req *tune.EvalRequest, timeout time.Duration) (JobSpec, error) {
-	tiers := tune.Tiers()
-	if req.Tier < 0 || req.Tier >= len(tiers) {
-		return JobSpec{}, fmt.Errorf("tune: tier %d out of range", req.Tier)
-	}
-	t := tiers[req.Tier]
+// evalJobSpec renders one evaluation as the sim-job spec a stock worker
+// executes: the source plus the variant knobs to rebuild the image.
+func evalJobSpec(req *tune.EvalRequest, timeout time.Duration) JobSpec {
 	spec := JobSpec{
 		Kind:      KindSim,
 		Name:      req.Program,
@@ -163,11 +136,5 @@ func evalJobSpec(req *tune.EvalRequest, timeout time.Duration) (JobSpec, error) 
 		spec.GranuleBytes = req.Variant.GranuleBytes
 		spec.PackTarget = req.Variant.PackTarget
 	}
-	if t.Sample != nil {
-		spec.Sampled = true
-		spec.SampleInterval = t.Sample.Interval
-		spec.SampleWindow = t.Sample.Window
-		spec.SampleWarmup = t.Sample.Warmup
-	}
-	return spec, nil
+	return spec
 }

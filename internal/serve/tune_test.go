@@ -49,6 +49,14 @@ func TestTuneKnobsRequireTuneKind(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("tune on the interactive lane: status = %d, want 400; body %s", resp.StatusCode, payload)
 	}
+	// The search has no budget to ration, no halving fraction and nothing to
+	// seed: each knob is refused rather than silently ignored.
+	for _, knob := range []string{"budget", "eta", "seed"} {
+		resp, payload = post(t, ts, map[string]any{"kind": "tune", "bench": "leela", knob: 3})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s on a tune job: status = %d, want 400; body %s", knob, resp.StatusCode, payload)
+		}
+	}
 }
 
 // tuneView decodes the terminal job view of a tune submission.
@@ -83,7 +91,7 @@ func postTune(t *testing.T, ts *serve.Server, url string, spec map[string]any) (
 
 func TestTuneRoundTrip(t *testing.T) {
 	s, ts := newTestServer(t, serve.Config{})
-	code, v := postTune(t, s, ts.URL, map[string]any{"bench": "leela", "budget": 16})
+	code, v := postTune(t, s, ts.URL, map[string]any{"bench": "leela"})
 	if code != http.StatusOK || v.Status != "done" {
 		t.Fatalf("tune round-trip: %d %s %s", code, v.Status, v.Error)
 	}
@@ -94,22 +102,16 @@ func TestTuneRoundTrip(t *testing.T) {
 	if rep == nil {
 		t.Fatal("tune result carries no search report")
 	}
-	if rep.Program != "leela" || rep.SpaceSize == 0 || len(rep.Rungs) == 0 {
-		t.Fatalf("hollow report: program=%q space=%d rungs=%d", rep.Program, rep.SpaceSize, len(rep.Rungs))
+	if rep.Program != "leela" || rep.SpaceSize == 0 || len(rep.Ranking) == 0 {
+		t.Fatalf("hollow report: program=%q space=%d ranking=%d", rep.Program, rep.SpaceSize, len(rep.Ranking))
 	}
-	for _, r := range rep.Rungs {
-		// The per-rung elimination table must partition the rung's field.
-		if len(r.Promoted)+len(r.Eliminated) != len(r.Evaluated) {
-			t.Errorf("rung %d: %d promoted + %d eliminated != %d evaluated",
-				r.Tier, len(r.Promoted), len(r.Eliminated), len(r.Evaluated))
-		}
+	// Enumeration partitions into pruned and ranked variants.
+	if len(rep.Pruned)+len(rep.Ranking) != rep.SpaceSize {
+		t.Errorf("%d pruned + %d ranked != %d enumerated", len(rep.Pruned), len(rep.Ranking), rep.SpaceSize)
 	}
 	if rep.Winner.Score <= 0 || rep.Winner.Score < rep.Static.Score {
 		t.Errorf("winner score %.4f (static %.4f): anchor should bound the winner from below",
 			rep.Winner.Score, rep.Static.Score)
-	}
-	if rep.Spent > rep.Budget {
-		t.Errorf("spent %d exceeds budget %d", rep.Spent, rep.Budget)
 	}
 }
 
@@ -170,20 +172,17 @@ func TestTuneFabricFanOut(t *testing.T) {
 	_, worker := newTestServer(t, serve.Config{})
 	exec := &loopbackExec{url: worker.URL}
 	s, ts := newTestServer(t, serve.Config{Remote: exec})
-	code, v := postTune(t, s, ts.URL, map[string]any{"bench": "leela", "budget": 16})
+	code, v := postTune(t, s, ts.URL, map[string]any{"bench": "leela"})
 	if code != http.StatusOK || v.Status != "done" {
 		t.Fatalf("fanned-out tune: %d %s %s", code, v.Status, v.Error)
 	}
 	rep := v.Result.Tune
-	if rep == nil || len(rep.Rungs) == 0 {
+	if rep == nil || len(rep.Ranking) == 0 {
 		t.Fatal("fanned-out tune returned no report")
 	}
-	want := int64(0)
-	for _, r := range rep.Rungs {
-		want += int64(len(r.Evaluated)) + 1 // the shared baseline rides each rung
-	}
+	want := int64(len(rep.Ranking)) + 1 // every candidate and the shared baseline
 	if got := exec.calls.Load(); got != want {
-		t.Errorf("remote dispatches = %d, want %d (every rung evaluation remote)", got, want)
+		t.Errorf("remote dispatches = %d, want %d (every evaluation remote)", got, want)
 	}
 	exec.mu.Lock()
 	defer exec.mu.Unlock()
@@ -194,36 +193,34 @@ func TestTuneFabricFanOut(t *testing.T) {
 	}
 }
 
-// TestTuneEvaluatorsAgree: the tuner scores a rung evaluation the same
-// whether it runs on the local harness or as a sim job on a worker. One
-// request per tier, for a variant and for the shared baseline.
+// TestTuneEvaluatorsAgree: the tuner scores an evaluation the same whether
+// it runs on the local harness or as a sim job on a worker, for a variant and
+// for the shared baseline.
 func TestTuneEvaluatorsAgree(t *testing.T) {
 	_, worker := newTestServer(t, serve.Config{})
 	s, _ := newTestServer(t, serve.Config{Remote: &loopbackExec{url: worker.URL}})
 	src := workloads.Find("leela").Source()
-	var reqs []tune.EvalRequest
-	for tier := range tune.Tiers() {
-		reqs = append(reqs,
-			tune.EvalRequest{Program: "leela", Source: src, Tier: tier, Variant: tune.Variant{PackFactor: 4, GranuleBytes: 8}},
-			tune.EvalRequest{Program: "leela", Source: src, Tier: tier, Baseline: true})
+	reqs := []tune.EvalRequest{
+		{Program: "leela", Source: src, Variant: tune.Variant{PackFactor: 4, GranuleBytes: 8}},
+		{Program: "leela", Source: src, Baseline: true},
 	}
 	ctx := context.Background()
 	local, lerrs := tune.Local{H: &sim.Harness{}}.Evaluate(ctx, reqs)
 	remote, rerrs := serve.FabricEvaluator(s, time.Minute).Evaluate(ctx, reqs)
 	for i, req := range reqs {
 		if lerrs[i] != nil || rerrs[i] != nil {
-			t.Fatalf("tier %d baseline=%v: local err %v, fabric err %v", req.Tier, req.Baseline, lerrs[i], rerrs[i])
+			t.Fatalf("baseline=%v: local err %v, fabric err %v", req.Baseline, lerrs[i], rerrs[i])
 		}
 		l, r := local[i], remote[i]
 		if l.Cycles != r.Cycles || l.Insts != r.Insts || l.Fingerprint != r.Fingerprint {
-			t.Errorf("%s tier, baseline=%v: local %v cycles, %d insts, %s; fabric %v cycles, %d insts, %s",
-				tune.Tiers()[req.Tier].Name, req.Baseline, l.Cycles, l.Insts, l.Fingerprint, r.Cycles, r.Insts, r.Fingerprint)
+			t.Errorf("baseline=%v: local %d cycles, %d insts, %s; fabric %d cycles, %d insts, %s",
+				req.Baseline, l.Cycles, l.Insts, l.Fingerprint, r.Cycles, r.Insts, r.Fingerprint)
 		}
 	}
 }
 
 // failingExec reports an empty fabric on every placement, forcing the
-// degradation path: every rung evaluation must fall back to the local
+// degradation path: every evaluation must fall back to the local
 // harness and the search still completes.
 type failingExec struct{ calls atomic.Int64 }
 
@@ -235,7 +232,7 @@ func (e *failingExec) ExecuteRemote(ctx context.Context, fp string, spec serve.J
 func TestTuneFabricDegradesToLocal(t *testing.T) {
 	exec := &failingExec{}
 	s, ts := newTestServer(t, serve.Config{Remote: exec})
-	code, v := postTune(t, s, ts.URL, map[string]any{"bench": "leela", "budget": 8})
+	code, v := postTune(t, s, ts.URL, map[string]any{"bench": "leela"})
 	if code != http.StatusOK || v.Status != "done" {
 		t.Fatalf("degraded tune: %d %s %s", code, v.Status, v.Error)
 	}

@@ -19,25 +19,6 @@ import (
 	"loopfrog/internal/workloads"
 )
 
-// sampledErrBudget is the acceptance bound on whole-run cycle error.
-const sampledErrBudget = 0.02
-
-// sampledOutlierBudget is the looser bound for the known LF-side outliers
-// below. A detailed window seeded mid-region restarts the spawn chain from
-// scratch; on workloads whose chain dynamics are sensitive to that restart
-// (heavy wrong-path squashing, chain-depth-dependent packing) the window
-// settles into a measurably different spawn/squash equilibrium than the
-// uninterrupted run, and no affordable detailed warmup converges the two — a
-// state splice of predictor tables, cache tags, monitor and pack state leaves
-// the window bit-identical, so the divergence is pipeline trajectory, not
-// seedable state. The bound pins today's measured errors (povray +4.4%,
-// perlbench -3.7%) so regressions still fail.
-const sampledOutlierBudget = 0.05
-
-// sampledLFOutliers are the workloads allowed sampledOutlierBudget on the
-// LoopFrog side (the baseline side must always meet sampledErrBudget).
-var sampledLFOutliers = map[string]bool{"povray": true, "perlbench": true}
-
 // sampledRaceSubset is what TestSampledAccuracySuite checks under -race: the
 // race detector makes the full suite's detailed runs several times slower,
 // enough to push the package's race run toward the default test timeout.
@@ -87,11 +68,11 @@ func TestSampledAccuracySuite(t *testing.T) {
 					t.Errorf("%s cycle error %.2f%% exceeds %.1f%%", side, 100*e, 100*budget)
 				}
 			}
-			lfBudget := sampledErrBudget
-			if sampledLFOutliers[b.Name] {
-				lfBudget = sampledOutlierBudget
+			lfBudget := SampledErrBudget
+			if SampledOutliers[b.Name] {
+				lfBudget = SampledOutlierBudget
 			}
-			checkErr("baseline", res.Base.EstCycles, stats[0].Cycles, sampledErrBudget)
+			checkErr("baseline", res.Base.EstCycles, stats[0].Cycles, SampledErrBudget)
 			checkErr("loopfrog", res.LF.EstCycles, stats[1].Cycles, lfBudget)
 		})
 	}

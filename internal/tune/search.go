@@ -8,72 +8,46 @@ import (
 	"loopfrog/internal/compiler"
 )
 
-// Scored is one evaluated variant: its cycles and score at the deepest tier
-// it reached. Score is baseline-cycles / variant-cycles at that tier, so
-// > 1 means faster than the hints-as-NOPs core and the anchor's score is the
-// static selection's speedup.
+// Scored is one evaluated variant. Score is baseline-cycles / variant-cycles
+// from full detailed runs, so > 1 means faster than the hints-as-NOPs core
+// and the anchor's score is the static selection's speedup.
 type Scored struct {
 	Variant Variant `json:"variant"`
-	// Tier is the deepest tier index this entry was measured at.
-	Tier   int     `json:"tier"`
-	Cycles float64 `json:"cycles"`
-	Score  float64 `json:"score"`
+	Cycles  int64   `json:"cycles"`
+	Score   float64 `json:"score"`
 	// Fingerprint is the run-cache identity of the (config, image) pair.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Err records an evaluation failure; failed variants rank last and are
-	// never promoted.
+	// Err records an evaluation failure; failed variants rank last.
 	Err string `json:"err,omitempty"`
-}
-
-// Rung is one successive-halving round: every surviving variant evaluated at
-// one tier, the shared baseline re-measured at the same fidelity, and the
-// bottom of the field eliminated.
-type Rung struct {
-	Tier     int    `json:"tier"`
-	TierName string `json:"tier_name"`
-	// BaseCycles is the shared baseline's cycles at this tier.
-	BaseCycles float64 `json:"base_cycles"`
-	// Evaluated lists this rung's measurements, best score first.
-	Evaluated []Scored `json:"evaluated"`
-	// Promoted and Eliminated partition Evaluated by variant ID.
-	Promoted   []int `json:"promoted"`
-	Eliminated []int `json:"eliminated"`
-	// CostUnits is the budget spent on this rung (baseline included).
-	CostUnits int `json:"cost_units"`
 }
 
 // Report is the outcome of one search.
 type Report struct {
 	Program string `json:"program"`
-	Seed    int64  `json:"seed"`
-	Budget  int    `json:"budget"`
-	Spent   int    `json:"spent"`
-	Eta     int    `json:"eta"`
 	// Loops is the static selection's view of the program's @loopfrog sites.
 	Loops []compiler.LoopSite `json:"loops"`
 	// SpaceSize counts enumerated variants before pruning and dedup.
 	SpaceSize int      `json:"space_size"`
 	Pruned    []Pruned `json:"pruned,omitempty"`
-	Rungs     []Rung   `json:"rungs"`
-	// Ranking is the final deterministic ordering: the last rung's field by
-	// score, then earlier eliminations (latest rung first). Identical for
-	// any harness worker count.
+	// BaseCycles is the shared hints-as-NOPs baseline's cycles.
+	BaseCycles int64 `json:"base_cycles"`
+	// Ranking holds every evaluated variant once, best score first, ties by
+	// variant ID. Identical for any harness worker count.
 	Ranking []Scored `json:"ranking"`
 	Winner  Scored   `json:"winner"`
-	// Static is the anchor variant's final measurement — the compiler's
-	// static selection under default knobs, the search's control arm.
+	// Static is the anchor variant's measurement — the compiler's static
+	// selection under default knobs, the search's control arm.
 	Static Scored `json:"static"`
 }
 
 // WinnerBeatsStatic reports whether the search found a variant strictly
-// better than the static selection. Scores are only comparable when both
-// sides were measured at the same fidelity, so a budget-starved search whose
-// winner outran the anchor to a deeper tier claims nothing.
+// better than the static selection.
 func (r *Report) WinnerBeatsStatic() bool {
-	return r.Winner.Tier == r.Static.Tier && r.Winner.Score > r.Static.Score
+	return r.Winner.Score > r.Static.Score
 }
 
-// Tune runs the budgeted search over the evaluator.
+// Tune enumerates, prunes and dedupes the variant space, then measures the
+// shared baseline and every candidate in one Evaluate batch.
 func Tune(ctx context.Context, spec Spec, ev Evaluator) (*Report, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
@@ -86,9 +60,6 @@ func Tune(ctx context.Context, spec Spec, ev Evaluator) (*Report, error) {
 	vars := enumerate(spec, sites)
 	rep := &Report{
 		Program:   spec.Program,
-		Seed:      spec.Seed,
-		Budget:    spec.Budget,
-		Eta:       spec.Eta,
 		Loops:     sites,
 		SpaceSize: len(vars),
 	}
@@ -105,143 +76,46 @@ func Tune(ctx context.Context, spec Spec, ev Evaluator) (*Report, error) {
 		cands = cands[:spec.MaxVariants]
 	}
 
-	tiers := Tiers()
-	last := make(map[int]*Scored) // variant ID -> deepest measurement
-	var rankTail []Scored         // eliminated entries, latest rung first
-	for ti := range tiers {
-		tier := &tiers[ti]
-		remaining := spec.Budget - rep.Spent
-		maxN := remaining/tier.Cost - 1 // the shared baseline costs one evaluation too
-		if maxN < 1 || len(cands) == 0 {
-			break
-		}
-		if len(cands) > maxN {
-			kept, cut := trimToBudget(cands, maxN, last)
-			for _, v := range cut {
-				if s := last[v.ID]; s != nil {
-					rankTail = append([]Scored{*s}, rankTail...)
-				} else {
-					rep.Pruned = append(rep.Pruned, Pruned{Variant: v, Rule: "budget: no rung-0 slot"})
-				}
+	reqs := make([]EvalRequest, 0, len(cands)+1)
+	reqs = append(reqs, EvalRequest{Program: spec.Program, Source: spec.Source, Baseline: true})
+	for _, v := range cands {
+		reqs = append(reqs, EvalRequest{Program: spec.Program, Source: spec.Source, Variant: v})
+	}
+	results, errs := ev.Evaluate(ctx, reqs)
+	if errs[0] != nil {
+		return nil, fmt.Errorf("tune: baseline: %w", errs[0])
+	}
+	rep.BaseCycles = results[0].Cycles
+	for i, v := range cands {
+		s := Scored{Variant: v}
+		if err := errs[i+1]; err != nil {
+			if v.ID == 0 {
+				return nil, fmt.Errorf("tune: anchor variant failed: %w", err)
 			}
-			cands = kept
-		}
-
-		reqs := make([]EvalRequest, 0, len(cands)+1)
-		reqs = append(reqs, EvalRequest{
-			Program: spec.Program, Source: spec.Source, Tier: ti, Baseline: true,
-		})
-		for _, v := range cands {
-			reqs = append(reqs, EvalRequest{
-				Program: spec.Program, Source: spec.Source, Variant: v, Tier: ti,
-			})
-		}
-		results, errs := ev.Evaluate(ctx, reqs)
-		if errs[0] != nil {
-			return nil, fmt.Errorf("tune: baseline at tier %q: %w", tier.Name, errs[0])
-		}
-		base := results[0].Cycles
-		rung := Rung{
-			Tier: ti, TierName: tier.Name, BaseCycles: base,
-			CostUnits: tier.Cost * (len(cands) + 1),
-		}
-		rep.Spent += rung.CostUnits
-		for i, v := range cands {
-			s := Scored{Variant: v, Tier: ti}
-			switch {
-			case errs[i+1] != nil:
-				s.Err = errs[i+1].Error()
-			case results[i+1] == nil:
-				s.Err = "evaluation skipped"
-			default:
-				r := results[i+1]
-				s.Cycles = r.Cycles
-				s.Fingerprint = r.Fingerprint
-				if r.Cycles > 0 {
-					s.Score = base / r.Cycles
-				}
-			}
-			if v.ID == 0 && s.Err != "" {
-				return nil, fmt.Errorf("tune: anchor variant failed at tier %q: %s", tier.Name, s.Err)
-			}
-			rung.Evaluated = append(rung.Evaluated, s)
-		}
-		sortScored(rung.Evaluated)
-		for i := range rung.Evaluated {
-			last[rung.Evaluated[i].Variant.ID] = &rung.Evaluated[i]
-		}
-
-		// Promote the top ceil(n/eta); the anchor always survives. The last
-		// tier promotes nobody — its field is the final ranking.
-		var promote []Variant
-		if ti < len(tiers)-1 {
-			k := (len(rung.Evaluated) + spec.Eta - 1) / spec.Eta
-			for _, s := range rung.Evaluated[:k] {
-				if s.Err == "" {
-					promote = append(promote, s.Variant)
-				}
-			}
-			if !hasAnchor(promote) && hasAnchor(cands) {
-				promote = append(promote, cands[indexOfAnchor(cands)])
-			}
-			sort.Slice(promote, func(i, j int) bool { return promote[i].ID < promote[j].ID })
-		}
-		promoted := make(map[int]bool, len(promote))
-		for _, v := range promote {
-			if promoted[v.ID] {
-				continue
-			}
-			promoted[v.ID] = true
-			rung.Promoted = append(rung.Promoted, v.ID)
-		}
-		var elim []Scored
-		for _, s := range rung.Evaluated {
-			if !promoted[s.Variant.ID] {
-				rung.Eliminated = append(rung.Eliminated, s.Variant.ID)
-				elim = append(elim, s)
-			}
-		}
-		sort.Ints(rung.Promoted)
-		sort.Ints(rung.Eliminated)
-		rep.Rungs = append(rep.Rungs, rung)
-		if ti < len(tiers)-1 {
-			rankTail = append(elim, rankTail...)
+			s.Err = err.Error()
 		} else {
-			rankTail = append(append([]Scored(nil), rung.Evaluated...), rankTail...)
-		}
-		cands = promote
-	}
-
-	if len(rep.Rungs) == 0 {
-		return nil, fmt.Errorf("tune: budget %d cannot afford a single rung", spec.Budget)
-	}
-	// Budget exhausted before the last tier: the surviving promotees keep
-	// their deepest scores and head the ranking.
-	if len(cands) > 0 {
-		var head []Scored
-		for _, v := range cands {
-			if s := last[v.ID]; s != nil {
-				head = append(head, *s)
+			r := results[i+1]
+			s.Cycles = r.Cycles
+			s.Fingerprint = r.Fingerprint
+			if r.Cycles > 0 {
+				s.Score = float64(rep.BaseCycles) / float64(r.Cycles)
 			}
 		}
-		sortScored(head)
-		rankTail = append(head, rankTail...)
+		if v.ID == 0 {
+			rep.Static = s // the anchor is never pruned, deduped away or capped
+		}
+		rep.Ranking = append(rep.Ranking, s)
 	}
-	rep.Ranking = rankTail
+	sortScored(rep.Ranking)
 	rep.Winner = rep.Ranking[0]
-	st := last[0]
-	if st == nil {
-		return nil, fmt.Errorf("tune: anchor variant was never evaluated")
-	}
-	rep.Static = *st
 	return rep, nil
 }
 
 // dedupe collapses variants whose (config, image) fingerprints coincide —
 // e.g. masks that only differ on statically de-selected loops. The
 // lowest-ID variant of each group is kept; the run-cache would deduplicate
-// their simulations anyway, but collapsing them up front returns their
-// budget to the search.
+// their simulations anyway, but collapsing them up front keeps the ranking
+// free of repeats.
 func dedupe(spec Spec, vars []Variant) (kept []Variant, dups []Pruned, err error) {
 	seen := make(map[string]int)
 	for _, v := range vars {
@@ -263,36 +137,6 @@ func dedupe(spec Spec, vars []Variant) (kept []Variant, dups []Pruned, err error
 	return kept, dups, nil
 }
 
-// trimToBudget keeps at most n candidates: the best previously scored
-// first, then lowest IDs. When two or more slots exist the anchor claims
-// one (the control arm rides along to the final fidelity); with a single
-// slot the best candidate keeps it — a budget-starved search then compares
-// the winner against the anchor's deepest earlier measurement instead.
-// Deterministic for any worker count.
-func trimToBudget(cands []Variant, n int, last map[int]*Scored) (kept, cut []Variant) {
-	order := append([]Variant(nil), cands...)
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		sa, sb := last[a.ID], last[b.ID]
-		switch {
-		case sa != nil && sb != nil && sa.Score != sb.Score:
-			return sa.Score > sb.Score
-		case (sa != nil) != (sb != nil):
-			return sa != nil
-		}
-		return a.ID < b.ID
-	})
-	kept = order[:n]
-	cut = order[n:]
-	if n >= 2 && !hasAnchor(kept) && hasAnchor(cands) {
-		ai := indexOfAnchor(cut)
-		kept[n-1], cut[ai] = cut[ai], kept[n-1]
-	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].ID < kept[j].ID })
-	sort.Slice(cut, func(i, j int) bool { return cut[i].ID < cut[j].ID })
-	return kept, cut
-}
-
 // sortScored orders by score descending, errors last, ties by variant ID.
 func sortScored(s []Scored) {
 	sort.SliceStable(s, func(i, j int) bool {
@@ -305,22 +149,4 @@ func sortScored(s []Scored) {
 		}
 		return a.Variant.ID < b.Variant.ID
 	})
-}
-
-func hasAnchor(vs []Variant) bool {
-	for _, v := range vs {
-		if v.ID == 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func indexOfAnchor(vs []Variant) int {
-	for i, v := range vs {
-		if v.ID == 0 {
-			return i
-		}
-	}
-	return 0
 }

@@ -1,13 +1,12 @@
-// Package tune is the budgeted hint autotuner: it closes the
-// compile→simulate→recompile loop the rest of the stack leaves open. Per
-// @loopfrog loop it enumerates a variant space (hint selection on/off per
-// loop, packing factor, SSB granule, packed-epoch target), prunes it up
-// front with the linter's machine-readable LF2xx profitability notes,
-// dedupes evaluations through the run-cache fingerprint, and spends a fixed
-// evaluation budget by successive halving: wide-and-cheap rungs on sampled
-// windows, survivors promoted to full detailed runs. The static default
-// variant is anchored through every rung, so the winner is never worse than
-// the compiler's static selection at the fidelity that decides the ranking.
+// Package tune is the hint autotuner: it closes the compile→simulate→recompile
+// loop the rest of the stack leaves open. Per @loopfrog loop it enumerates a
+// variant space (hint selection on/off per loop, packing factor, SSB
+// granule, packed-epoch target), prunes it up front with the linter's
+// machine-readable LF2xx profitability notes, dedupes it through the
+// run-cache fingerprint, and measures every surviving variant once with a
+// full detailed run against one shared baseline. The static default variant
+// (the anchor) is always measured, so the winner is never worse than the
+// compiler's static selection.
 package tune
 
 import (
@@ -111,15 +110,6 @@ type Spec struct {
 	// recompiles the source per variant, so workers only ever need the spec.
 	Program string `json:"program"`
 	Source  string `json:"source"`
-	// Budget is the evaluation budget in rung-0-equivalent cost units
-	// (default DefaultBudget). Each tier's evaluation costs Tier.Cost units;
-	// shared baseline runs are charged too.
-	Budget int `json:"budget,omitempty"`
-	// Eta is the halving fraction: each rung promotes ceil(n/Eta) survivors
-	// (default 3).
-	Eta int `json:"eta,omitempty"`
-	// Seed is recorded in the report; the search itself is deterministic.
-	Seed int64 `json:"seed,omitempty"`
 	// PackFactors and Granules are the per-axis candidate values; defaults
 	// DefaultPackFactors / DefaultGranules. PackTargets defaults to just the
 	// base configuration's target.
@@ -131,12 +121,8 @@ type Spec struct {
 	MaxVariants int `json:"max_variants,omitempty"`
 }
 
-// Defaults for the search space and budget.
-const (
-	DefaultBudget      = 128
-	DefaultEta         = 3
-	DefaultMaxVariants = 64
-)
+// DefaultMaxVariants caps the space after pruning when the spec sets no cap.
+const DefaultMaxVariants = 64
 
 // DefaultPackFactors returns the packing-factor axis: the headline cap, a
 // moderate cap, and packing off (§6.5 evaluates both ends).
@@ -147,12 +133,6 @@ func DefaultPackFactors() []int { return []int{32, 4, 1} }
 func DefaultGranules() []int { return []int{4, 8} }
 
 func (s Spec) withDefaults() Spec {
-	if s.Budget <= 0 {
-		s.Budget = DefaultBudget
-	}
-	if s.Eta < 2 {
-		s.Eta = DefaultEta
-	}
 	if len(s.PackFactors) == 0 {
 		s.PackFactors = DefaultPackFactors()
 	}
@@ -173,8 +153,8 @@ func (s Spec) Validate() error {
 	if s.Source == "" {
 		return fmt.Errorf("tune: spec has no source")
 	}
-	if s.Budget < 0 || s.Eta < 0 || s.MaxVariants < 0 {
-		return fmt.Errorf("tune: negative budget, eta or max_variants")
+	if s.MaxVariants < 0 {
+		return fmt.Errorf("tune: negative max_variants")
 	}
 	for _, pf := range s.PackFactors {
 		if pf < 0 {
@@ -261,7 +241,7 @@ func lintNotes(spec Spec) (map[int]*loopNotes, []compiler.LoopSite, error) {
 // Masks enumerate all subsets up to 3 loops; beyond that the space is
 // restricted to all-on, each-single-off and all-off. Knob axes only multiply
 // masks that keep at least one loop hinted — with every loop off they are
-// inert and would only burn budget on duplicate measurements.
+// inert and would only repeat one measurement.
 func enumerate(spec Spec, sites []compiler.LoopSite) []Variant {
 	var lines []int
 	for _, s := range sites {
