@@ -73,13 +73,6 @@ func fabricSweep(url string, jobs []map[string]any) (time.Duration, error) {
 		go func(name string, body []byte) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			jobStart := time.Now()
-			defer func() {
-				if os.Getenv("LFBENCH_FABRIC_TRACE") != "" {
-					fmt.Printf("  trace: %-16s submitted %7.2fs done %7.2fs\n",
-						name, jobStart.Sub(start).Seconds(), time.Since(start).Seconds())
-				}
-			}()
 			resp, err := http.Post(url+"/v1/jobs", "application/json", bytes.NewReader(body))
 			if err == nil {
 				var v struct {
@@ -269,13 +262,5 @@ func runFabric(jsonPath string, lanes, repeats int) bool {
 		Affinity: affinity,
 		Speedup:  capacity.Speedup,
 	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fail(err)
-	}
-	if err := os.WriteFile(jsonPath, append(out, '\n'), 0o644); err != nil {
-		return fail(err)
-	}
-	fmt.Println("wrote", jsonPath)
-	return true
+	return writeBench(jsonPath, rep)
 }

@@ -46,11 +46,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strings"
 
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/experiments"
-	"loopfrog/internal/fault"
 	"loopfrog/internal/sim"
 	"loopfrog/internal/telemetry"
 	"loopfrog/internal/workloads"
@@ -281,20 +279,36 @@ func runSampled(suite []*workloads.Benchmark, jsonPath string) bool {
 	}
 	fmt.Print(experiments.FormatSampled(points))
 	if jsonPath != "" {
-		if err := writeSampledJSON(jsonPath, suite, points); err != nil {
-			fmt.Fprintln(os.Stderr, "lfbench:", err)
+		var names []string
+		for _, b := range suite {
+			names = append(names, b.Name)
+		}
+		var outliers []string
+		for name := range sim.SampledOutliers {
+			outliers = append(outliers, name)
+		}
+		sort.Strings(outliers)
+		// The BENCH_sampled.json schema.
+		rep := struct {
+			Description string                     `json:"description"`
+			Meta        experiments.Meta           `json:"meta"`
+			Workloads   []string                   `json:"workloads"`
+			Budgets     map[string]float64         `json:"budgets_pct"`
+			Outliers    []string                   `json:"outliers"`
+			Curve       []experiments.SampledPoint `json:"curve"`
+		}{
+			Description: "Two-tier sampled simulation: accuracy-vs-speedup curve. Each point estimates every workload's baseline and LoopFrog cycle count from fast-functional tier-1 warming plus detailed windows, compared against full detailed runs. sim_speedup is full-pair wall time over sampled-pair wall time on this host; windows fan out over the worker pool, so multi-core hosts scale it by the core count.",
+			Meta:        experiments.NewMeta("lfbench -sampled -sampledjson BENCH_sampled.json"),
+			Workloads:   names,
+			Budgets:     map[string]float64{"default": 100 * sim.SampledErrBudget, "outlier": 100 * sim.SampledOutlierBudget},
+			Outliers:    outliers,
+			Curve:       points,
+		}
+		if !writeBench(jsonPath, rep) {
 			return false
 		}
-		fmt.Printf("wrote %s\n", jsonPath)
 	}
-	fails := experiments.SampledFailures(points)
-	for _, f := range fails {
-		fmt.Fprintln(os.Stderr, "lfbench: FAIL:", f)
-	}
-	if len(fails) == 0 {
-		fmt.Println("sampled accuracy gate: PASS")
-	}
-	return len(fails) == 0
+	return gate("sampled accuracy gate", experiments.SampledFailures(points))
 }
 
 // runTuneStudy runs the autotuned-vs-static study: the hint autotuner over
@@ -312,89 +326,23 @@ func runTuneStudy(jsonPath string, quick bool) bool {
 	}
 	fmt.Print(experiments.FormatTune(rows))
 	if jsonPath != "" {
-		if err := writeTuneJSON(jsonPath, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "lfbench:", err)
+		// The BENCH_tune.json schema.
+		rep := struct {
+			Description string                `json:"description"`
+			Meta        experiments.Meta      `json:"meta"`
+			BeatsStatic int                   `json:"beats_static"`
+			Workloads   []experiments.TuneRow `json:"workloads"`
+		}{
+			Description: "Hint autotuning: per workload, the search's winning variant against the compiler's static hint selection. Every variant that survives pruning and dedup is measured once with a full detailed run; scores are speedups over the shared hints-as-NOPs baseline; evaluations counts those detailed runs, baseline included; beats_static counts workloads whose winner strictly improves on the static selection.",
+			Meta:        experiments.NewMeta("lfbench -tune -tunejson BENCH_tune.json"),
+			BeatsStatic: experiments.TuneBeats(rows),
+			Workloads:   rows,
+		}
+		if !writeBench(jsonPath, rep) {
 			return false
 		}
-		fmt.Printf("wrote %s\n", jsonPath)
 	}
-	fails := experiments.TuneFailures(rows)
-	for _, f := range fails {
-		fmt.Fprintln(os.Stderr, "lfbench: FAIL:", f)
-	}
-	if len(fails) == 0 {
-		fmt.Println("autotuning gate: PASS")
-	}
-	return len(fails) == 0
-}
-
-// tuneReport is the BENCH_tune.json schema.
-type tuneReport struct {
-	Description string                `json:"description"`
-	Meta        experiments.Meta      `json:"meta"`
-	BeatsStatic int                   `json:"beats_static"`
-	Workloads   []experiments.TuneRow `json:"workloads"`
-}
-
-func writeTuneJSON(path string, rows []experiments.TuneRow) error {
-	rep := tuneReport{
-		Description: "Hint autotuning: per workload, the search's winning variant against the compiler's static hint selection. Every variant that survives pruning and dedup is measured once with a full detailed run; scores are speedups over the shared hints-as-NOPs baseline; evaluations counts those detailed runs, baseline included; beats_static counts workloads whose winner strictly improves on the static selection.",
-		Meta:        experiments.NewMeta("lfbench -tune -tunejson BENCH_tune.json"),
-		BeatsStatic: experiments.TuneBeats(rows),
-		Workloads:   rows,
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// sampledReport is the BENCH_sampled.json schema.
-type sampledReport struct {
-	Description string                     `json:"description"`
-	Meta        experiments.Meta           `json:"meta"`
-	Workloads   []string                   `json:"workloads"`
-	Budgets     map[string]float64         `json:"budgets_pct"`
-	Outliers    []string                   `json:"outliers"`
-	Curve       []experiments.SampledPoint `json:"curve"`
-}
-
-func writeSampledJSON(path string, suite []*workloads.Benchmark, points []experiments.SampledPoint) error {
-	var names []string
-	for _, b := range suite {
-		names = append(names, b.Name)
-	}
-	var outliers []string
-	for name := range sim.SampledOutliers {
-		outliers = append(outliers, name)
-	}
-	sort.Strings(outliers)
-	rep := sampledReport{
-		Description: "Two-tier sampled simulation: accuracy-vs-speedup curve. Each point estimates every workload's baseline and LoopFrog cycle count from fast-functional tier-1 warming plus detailed windows, compared against full detailed runs. sim_speedup is full-pair wall time over sampled-pair wall time on this host; windows fan out over the worker pool, so multi-core hosts scale it by the core count.",
-		Meta:        experiments.NewMeta("lfbench -sampled -sampledjson BENCH_sampled.json"),
-		Workloads:   names,
-		Budgets:     map[string]float64{"default": 100 * sim.SampledErrBudget, "outlier": 100 * sim.SampledOutlierBudget},
-		Outliers:    outliers,
-		Curve:       points,
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return gate("autotuning gate", experiments.TuneFailures(rows))
 }
 
 // runSpectre runs the speculative-leak mitigation-cost study over suite:
@@ -409,46 +357,48 @@ func runSpectre(suite []*workloads.Benchmark, jsonPath string) bool {
 	}
 	fmt.Print(experiments.FormatSpectre(rows))
 	if jsonPath != "" {
-		if err := writeSpectreJSON(jsonPath, rows); err != nil {
-			fmt.Fprintln(os.Stderr, "lfbench:", err)
+		// The BENCH_spectre.json schema.
+		rep := struct {
+			Description string                   `json:"description"`
+			Meta        experiments.Meta         `json:"meta"`
+			Rows        []experiments.SpectreRow `json:"rows"`
+		}{
+			Description: "Speculative-leak study: per-workload taint-detection leak profile (candidates = transient loads whose taint-derived address reached the cache; leaks = candidates confirmed by a squash) and the cycle cost of the ShadowBinding-style DelaySpeculativeLoadDeps mitigation, which holds dependents of speculative loads until promotion. Detection is metadata-only, so detect_cycles equals the stock LoopFrog cycle count; cost_pct is the mitigation's price against it.",
+			Meta:        experiments.NewMeta("lfbench -spectre -spectrejson BENCH_spectre.json"),
+			Rows:        rows,
+		}
+		if !writeBench(jsonPath, rep) {
 			return false
 		}
-		fmt.Printf("wrote %s\n", jsonPath)
 	}
-	fails := experiments.SpectreFailures(rows)
+	return gate("spectre mitigation gate", experiments.SpectreFailures(rows))
+}
+
+// writeBench writes one BENCH_*.json artifact as indented JSON and prints
+// its path; a failure is printed and reported as false.
+func writeBench(path string, rep any) bool {
+	out, err := json.MarshalIndent(rep, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(out, '\n'), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "lfbench:", err)
+		return false
+	}
+	fmt.Println("wrote", path)
+	return true
+}
+
+// gate prints a study's gate failures, or its PASS line when there are
+// none, and reports whether it passed.
+func gate(name string, fails []string) bool {
 	for _, f := range fails {
 		fmt.Fprintln(os.Stderr, "lfbench: FAIL:", f)
 	}
 	if len(fails) == 0 {
-		fmt.Println("spectre mitigation gate: PASS")
+		fmt.Println(name + ": PASS")
 	}
 	return len(fails) == 0
-}
-
-// spectreReport is the BENCH_spectre.json schema.
-type spectreReport struct {
-	Description string                   `json:"description"`
-	Meta        experiments.Meta         `json:"meta"`
-	Rows        []experiments.SpectreRow `json:"rows"`
-}
-
-func writeSpectreJSON(path string, rows []experiments.SpectreRow) error {
-	rep := spectreReport{
-		Description: "Speculative-leak study: per-workload taint-detection leak profile (candidates = transient loads whose taint-derived address reached the cache; leaks = candidates confirmed by a squash) and the cycle cost of the ShadowBinding-style DelaySpeculativeLoadDeps mitigation, which holds dependents of speculative loads until promotion. Detection is metadata-only, so detect_cycles equals the stock LoopFrog cycle count; cost_pct is the mitigation's price against it.",
-		Meta:        experiments.NewMeta("lfbench -spectre -spectrejson BENCH_spectre.json"),
-		Rows:        rows,
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // runChaos sweeps the seeded fault matrix: every safe fault kind and their
@@ -458,37 +408,16 @@ func writeSpectreJSON(path string, rows []experiments.SpectreRow) error {
 func runChaos(seed int64) bool {
 	specs := []string{"conflict", "overflow", "kill", "poison", "mispredict", "all"}
 	seeds := []int64{seed, seed + 1, seed + 2}
-	entries, err := fault.RunMatrix(cpu.DefaultConfig(), workloads.ChaosSuite(), specs, seeds)
+	cells, err := experiments.Chaos(cpu.DefaultConfig(), workloads.ChaosSuite(), specs, seeds)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lfbench:", err)
 		return false
 	}
 	fmt.Printf("Chaos matrix: %d workloads x %d specs x %d seeds\n",
 		len(workloads.ChaosSuite()), len(specs), len(seeds))
-	fmt.Printf("%-16s %-12s %6s %10s %9s  %s\n", "workload", "spec", "seed", "cycles", "injected", "result")
-	failed := 0
-	var injected uint64
-	for _, e := range entries {
-		result := "ok"
-		if e.Err != "" {
-			result = "ERROR: " + firstLine(e.Err)
-			failed++
-		} else if e.Diverged {
-			result = "DIVERGED"
-			failed++
-		}
-		injected += e.Injected
-		fmt.Printf("%-16s %-12s %6d %10d %9d  %s\n", e.Workload, e.Spec, e.Seed, e.Cycles, e.Injected, result)
-	}
-	fmt.Printf("\n%d cells, %d faults injected, %d failures\n", len(entries), injected, failed)
+	table, failed := experiments.FormatChaos(cells)
+	fmt.Print(table)
 	return failed == 0
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }
 
 func quickSubset(suite []*workloads.Benchmark) []*workloads.Benchmark {

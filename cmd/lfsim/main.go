@@ -27,12 +27,12 @@
 // file, window i on trace pid i+1, so the windows render as separate process
 // lanes in the trace viewer.
 //
-// Flag combinations follow lfservd's job-spec rules (internal/serve): the
-// -ab, -sampled and -sampled -ab runs execute exactly as a job with the same
-// spec does, and print the numbers its result carries. -baseline -ab is a
-// usage error. -ab and -sampled -ab refuse -check and -trace: an A/B pair has
-// no single machine to check, and two configurations would interleave in
-// one trace.
+// Flag combinations follow lfservd's job-spec rules (internal/serve), and
+// every run executes exactly as a job with the same spec does, on the
+// simulation harness; -ab, -sampled and -sampled -ab print the numbers its
+// result carries. -baseline -ab is a usage error. -ab and -sampled -ab
+// refuse -check and -trace: an A/B pair has no single machine to check, and
+// two configurations would interleave in one trace.
 //
 // -spectre tracks taint through transient execution (wrong-path and
 // pre-promotion speculative loads) and reports every confirmed speculative
@@ -62,7 +62,8 @@
 // demonstrate that every injected fault was recovered exactly.
 //
 // Exit status: 0 success, 1 simulation failure (including watchdog trips,
-// whose diagnostic snapshot is printed, and -check divergence), 2 usage.
+// whose diagnostic snapshot is printed, -check divergence, and a machine
+// panic, which the harness recovers and prints with its stack), 2 usage.
 //
 // -trace writes a Perfetto/chrome://tracing-loadable trace-event JSON file
 // (threadlet epoch spans plus a commit-slot attribution counter track);
@@ -160,7 +161,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	spec := &o.spec
 
 	sim.SetParallelism(o.parallel)
 	if o.cpuprofile != "" {
@@ -214,61 +214,76 @@ func main() {
 		}
 	}
 
-	if spec.AB || spec.Sampled {
-		if err := runJob(spec, cfg, prog, o.tracePath, o.metricsPath); err != nil {
-			printRunError(err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	// The single-run path drives a machine directly so the telemetry layer
-	// can hook it: -trace streams lifecycle spans and commit-slot counters
-	// while the run executes, -metrics snapshots every component after it.
-	m, err := cpu.NewMachine(cfg, prog)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lfsim:", err)
+	if err := run(o, cfg, prog); err != nil {
+		printRunError(err)
 		os.Exit(1)
 	}
-	plan, _ := fault.Parse(spec.Faults, spec.Seed) // parseArgs parsed it already
-	if plan != nil {
-		m.SetFaultInjector(plan)
-	}
-	var tr *telemetry.Trace
-	var mt *telemetry.MachineTracer
+}
+
+// run executes the spec exactly as lfservd executes the same job, and
+// prints its result. -trace attaches to the machines the harness builds: a
+// detailed run's one machine, or every detailed window of a sampled run,
+// window i on trace pid i+1 (cache-satisfied windows leave no spans).
+// -metrics, -check, the leak report and the injected-fault counts of a
+// single detailed run read its machine after the run; -metrics of an A/B or
+// sampled run gets the harness's registry.
+func run(o *options, cfg cpu.Config, prog *asm.Program) error {
+	spec := &o.spec
+	var m *cpu.Machine
+	x := serve.Exec{Prog: prog, Cfg: cfg, Observe: func(obs *cpu.Machine) { m = obs }}
+	var finishTrace func() error
 	if o.tracePath != "" {
 		f, err := os.Create(o.tracePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lfsim:", err)
-			os.Exit(1)
+			return err
 		}
-		tr = telemetry.NewTrace(f)
-		mt = telemetry.AttachMachine(m, tr, 0)
+		tr := telemetry.NewTrace(f)
+		var finish func()
+		if spec.Sampled {
+			x.ObserveWindow, finish = telemetry.TraceSampledWindows(tr, 0)
+		} else {
+			var mt *telemetry.MachineTracer
+			finish = func() {
+				if mt != nil {
+					mt.Finish()
+				}
+			}
+			x.Observe = func(obs *cpu.Machine) {
+				finish() // a panic retry observes a fresh machine
+				m, mt = obs, telemetry.AttachMachine(obs, tr, 0)
+			}
+		}
+		finishTrace = func() error {
+			finish()
+			return tr.Close()
+		}
 	}
-	st, runErr := m.Run()
-	if mt != nil {
-		mt.Finish()
-		if err := tr.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "lfsim: trace:", err)
-			os.Exit(1)
+	out, err := serve.Execute(context.Background(), sim.DefaultHarness(), spec, x)
+	if finishTrace != nil {
+		if cerr := finishTrace(); cerr != nil && err == nil {
+			return fmt.Errorf("trace: %w", cerr)
 		}
 	}
-	if o.metricsPath != "" {
-		reg := telemetry.NewRegistry()
-		if err := telemetry.CollectMachine(reg, m); err == nil {
-			err = writeRegistry(reg, o.metricsPath)
-		}
+	if spec.AB || spec.Sampled {
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lfsim:", err)
-			os.Exit(1)
+			return err
+		}
+		return printJob(spec, out, o.metricsPath)
+	}
+	if o.metricsPath != "" && m != nil {
+		reg := telemetry.NewRegistry()
+		if err := telemetry.CollectMachine(reg, m); err != nil {
+			return err
+		}
+		if err := writeRegistry(reg, o.metricsPath); err != nil {
+			return err
 		}
 	}
-	if runErr != nil {
-		printRunError(runErr)
-		os.Exit(1)
+	if err != nil {
+		return err
 	}
-	printStats(st)
-	if plan != nil {
+	printStats(out.Stats[0])
+	if plan, _ := m.FaultInjector().(*fault.Plan); plan != nil {
 		printInjected(plan)
 	}
 	if o.check {
@@ -277,12 +292,10 @@ func main() {
 		// register file is only comparable for normalising programs.
 		div, err := fault.Check(m, prog, fault.CheckOpts{Regs: fault.ResultRegs()})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "lfsim:", err)
-			os.Exit(1)
+			return err
 		}
 		if div != "" {
-			fmt.Fprintf(os.Stderr, "lfsim: state diverged from sequential reference: %s\n", div)
-			os.Exit(1)
+			return fmt.Errorf("state diverged from sequential reference: %s", div)
 		}
 		fmt.Println("check: final state matches the sequential reference (x10 + memory)")
 	}
@@ -296,44 +309,18 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "lfsim:", err)
-			os.Exit(1)
-		}
-		if rep.Confirmed > 0 {
-			fmt.Fprintf(os.Stderr, "lfsim: %d speculative leak(s) confirmed at %d site(s)\n", rep.Confirmed, len(rep.Sites))
-			os.Exit(1)
-		}
-	}
-}
-
-// runJob executes an A/B or sampled spec exactly as lfservd executes the
-// same job, and prints its result; -metrics gets the harness's registry. A
-// non-empty tracePath streams every detailed window of a sampled run into
-// one trace file, window i on trace pid i+1 (cache-satisfied windows leave
-// no spans).
-func runJob(spec *serve.JobSpec, cfg cpu.Config, prog *asm.Program, tracePath, metricsPath string) error {
-	x := serve.Exec{Prog: prog, Cfg: cfg}
-	var finishTrace func()
-	var tr *telemetry.Trace
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
 			return err
 		}
-		defer f.Close()
-		tr = telemetry.NewTrace(f)
-		x.ObserveWindow, finishTrace = telemetry.TraceSampledWindows(tr, 0)
-	}
-	out, err := serve.Execute(context.Background(), sim.DefaultHarness(), spec, x)
-	if finishTrace != nil {
-		finishTrace()
-		if cerr := tr.Close(); cerr != nil && err == nil {
-			return fmt.Errorf("trace: %w", cerr)
+		if rep.Confirmed > 0 {
+			return fmt.Errorf("%d speculative leak(s) confirmed at %d site(s)", rep.Confirmed, len(rep.Sites))
 		}
 	}
-	if err != nil {
-		return err
-	}
+	return nil
+}
+
+// printJob prints an A/B or sampled job's result; -metrics gets the
+// harness's registry.
+func printJob(spec *serve.JobSpec, out *serve.Outcome, metricsPath string) error {
 	r := out.Result
 	if spec.AB {
 		est, note := "", ""

@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"loopfrog/internal/cpu"
+	"loopfrog/internal/sim"
 	"loopfrog/internal/workloads"
 )
 
@@ -35,29 +36,27 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lftrace:", err)
 		os.Exit(1)
 	}
-	m, err := cpu.NewMachine(cpu.DefaultConfig(), prog)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lftrace:", err)
-		os.Exit(1)
-	}
-
+	job := sim.Job{Cfg: cpu.DefaultConfig(), Prog: prog}
 	if *maxEvents > 0 {
-		printed := 0
-		m.SetEventHook(func(e cpu.Event) {
-			fmt.Println(e)
-			printed++
-			if printed == *maxEvents {
-				fmt.Println("... (further events suppressed)")
-				// Detach so the rest of the run pays no per-event cost.
-				m.SetEventHook(nil)
-			}
-		})
+		job.Observe = func(m *cpu.Machine) {
+			printed := 0
+			m.SetEventHook(func(e cpu.Event) {
+				fmt.Println(e)
+				printed++
+				if printed == *maxEvents {
+					fmt.Println("... (further events suppressed)")
+					// Detach so the rest of the run pays no per-event cost.
+					m.SetEventHook(nil)
+				}
+			})
+		}
 	}
-	st, err := m.Run()
+	stats, err := (&sim.Harness{}).RunJobs([]sim.Job{job})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lftrace:", err)
 		os.Exit(1)
 	}
+	st := stats[0]
 	fmt.Printf("\n%d cycles, %d instructions, %d spawns, %d retires\n",
 		st.Cycles, st.ArchInsts, st.Spawns, st.Retires)
 }

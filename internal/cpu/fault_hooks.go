@@ -58,6 +58,11 @@ type FaultInjector interface {
 // machine and are not rewound.
 func (m *Machine) SetFaultInjector(inj FaultInjector) { m.inj = inj }
 
+// FaultInjector returns the installed fault injector (nil when none). It
+// stays readable after the run, so a caller holding the machine can read the
+// injector's counters.
+func (m *Machine) FaultInjector() FaultInjector { return m.inj }
+
 // injectConflict applies the conflict-fault hooks to the outcome of one
 // performed store's write check (Algorithm 1): a forced false positive aborts
 // the oldest successor although no real conflict exists; a suppressed squash

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"loopfrog/internal/area"
+	"loopfrog/internal/core"
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/sim"
 	"loopfrog/internal/workloads"
@@ -298,44 +299,50 @@ type PackingResult struct {
 }
 
 // Packing compares the suite geomean with and without iteration packing and
-// reports the observed packing factors.
+// reports the observed packing factors, read from the packing predictors of
+// the LoopFrog batch's own machines.
 func Packing(suite []*workloads.Benchmark) (*PackingResult, error) {
 	on := cpu.DefaultConfig()
 	off := cpu.DefaultConfig()
 	off.Pack.Enabled = false
-	resOn, err := sim.RunSuite(on, suite)
-	if err != nil {
-		return nil, err
-	}
 	resOff, err := sim.RunSuite(off, suite)
 	if err != nil {
 		return nil, err
+	}
+	// The baseline core has packing off either way (sim.BaselineOf), so the
+	// pack-off runs' baselines serve both sides. The LoopFrog batch runs on
+	// a harness with no run-cache, so every machine is built and observed.
+	packers := make([]*core.PackPredictor, len(suite))
+	jobs := make([]sim.Job, len(suite))
+	for i, b := range suite {
+		prog, err := b.Program()
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = sim.Job{Cfg: on, Prog: prog, Observe: func(m *cpu.Machine) { packers[i] = m.Packer() }}
+	}
+	lf, err := (&sim.Harness{Workers: sim.DefaultHarness().Workers}).RunJobs(jobs)
+	if err != nil {
+		return nil, err
+	}
+	resOn := make([]*sim.Result, len(suite))
+	for i, r := range resOff {
+		if lf[i].ArchInsts != r.Base.ArchInsts {
+			return nil, fmt.Errorf("packing: %s: baseline committed %d insts but LoopFrog %d",
+				r.Bench.Name, r.Base.ArchInsts, lf[i].ArchInsts)
+		}
+		resOn[i] = &sim.Result{Bench: r.Bench, Base: r.Base, LF: lf[i]}
 	}
 	out := &PackingResult{
 		GeomeanWith:    geomeanWhole(resOn),
 		GeomeanWithout: geomeanWhole(resOff),
 	}
-	// Re-run one packing-heavy benchmark to harvest factor statistics.
 	var totalPacked, factorSum uint64
 	maxF := 0
-	for _, b := range suite {
-		prog, err := b.Program()
-		if err != nil {
-			return nil, err
-		}
-		m, err := cpu.NewMachine(on, prog)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := m.Run(); err != nil {
-			return nil, err
-		}
-		p := m.Packer()
+	for _, p := range packers {
 		totalPacked += p.Packed
 		factorSum += p.FactorSum
-		if p.MaxFactorSeen > maxF {
-			maxF = p.MaxFactorSeen
-		}
+		maxF = max(maxF, p.MaxFactorSeen)
 	}
 	if totalPacked > 0 {
 		out.MeanFactor = float64(factorSum) / float64(totalPacked)

@@ -2,38 +2,17 @@ package fault
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"loopfrog/internal/asm"
 	"loopfrog/internal/cpu"
 	"loopfrog/internal/isa"
 	"loopfrog/internal/ref"
-	"loopfrog/internal/workloads"
 )
 
-// Result is the outcome of one injected differential run.
-type Result struct {
-	// Stats is the machine's statistics (partial if the run errored).
-	Stats *cpu.Stats
-	// Injected is the per-kind fault counters, keyed by spec name.
-	Injected map[string]uint64
-	// RunErr is the machine-run failure, if any: a watchdog ProgressError,
-	// ErrCycleLimit, a MemFault, or a recovered panic.
-	RunErr error
-	// Divergence describes the first mismatch against the sequential
-	// reference ("" when the final state matches exactly). Only meaningful
-	// when RunErr is nil — an errored run has no final state to compare.
-	Divergence string
-}
-
-// Ok reports whether the run completed and matched the reference.
-func (r *Result) Ok() bool { return r.RunErr == nil && r.Divergence == "" }
-
-// CheckOpts tune what Differential compares. Memory is always compared in
-// full; the zero value also compares the full register file, which is valid
-// only for programs that normalise dead temporaries before halting (the hint
-// contract does not preserve body temporaries — see
-// workloads.Benchmark.NormalisedRegs).
+// CheckOpts tune what Check compares. Memory is always compared in full; the
+// zero value also compares the full register file, which is valid only for
+// programs that normalise dead temporaries before halting (the hint contract
+// does not preserve body temporaries — see workloads.Benchmark.NormalisedRegs).
 type CheckOpts struct {
 	// Regs lists the live-out registers to compare; nil means all of them.
 	Regs []isa.Reg
@@ -43,62 +22,17 @@ type CheckOpts struct {
 // result register only.
 func ResultRegs() []isa.Reg { return []isa.Reg{isa.X(10)} }
 
-// Differential runs prog on the machine with plan installed (nil plan = no
-// injection) and compares the final architectural state — the full register
-// file and all of memory — against the sequential reference interpreter.
-// Panics out of the machine (including injected ones) are recovered into
-// RunErr, so a chaos plan can never take the caller down. The error return is
-// for harness problems (bad program); injected-run outcomes land in Result.
-func Differential(cfg cpu.Config, prog *asm.Program, plan *Plan) (*Result, error) {
-	return DifferentialOpts(cfg, prog, plan, CheckOpts{})
-}
-
 // Check compares a halted machine's architectural state against the
 // sequential reference interpretation of prog, returning the first divergence
-// ("" on an exact match). It is the post-run verification behind lfsim
-// -check; Differential wraps it with machine construction and panic
-// containment.
+// ("" on an exact match). The machine may already be recycled: it keeps its
+// final registers and memory. Check is the post-run verification behind lfsim
+// -check and the chaos matrix (experiments.Chaos).
 func Check(m *cpu.Machine, prog *asm.Program, opts CheckOpts) (string, error) {
 	oracle, err := ref.Run(prog, ref.Options{})
 	if err != nil {
 		return "", fmt.Errorf("fault: reference run failed: %w", err)
 	}
 	return diffState(oracle, m, opts.Regs), nil
-}
-
-// DifferentialOpts is Differential with an explicit comparison scope.
-func DifferentialOpts(cfg cpu.Config, prog *asm.Program, plan *Plan, opts CheckOpts) (*Result, error) {
-	oracle, err := ref.Run(prog, ref.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("fault: reference run failed: %w", err)
-	}
-	res := &Result{Injected: map[string]uint64{}}
-	m, err := cpu.NewMachine(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	if plan != nil {
-		m.SetFaultInjector(plan)
-	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				res.RunErr = fmt.Errorf("fault: machine panicked: %v\n%s", r, debug.Stack())
-			}
-		}()
-		res.Stats, res.RunErr = m.Run()
-	}()
-	if plan != nil {
-		res.Injected = plan.Counts()
-	}
-	if res.Stats == nil {
-		res.Stats = m.Stats()
-	}
-	if res.RunErr != nil {
-		return res, nil
-	}
-	res.Divergence = diffState(oracle, m, opts.Regs)
-	return res, nil
 }
 
 // diffState returns a description of the first register mismatch, or the
@@ -121,67 +55,4 @@ func diffState(oracle *ref.Result, m *cpu.Machine, regs []isa.Reg) string {
 		return "memory differs:\n" + diff
 	}
 	return ""
-}
-
-// MatrixEntry is one cell of a chaos matrix run.
-type MatrixEntry struct {
-	Workload string
-	Spec     string
-	Seed     int64
-	Cycles   int64
-	Injected uint64
-	// Err is the run failure ("" for none); Diverged marks a final state
-	// that did not match the sequential reference.
-	Err      string
-	Diverged bool
-}
-
-// Ok reports whether the cell passed.
-func (e *MatrixEntry) Ok() bool { return e.Err == "" && !e.Diverged }
-
-// RunMatrix sweeps fault specs across workloads, one differential run per
-// (workload, spec, seed) cell, and returns every cell — it never stops early,
-// so a failing cell still yields a complete report. Rows appear in input
-// order; each cell gets an independent plan derived from the cell seed.
-func RunMatrix(cfg cpu.Config, benches []*workloads.Benchmark, specs []string, seeds []int64) ([]MatrixEntry, error) {
-	var out []MatrixEntry
-	for _, b := range benches {
-		prog, err := b.Program()
-		if err != nil {
-			return out, err
-		}
-		for _, spec := range specs {
-			for _, seed := range seeds {
-				plan, err := Parse(spec, seed)
-				if err != nil {
-					return out, err
-				}
-				opts := CheckOpts{Regs: ResultRegs()}
-				if b.NormalisedRegs {
-					opts = CheckOpts{} // full register file
-				}
-				res, err := DifferentialOpts(cfg, prog, plan, opts)
-				if err != nil {
-					return out, err
-				}
-				e := MatrixEntry{
-					Workload: b.Name,
-					Spec:     spec,
-					Seed:     seed,
-					Diverged: res.Divergence != "",
-				}
-				if res.Stats != nil {
-					e.Cycles = res.Stats.Cycles
-				}
-				for _, c := range res.Injected {
-					e.Injected += c
-				}
-				if res.RunErr != nil {
-					e.Err = res.RunErr.Error()
-				}
-				out = append(out, e)
-			}
-		}
-	}
-	return out, nil
 }

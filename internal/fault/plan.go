@@ -1,9 +1,11 @@
 // Package fault implements deterministic speculation fault injection for the
 // LoopFrog machine: a seeded Plan decides, reproducibly, when to force the
 // model's recovery paths (conflict aborts, SSB-overflow squashes, threadlet
-// kills, pack-prediction poisoning, branch-mispredict storms), and a
-// differential checker proves that every injected run still matches the
-// sequential reference interpreter exactly.
+// kills, pack-prediction poisoning, branch-mispredict storms), and Check
+// compares a run's final architectural state with the sequential reference
+// interpreter. The simulation harness (internal/sim) installs a plan on the
+// machines it builds; the chaos matrix (experiments.Chaos) checks every
+// injected run it makes there.
 //
 // The paper's safety argument (§3.1–§3.2) is that speculation is
 // performance-only: no squash or abort may change architectural state. The

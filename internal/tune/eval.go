@@ -86,15 +86,11 @@ type Evaluator interface {
 // harness pool, through its run-cache, so identical variants and re-tuning
 // runs dedupe.
 type Local struct {
-	H *sim.Harness
+	H *sim.Harness // required
 }
 
 // Evaluate runs the batch.
 func (l Local) Evaluate(ctx context.Context, reqs []EvalRequest) ([]*EvalResult, []error) {
-	h := l.H
-	if h == nil {
-		h = sim.DefaultHarness()
-	}
 	results := make([]*EvalResult, len(reqs))
 	errs := make([]error, len(reqs))
 	jobs := make([]sim.Job, 0, len(reqs))
@@ -109,7 +105,7 @@ func (l Local) Evaluate(ctx context.Context, reqs []EvalRequest) ([]*EvalResult,
 		jobs = append(jobs, sim.Job{Cfg: cfg, Prog: prog})
 		idx = append(idx, i)
 	}
-	stats, jerrs := h.RunJobsCtx(ctx, jobs)
+	stats, jerrs := l.H.RunJobsCtx(ctx, jobs)
 	for k, i := range idx {
 		if jerrs[k] != nil {
 			results[i], errs[i] = nil, jerrs[k]
