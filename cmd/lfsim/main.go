@@ -222,8 +222,9 @@ func main() {
 
 // run executes the spec exactly as lfservd executes the same job, and
 // prints its result. -trace attaches to the machines the harness builds: a
-// detailed run's one machine, or every detailed window of a sampled run,
-// window i on trace pid i+1 (cache-satisfied windows leave no spans).
+// detailed run's one machine (its first attempt's, when the harness retries
+// a panic), or every detailed window of a sampled run, window i on trace pid
+// i+1 (cache-satisfied windows leave no spans).
 // -metrics, -check, the leak report and the injected-fault counts of a
 // single detailed run read its machine after the run; -metrics of an A/B or
 // sampled run gets the harness's registry.
@@ -249,8 +250,12 @@ func run(o *options, cfg cpu.Config, prog *asm.Program) error {
 				}
 			}
 			x.Observe = func(obs *cpu.Machine) {
-				finish() // a panic retry observes a fresh machine
-				m, mt = obs, telemetry.AttachMachine(obs, tr, 0)
+				// A panic retry observes a fresh machine, which is left
+				// untraced: the trace shows the attempt that panicked.
+				if mt == nil {
+					mt = telemetry.AttachMachine(obs, tr, 0)
+				}
+				m = obs
 			}
 		}
 		finishTrace = func() error {

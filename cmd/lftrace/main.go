@@ -38,7 +38,14 @@ func main() {
 	}
 	job := sim.Job{Cfg: cpu.DefaultConfig(), Prog: prog}
 	if *maxEvents > 0 {
+		traced := false
 		job.Observe = func(m *cpu.Machine) {
+			// A panic retry observes a fresh machine; only the first
+			// attempt's events are printed.
+			if traced {
+				return
+			}
+			traced = true
 			printed := 0
 			m.SetEventHook(func(e cpu.Event) {
 				fmt.Println(e)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -73,23 +74,43 @@ func Chaos(cfg cpu.Config, benches []*workloads.Benchmark, specs []string, seeds
 	return cells, RunChaos(cfg, cells)
 }
 
+// errPanicRetried fails a cell whose first attempt panicked even though the
+// harness's retry then completed: the chaos matrix accepts only runs that
+// finish cleanly the first time, so an order-dependent panic still fails it.
+var errPanicRetried = errors.New("machine panicked; passed on retry")
+
 // RunChaos runs every cell on cfg as one batch on a harness with no
 // run-cache, so each cell's machine is built, observed and spread across
 // the worker pool, then checks each completed run's final state. A panic
-// or watchdog trip lands in its cell's Err; the error return is for a
+// (on the first attempt too, when the harness's retry completes) or a
+// watchdog trip lands in its cell's Err; the error return is for a
 // reference run that fails.
-func RunChaos(cfg cpu.Config, cells []ChaosCell) error {
+func RunChaos(cfg cpu.Config, cells []ChaosCell) error { return runChaos(cfg, cells, nil) }
+
+// runChaos is RunChaos with observe, when non-nil, also called on every
+// machine built for cell i, so a test can make one attempt panic.
+func runChaos(cfg cpu.Config, cells []ChaosCell, observe func(i int, m *cpu.Machine)) error {
 	machines := make([]*cpu.Machine, len(cells))
+	attempts := make([]int, len(cells))
 	jobs := make([]sim.Job, len(cells))
 	for i, c := range cells {
 		jobs[i] = sim.Job{Cfg: cfg, Prog: c.Prog, Faults: c.Spec, Seed: c.Seed,
-			Observe: func(m *cpu.Machine) { machines[i] = m }}
+			Observe: func(m *cpu.Machine) {
+				machines[i] = m
+				attempts[i]++
+				if observe != nil {
+					observe(i, m)
+				}
+			}}
 	}
 	h := &sim.Harness{Workers: sim.DefaultHarness().Workers}
 	_, errs := h.RunJobsErrs(jobs)
 	for i := range cells {
 		c, m := &cells[i], machines[i]
-		if c.Err = errs[i]; m == nil { // the machine was never built
+		if c.Err = errs[i]; c.Err == nil && attempts[i] > 1 {
+			c.Err = errPanicRetried
+		}
+		if m == nil { // the machine was never built
 			continue
 		}
 		// A failed or panicked run leaves its partial statistics on the

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -196,5 +197,32 @@ func TestPackingStudy(t *testing.T) {
 	}
 	if !strings.Contains(FormatPacking(p), "packing factor") {
 		t.Error("packing format broken")
+	}
+}
+
+// TestChaosPanicOnFirstAttemptFails: a cell whose first attempt panics
+// fails even when the harness's retry completes and matches the reference,
+// while a clean cell in the same batch still passes.
+func TestChaosPanicOnFirstAttemptFails(t *testing.T) {
+	prog := workloads.ChaosSuite()[0].MustProgram()
+	cells := []ChaosCell{
+		{Workload: prog.Name, Prog: prog, Seed: 1},
+		{Workload: prog.Name, Prog: prog, Seed: 2},
+	}
+	panicked := false
+	err := runChaos(cpu.DefaultConfig(), cells, func(i int, m *cpu.Machine) {
+		if i == 0 && !panicked {
+			panicked = true
+			m.SetEventHook(func(cpu.Event) { panic("first attempt only") })
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := &cells[0]; c.Ok() || !errors.Is(c.Err, errPanicRetried) {
+		t.Errorf("cell panicking on its first attempt only: err=%v divergence=%q, want %v", c.Err, c.Divergence, errPanicRetried)
+	}
+	if c := &cells[1]; !c.Ok() {
+		t.Errorf("clean cell failed: err=%v divergence=%q", c.Err, c.Divergence)
 	}
 }
