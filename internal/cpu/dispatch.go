@@ -265,8 +265,11 @@ func (m *Machine) release(e *dynInst) {
 
 // newInst returns a dynInst for dispatch to fill: the most recently freed
 // one, with its generation bumped and its tail cleared, or else a fresh slot
-// of the arena. Either way the tail is zero and the links are empty
-// (dynInst).
+// appended to m.slots, zero apart from its handle. Either way the tail is
+// zero and the links are empty (dynInst). The append may move the slots,
+// and with them every *dynInst taken before it. That is safe because
+// newInst has one caller, dispatchOne, and neither it nor its caller holds
+// another *dynInst across the call.
 func (m *Machine) newInst() *dynInst {
 	if n := m.instFree.len(); n > 0 {
 		e := m.at(m.instFree.buf[n-1])
@@ -275,7 +278,8 @@ func (m *Machine) newInst() *dynInst {
 		e.instTail = instTail{}
 		return e
 	}
-	return m.insts.fresh()
+	m.slots = append(m.slots, dynInst{self: instRef(len(m.slots) + 1)})
+	return &m.slots[len(m.slots)-1]
 }
 
 // freeInst returns an instruction nothing can read any more to the free list
@@ -291,8 +295,8 @@ func (m *Machine) freeInst(e *dynInst) {
 	m.instFree.push(e.self)
 }
 
-// at returns the instruction h names.
-func (m *Machine) at(h instRef) *dynInst { return m.insts.at(h) }
+// at returns the instruction h names; h must not be 0.
+func (m *Machine) at(h instRef) *dynInst { return &m.slots[h-1] }
 
 // startConsumable reports whether register r still carries the threadlet's
 // inherited starting value (for the packing repair decision, §4.3).

@@ -99,9 +99,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// checkInstOwners checks that every instruction the machine took from its
-// arena has exactly one owner: a threadlet's ROB or drain queue, the
-// scheduler queue holding it after a squash, or the free list. An
+// checkInstOwners checks that every instruction slot the machine made
+// (Machine.slots) has exactly one owner: a threadlet's ROB or drain queue,
+// the scheduler queue holding it after a squash, or the free list. An
 // instruction with no owner leaked (a free site was skipped); one with two
 // was freed while still reachable. A live instruction may sit in one
 // scheduler queue besides its ROB, but never in two. A free instruction
@@ -109,7 +109,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 // waiter pool must be on exactly one producer's list or the free list.
 func checkInstOwners(t *testing.T, m *Machine, when string) {
 	t.Helper()
-	owner := make(map[instRef]string, m.insts.n)
+	owner := make(map[instRef]string, len(m.slots))
 	own := func(h instRef, where string) {
 		if prev, ok := owner[h]; ok {
 			t.Fatalf("%s: instruction at pc %d held by both %s and %s", when, m.at(h).pc, prev, where)
@@ -153,14 +153,14 @@ func checkInstOwners(t *testing.T, m *Machine, when string) {
 			t.Fatalf("%s: free instruction from pc %d still links to other instructions", when, e.pc)
 		}
 	}
-	if held := len(owner); held != m.insts.n {
-		t.Fatalf("%s: %d instructions taken from the arena, %d accounted for", when, m.insts.n, held)
+	if held := len(owner); held != len(m.slots) {
+		t.Fatalf("%s: %d instruction slots made, %d accounted for", when, len(m.slots), held)
 	}
 	nodes := 0
 	for n := m.waitFree; n != 0; n = m.waitNodes[n].next {
 		nodes++
 	}
-	for i := 1; i <= m.insts.n; i++ {
+	for i := 1; i <= len(m.slots); i++ {
 		for n := m.at(instRef(i)).waitHead; n != 0; n = m.waitNodes[n].next {
 			nodes++
 		}
@@ -202,7 +202,7 @@ func pointerPath(t reflect.Type) string {
 // pipeline write takes a write barrier (DESIGN.md, "Instruction lifetime").
 func TestHotTypesHoldNoPointers(t *testing.T) {
 	for _, v := range []any{
-		dynInst{}, [1 << arenaChunkBits]dynInst{}, mapEntry{}, memRec{}, fetchEntry{},
+		dynInst{}, mapEntry{}, memRec{}, fetchEntry{},
 		instRef(0), execRef{}, waitNode{}, ckptWait{},
 	} {
 		if p := pointerPath(reflect.TypeOf(v)); p != "" {
@@ -307,7 +307,7 @@ func TestInstRecycleAccounting(t *testing.T) {
 			checkInstOwners(t, m, "end of run")
 			st := m.stats
 			t.Logf("%d cycles, %d committed, %d insts allocated, %d waiter nodes; squashes %v",
-				st.Cycles, st.CommitSlotsUsed, m.insts.n, len(m.waitNodes)-1, st.Squashes)
+				st.Cycles, st.CommitSlotsUsed, len(m.slots), len(m.waitNodes)-1, st.Squashes)
 			switch {
 			case tc.inject:
 				if st.Squashes[core.SquashOverflow] == 0 || st.Squashes[core.SquashConflict] == 0 {
@@ -318,9 +318,9 @@ func TestInstRecycleAccounting(t *testing.T) {
 					t.Errorf("mitigated run held no wakeups")
 				}
 			}
-			if m.insts.n > 4*tc.cfg.ROBSize {
+			if len(m.slots) > 4*tc.cfg.ROBSize {
 				t.Errorf("%d instructions allocated for a %d-entry ROB: reuse is not happening",
-					m.insts.n, tc.cfg.ROBSize)
+					len(m.slots), tc.cfg.ROBSize)
 			}
 		})
 	}
@@ -328,10 +328,11 @@ func TestInstRecycleAccounting(t *testing.T) {
 
 // TestRecycleKeepsResultsExact runs programs on fresh machines, then twice
 // more machine after machine, each recycled (Recycle) before the next is
-// built, so that later machines fill their arenas, predictor tables and
-// cache set tables from the pools the earlier ones left. Every run must
-// match the fresh machine's, field for field; a recycled machine must keep
-// its final registers and refuse to run again.
+// built, so that later machines take their instruction slots, threadlet
+// contexts, predictor tables and cache set tables from the pools the
+// earlier ones left. Every run must match the fresh machine's, field for
+// field; a recycled machine must keep its final registers and refuse to run
+// again.
 func TestRecycleKeepsResultsExact(t *testing.T) {
 	cpu2017 := workloads.CPU2017()
 	progs := []*asm.Program{

@@ -60,7 +60,7 @@ type Machine struct {
 	// instruction's line with a shift, as the cache model does (mem).
 	iLineShift uint
 
-	// The scheduler lists, of handles into the instruction arena. Each is
+	// The scheduler lists, of handles into the instruction window. Each is
 	// filtered in place every cycle, and the slots past its length are left
 	// as they are: a push overwrites them before anything reads them.
 	readyQ    [isa.NumClasses]list[instRef]
@@ -130,12 +130,13 @@ type Machine struct {
 	granScratch                         []uint64
 	finished                            list[instRef] // writeback
 
-	// The instruction window (DESIGN.md, "Instruction lifetime"). insts
-	// holds every dynInst the machine made; instFree lists the freed ones,
-	// reused last-in first-out. waitNodes holds producers' waiters past
-	// their inline ones, with waitFree the head of its free list; ckptWaits
-	// holds the checkpoint slots in-flight producers fill.
-	insts    instArena
+	// The instruction window (DESIGN.md, "Instruction lifetime"). slots
+	// holds every dynInst the machine made, the one handle h names at index
+	// h-1; instFree lists the freed ones, reused last-in first-out.
+	// waitNodes holds producers' waiters past their inline ones, with
+	// waitFree the head of its free list; ckptWaits holds the checkpoint
+	// slots in-flight producers fill.
+	slots    []dynInst
 	recycled bool // Recycle gave the window away
 	// finalRegs is FinalRegs once the threadlets are recycled.
 	finalRegs [isa.NumRegs]uint64
@@ -242,9 +243,25 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 		m.ssbTaint = make([]map[uint64]bool, cfg.Threadlets)
 	}
 
+	// Take a finished machine's slots and threadlet contexts when there is
+	// one (Recycle): a slot is overwritten whole as newInst appends it, and
+	// a context whose fetch queue fits is reset keeping its arrays.
+	var sp spares
+	if p, _ := spare.Get().(*spares); p != nil {
+		sp = *p
+	}
+	m.slots = sp.slots[:0]
+	fqCap := cfg.FetchQueue + cfg.FrontendDepth*cfg.Width
 	m.threads = make([]*threadlet, cfg.Threadlets)
 	for i := range m.threads {
-		m.threads[i] = newThreadlet(i, cfg.FetchQueue+cfg.FrontendDepth*cfg.Width)
+		var t *threadlet
+		if i < len(sp.threads) && len(sp.threads[i].fq.buf) == fqCap {
+			t = sp.threads[i]
+		} else {
+			t = &threadlet{fq: newFetchQueue(fqCap)}
+		}
+		t.reset(i)
+		m.threads[i] = t
 	}
 	t0 := m.threads[0]
 	t0.live = true
@@ -273,21 +290,29 @@ func newMachine(cfg Config, prog *asm.Program, ck *Checkpoint) (*Machine, error)
 	return m, nil
 }
 
+// spares is what a finished machine hands to a later one (Recycle): its
+// instruction slots and its threadlet contexts with their queue arrays.
+type spares struct {
+	slots   []dynInst
+	threads []*threadlet
+}
+
+// spare holds the spares of machines whose runs are over, for newMachine.
+var spare sync.Pool
+
 // Recycle hands the machine's largest buffers to later machines once its
-// run is over and only its results are wanted: the instruction arena, the
-// threadlet contexts with their queues, the branch predictor's tables and
-// the cache hierarchy. Its statistics (Stats, SnapshotStats, LeakReport),
-// final registers (FinalRegs) and memory stay readable; the machine must not
-// run again, and its predictor and hierarchy must not be used. A harness
-// that runs machine after machine calls it, so that the machines do not each
+// run is over and only its results are wanted: its instruction slots and
+// threadlet contexts (through spare), its branch predictor's tables and its
+// cache hierarchy. Its statistics (Stats, SnapshotStats, LeakReport), final
+// registers (FinalRegs) and memory stay readable; the machine refuses to run
+// again, and its predictor and hierarchy must not be used. A harness that
+// runs machine after machine calls it, so that the machines do not each
 // allocate these afresh: with small program images the live heap is small,
 // and every megabyte a window allocates brings the next collection closer.
 func (m *Machine) Recycle() {
 	m.finalRegs = m.FinalRegs()
-	m.insts.recycle()
-	for _, t := range m.threads {
-		spareThreads.Put(t)
-	}
+	spare.Put(&spares{slots: m.slots, threads: m.threads})
+	m.slots = nil
 	m.bp.Recycle()
 	m.hier.Recycle()
 	m.recycled = true

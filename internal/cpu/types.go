@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"sync"
-
 	"loopfrog/internal/bpred"
 	"loopfrog/internal/isa"
 )
@@ -18,7 +16,7 @@ const (
 )
 
 // dynInst is one dynamic instruction in flight, taken from the machine's
-// arena at dispatch (newInst). It holds no Go pointer: every link to another
+// slots at dispatch (newInst). It holds no Go pointer: every link to another
 // instruction is an instRef, so a pipeline write never pays a GC write
 // barrier and the collector never scans the window (DESIGN.md, "Instruction
 // lifetime"). Its fields fall in three groups by how a reused slot is made
@@ -44,7 +42,7 @@ type dynInst struct {
 	// records it, so an entry whose producer was since recycled is told
 	// apart from one naming the current occupant (mapEntry.gen).
 	gen uint32
-	// self is the slot's own handle, fixed when its chunk is made.
+	// self is the slot's own handle, set when newInst appends the slot.
 	self instRef
 	// Operand readiness; src[0] is Rs1, src[1] is Rs2.
 	srcReady  [2]bool
@@ -54,9 +52,9 @@ type dynInst struct {
 	predTaken bool
 
 	// Links to other instructions, empty whenever the slot is free: release
-	// clears them as the instruction leaves the window, and a slot from a
-	// fresh chunk starts zero. oldMap's value part is stale on reuse; it is
-	// read only when hasDest, and dispatch writes it then.
+	// clears them as the instruction leaves the window, and a fresh slot
+	// starts zero. oldMap's value part is stale on reuse; it is read only
+	// when hasDest, and dispatch writes it then.
 	srcProd [2]instRef
 	// waiters are instructions whose operands this result feeds: the first
 	// waitBufLen inline in waitBuf[:nWait], the rest on a list of the
@@ -131,62 +129,10 @@ type instTail struct {
 // waitBufLen is the number of waiters an instruction stores inline.
 const waitBufLen = 4
 
-// instRef is the handle of a dynInst in its machine's arena: the slot's
-// index plus one, so that the zero instRef names no instruction.
+// instRef is the handle of a dynInst in its machine's window
+// (Machine.slots): the slot's index plus one, so that the zero instRef names
+// no instruction.
 type instRef uint32
-
-// arenaChunkBits sets the arena's chunk size, 1<<arenaChunkBits slots.
-const arenaChunkBits = 6
-
-// instArena holds a machine's dynInsts in fixed-size chunks that never move,
-// so a slot's address and handle stay valid for the machine's lifetime. The
-// chunks hold no pointers: the collector neither scans them nor asks for a
-// write barrier when they are written. Only the chunk table is a pointer
-// slice, written once per chunk.
-type instArena struct {
-	chunks []*arenaChunk
-	n      int // slots handed out so far
-}
-
-// at returns the instruction h names; h must not be 0.
-func (a *instArena) at(h instRef) *dynInst {
-	i := uint32(h) - 1
-	return &a.chunks[i>>arenaChunkBits][i&(1<<arenaChunkBits-1)]
-}
-
-// arenaChunk is one chunk of an instruction arena.
-type arenaChunk = [1 << arenaChunkBits]dynInst
-
-// chunkPool holds the chunks of machines whose runs are over (Recycle), for
-// later machines to fill their arenas from instead of allocating.
-var chunkPool sync.Pool
-
-// fresh returns a slot never handed out before, adding a chunk when the
-// last one is full. The slot is zero apart from its handle.
-func (a *instArena) fresh() *dynInst {
-	if a.n == len(a.chunks)<<arenaChunkBits {
-		c, _ := chunkPool.Get().(*arenaChunk)
-		if c != nil {
-			*c = arenaChunk{}
-		} else {
-			c = new(arenaChunk)
-		}
-		for i := range c {
-			c[i].self = instRef(a.n + i + 1)
-		}
-		a.chunks = append(a.chunks, c)
-	}
-	a.n++
-	return a.at(instRef(a.n))
-}
-
-// recycle hands the arena's chunks to chunkPool and empties the arena.
-func (a *instArena) recycle() {
-	for _, c := range a.chunks {
-		chunkPool.Put(c)
-	}
-	*a = instArena{}
-}
 
 // execRef is an executing instruction with the cycle its result is ready,
 // so that writeback passes over one still in flight without looking it up.
@@ -459,21 +405,6 @@ func (t *threadlet) reset(id int) {
 	ctl, leaks := t.ctlInFlight[:0], t.pendingLeaks[:0]
 	*t = threadlet{id: id, fq: fq, rob: rob, stIdx: stIdx, ldIdx: ldIdx, drain: drain,
 		activeRegion: -1, homeRegion: -1, ctlInFlight: ctl, pendingLeaks: leaks}
-}
-
-// spareThreads holds the threadlet contexts of recycled machines
-// (Machine.Recycle), whose queue arrays newThreadlet reuses.
-var spareThreads sync.Pool
-
-// newThreadlet returns the idle context id with a fetch queue of fqCap
-// entries: a recycled one when one fits, else a new one.
-func newThreadlet(id, fqCap int) *threadlet {
-	t, _ := spareThreads.Get().(*threadlet)
-	if t == nil || len(t.fq.buf) != fqCap {
-		t = &threadlet{fq: newFetchQueue(fqCap)}
-	}
-	t.reset(id)
-	return t
 }
 
 // fifo is a first-in first-out queue over one reused backing array: the

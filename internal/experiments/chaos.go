@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -104,7 +105,7 @@ func runChaos(cfg cpu.Config, cells []ChaosCell, observe func(i int, m *cpu.Mach
 			}}
 	}
 	h := &sim.Harness{Workers: sim.DefaultHarness().Workers}
-	_, errs := h.RunJobsErrs(jobs)
+	_, errs := h.RunJobsCtx(context.Background(), jobs)
 	for i := range cells {
 		c, m := &cells[i], machines[i]
 		if c.Err = errs[i]; c.Err == nil && attempts[i] > 1 {

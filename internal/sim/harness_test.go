@@ -195,11 +195,11 @@ func TestDefaultHarnessCacheDedup(t *testing.T) {
 	cfgA := cpu.DefaultConfig()
 	cfgB := cpu.DefaultConfig()
 	cfgB.SSB.GranuleBytes *= 2
-	bench := workloads.ByName(workloads.CPU2017(), "blender")
-	if _, err := h.Compare(cfgA, bench); err != nil {
+	suite := []*workloads.Benchmark{workloads.ByName(workloads.CPU2017(), "blender")}
+	if _, err := h.RunSuite(cfgA, suite); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Compare(cfgB, bench); err != nil {
+	if _, err := h.RunSuite(cfgB, suite); err != nil {
 		t.Fatal(err)
 	}
 	// Two sweep points: two LoopFrog runs but only one shared baseline.

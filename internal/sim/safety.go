@@ -5,7 +5,7 @@ package sim
 // panics) are recovered into per-job PanicErrors, panicking jobs are retried
 // once and quarantined on a repeat offence, and per-job wall-clock deadlines
 // are enforced through the machine's context support. The rest of a sweep
-// always completes and reports per-job errors (RunJobsErrs).
+// always completes and reports per-job errors (RunJobsCtx).
 
 import (
 	"context"

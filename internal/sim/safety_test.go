@@ -132,7 +132,7 @@ func TestPartialSweepResults(t *testing.T) {
 		{Cfg: cfg, Prog: chaosProg, Faults: "panic=1", Seed: 7},
 		{Cfg: cfg, Prog: prog},
 	}
-	out, errs := h.RunJobsErrs(jobs)
+	out, errs := h.RunJobsCtx(context.Background(), jobs)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("healthy jobs failed: %v / %v", errs[0], errs[2])
 	}
@@ -169,7 +169,7 @@ func TestFaultJobKeying(t *testing.T) {
 	}
 
 	h := &Harness{Workers: 2, Cache: NewRunCache()}
-	out, errs := h.RunJobsErrs([]Job{clean, faulty})
+	out, errs := h.RunJobsCtx(context.Background(), []Job{clean, faulty})
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("job %d: %v", i, err)

@@ -157,8 +157,8 @@ func init() {
 	defaultHarness.Store(NewHarness())
 }
 
-// DefaultHarness returns the harness behind the package-level RunSuite,
-// Compare, and RunJobs.
+// DefaultHarness returns the harness behind the package-level RunSuite and
+// RunJobs.
 func DefaultHarness() *Harness { return defaultHarness.Load() }
 
 // SetParallelism caps the default harness's worker pool (the -parallel flag
@@ -202,21 +202,15 @@ func (h *Harness) runOne(ctx context.Context, j Job) (*cpu.Stats, error) {
 	return h.execute(ctx, key, j)
 }
 
-// RunJobsErrs executes all jobs over the pool and returns stats and errors
+// RunJobsCtx executes all jobs over the pool and returns stats and errors
 // indexed exactly like jobs. It never stops early: a job that fails — or
 // panics, or exceeds its deadline — yields its own error while every other
 // job still runs to completion, so a sweep always produces the partial
-// result set it can.
-func (h *Harness) RunJobsErrs(jobs []Job) ([]*cpu.Stats, []error) {
-	return h.RunJobsCtx(context.Background(), jobs)
-}
-
-// RunJobsCtx is RunJobsErrs under a context: when ctx is cancelled (a client
-// disconnect, a server drain), every in-flight machine stops at its next
-// cancellation poll, jobs waiting on someone else's singleflight run stop
-// waiting, and jobs not yet started fail fast with the context error. The
-// call always returns with every worker goroutine finished — cancellation
-// can never leak a runner.
+// result set it can. When ctx is cancelled (a client disconnect, a server
+// drain), every in-flight machine stops at its next cancellation poll, jobs
+// waiting on someone else's singleflight run stop waiting, and jobs not yet
+// started fail fast with the context error. The call always returns with
+// every worker goroutine finished — cancellation can never leak a runner.
 func (h *Harness) RunJobsCtx(ctx context.Context, jobs []Job) ([]*cpu.Stats, []error) {
 	out := make([]*cpu.Stats, len(jobs))
 	errs := make([]error, len(jobs))
@@ -325,23 +319,13 @@ func (q *taskQueue) pop() (t task, ok bool) {
 // full results slice; a failed job's slot holds whatever partial Stats its
 // run produced.
 func (h *Harness) RunJobs(jobs []Job) ([]*cpu.Stats, error) {
-	out, errs := h.RunJobsErrs(jobs)
+	out, errs := h.RunJobsCtx(context.Background(), jobs)
 	for _, err := range errs {
 		if err != nil {
 			return out, err
 		}
 	}
 	return out, nil
-}
-
-// Compare runs a benchmark under cfg and its derived baseline, scheduling
-// both runs concurrently.
-func (h *Harness) Compare(cfg cpu.Config, b *workloads.Benchmark) (*Result, error) {
-	res, err := h.RunSuite(cfg, []*workloads.Benchmark{b})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }
 
 // RunSuite compares every benchmark in the suite under cfg, fanning the
@@ -357,7 +341,7 @@ func (h *Harness) RunSuite(cfg cpu.Config, suite []*workloads.Benchmark) ([]*Res
 		}
 		jobs = append(jobs, Job{Cfg: base, Prog: prog}, Job{Cfg: cfg, Prog: prog})
 	}
-	stats, errs := h.RunJobsErrs(jobs)
+	stats, errs := h.RunJobsCtx(context.Background(), jobs)
 	out := make([]*Result, len(suite))
 	for i, b := range suite {
 		if err := errs[2*i]; err != nil {

@@ -42,10 +42,11 @@ func TestCompareOnBenchmark(t *testing.T) {
 	if b == nil {
 		t.Fatal("imagick stand-in missing")
 	}
-	r, err := DefaultHarness().Compare(cpu.DefaultConfig(), b)
+	res, err := DefaultHarness().RunSuite(cpu.DefaultConfig(), []*workloads.Benchmark{b})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := res[0]
 	if r.Base.ArchInsts != r.LF.ArchInsts {
 		t.Error("instruction counts differ between runs")
 	}

@@ -242,8 +242,8 @@ func TestRegistryRoundTripCompleteness(t *testing.T) {
 // registry and is self-consistent.
 func TestCollectHarness(t *testing.T) {
 	h := sim.NewHarness()
-	b := workloads.ByName(workloads.CPU2017(), "mcf")
-	if _, err := h.Compare(cpu.DefaultConfig(), b); err != nil {
+	suite := []*workloads.Benchmark{workloads.ByName(workloads.CPU2017(), "mcf")}
+	if _, err := h.RunSuite(cpu.DefaultConfig(), suite); err != nil {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
@@ -268,7 +268,7 @@ func TestCollectHarness(t *testing.T) {
 		t.Errorf("utilization %v out of range", u)
 	}
 	// A second identical run must be served by the cache.
-	if _, err := h.Compare(cpu.DefaultConfig(), b); err != nil {
+	if _, err := h.RunSuite(cpu.DefaultConfig(), suite); err != nil {
 		t.Fatal(err)
 	}
 	if s := h.Stats(); s.CacheHits != 2 || s.CacheMisses != 2 {

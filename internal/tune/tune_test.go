@@ -95,7 +95,7 @@ func TestTuneScoresAreDetailed(t *testing.T) {
 	if len(rep.Ranking)+len(rep.Pruned) != rep.SpaceSize {
 		t.Fatalf("%d ranked + %d pruned != %d enumerated", len(rep.Ranking), len(rep.Pruned), rep.SpaceSize)
 	}
-	stats, errs := h.RunJobsErrs(jobs)
+	stats, errs := h.RunJobsCtx(context.Background(), jobs)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("detailed run %d: %v", i, err)
